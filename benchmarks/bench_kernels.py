@@ -1,8 +1,8 @@
-"""Throughput comparison of the activation kernels: numba vs numpy.
+"""Throughput of the activation kernels.
 
 Run as ``python3 benchmarks/bench_kernels.py``.  Times the forward and
-backward kernels over a grid of (elements, basis size); reports the best of
-``REPEATS`` runs and the speedup of the jitted path.
+backward kernels over a grid of (elements, basis size) and reports the best
+of ``REPEATS`` runs, in seconds and in nanoseconds per element.
 """
 
 import time
@@ -17,7 +17,7 @@ REPEATS = 5
 
 
 def best_time(fn, *args):
-    fn(*args)  # warm-up (and JIT compile on the numba path)
+    fn(*args)  # warm-up
     best = float("inf")
     for _ in range(REPEATS):
         t0 = time.perf_counter()
@@ -27,13 +27,10 @@ def best_time(fn, *args):
 
 
 def main():
-    print(f"active backend: {_backend.BACKEND}")
-    if _backend.BACKEND != "numba":
-        print("numba path unavailable; timing the numpy fallback only")
     rng = np.random.default_rng(0)
     header = (
-        f"{'n':>9} {'M':>4} {'fwd numpy':>11} {'fwd numba':>11}"
-        f" {'speedup':>8} {'bwd numpy':>11} {'bwd numba':>11} {'speedup':>8}"
+        f"{'n':>9} {'M':>4} {'fwd s':>10} {'fwd ns/el':>10}"
+        f" {'bwd s':>10} {'bwd ns/el':>10}"
     )
     print(header)
     print("-" * len(header))
@@ -43,25 +40,12 @@ def main():
         for m in BASIS:
             coords = rng.uniform(-1.0, 1.0, m)
             bps = np.linspace(-2.0, 2.0, m)
-            fwd_np = best_time(_backend.numpy_apl_forward, x, coords, bps)
-            bwd_np = best_time(
-                _backend.numpy_apl_backward, x, coords, bps, gout
+            fwd = best_time(_backend.apl_forward, x, coords, bps)
+            bwd = best_time(_backend.apl_backward, x, coords, bps, gout)
+            print(
+                f"{n:>9} {m:>4} {fwd:>10.2e} {fwd * 1e9 / n:>10.1f}"
+                f" {bwd:>10.2e} {bwd * 1e9 / n:>10.1f}"
             )
-            if _backend.BACKEND == "numba":
-                fwd_nb = best_time(_backend.numba_apl_forward, x, coords, bps)
-                bwd_nb = best_time(
-                    _backend.numba_apl_backward, x, coords, bps, gout
-                )
-                print(
-                    f"{n:>9} {m:>4} {fwd_np:>11.2e} {fwd_nb:>11.2e}"
-                    f" {fwd_np / fwd_nb:>7.1f}x {bwd_np:>11.2e}"
-                    f" {bwd_nb:>11.2e} {bwd_np / bwd_nb:>7.1f}x"
-                )
-            else:
-                print(
-                    f"{n:>9} {m:>4} {fwd_np:>11.2e} {'-':>11}"
-                    f" {'-':>8} {bwd_np:>11.2e} {'-':>11} {'-':>8}"
-                )
 
 
 if __name__ == "__main__":

@@ -1,92 +1,61 @@
-"""Hot activation kernels: numba-jitted loops with a pure-numpy fallback.
+"""Activation kernels over a sorted breakpoint grid.
 
-The active path is chosen at import time from the ``TAAN_BACKEND`` environment
-variable ("numba" or "numpy").  Default is numba when importable; set
-``TAAN_BACKEND=numpy`` to force the fallback.  Both paths implement the same
-contract on 1-D float64 arrays; ``benchmarks/bench_kernels.py`` compares their
-throughput.
+F(x) = max(0, x) + sum_i coords[i] * max(0, bps[i] - x) is linear on each of
+the M + 1 intervals that the M sorted breakpoints cut the line into.  The
+kernels find each element's interval by binary search,
+k = #{i : bps[i] <= x}, and read F off two per-interval tables, so a call
+costs O(n log M) time and O(n + M) memory.  On interval k the active hinges
+are i >= k, so with the suffix sums
+
+    A[k] = sum_{i >= k} coords[i] * bps[i],    B[k] = sum_{i >= k} coords[i],
+
+F(x) = max(0, x) + A[k] - B[k] * x, where A[M] = B[M] = 0.
+
+Because k counts the breakpoints equal to x, a hinge is inactive at
+x = bps[i] for both value and gradient; the relu slope is the right
+derivative at 0, also at x = -0.0.  Inputs are 1-D float64 arrays; coords
+and bps have length M >= 1 and bps is strictly increasing.
 """
-
-import os
 
 import numpy as np
 
+BACKEND = "numpy"
 
-def numpy_apl_forward(x, coords, bps):
+
+def _suffix_sums(coords, bps):
+    """The (A, B) interval tables, each of length M + 1."""
+    m = bps.shape[0]
+    tables = np.zeros((2, m + 1))
+    tables[0, :m] = coords * bps
+    tables[1, :m] = coords
+    return np.cumsum(tables[:, ::-1], axis=1)[:, ::-1]
+
+
+def apl_forward(x, coords, bps):
     """max(0, x) + sum_i coords[i] * max(0, bps[i] - x), elementwise over x."""
-    hinge = np.maximum(bps[None, :] - x[:, None], 0.0)
-    return np.maximum(x, 0.0) + hinge @ coords
+    k = np.searchsorted(bps, x, side="right")
+    a, b = _suffix_sums(coords, bps)
+    # Clipping x at the last breakpoint changes no finite value (B[M] = 0
+    # past it) and keeps x = +inf from turning 0 * inf into NaN.
+    return np.maximum(x, 0.0) + (a[k] - b[k] * np.minimum(x, bps[-1]))
 
 
-def numpy_apl_backward(x, coords, bps, gout):
+def apl_backward(x, coords, bps, gout):
     """Backward pass of the forward kernel.
 
-    Returns (gx, gcoords) where gx[k] = gout[k] * dF/dx at x[k] and
-    gcoords[i] = sum_k gout[k] * max(0, bps[i] - x[k]).  The slope uses the
-    right-derivative at x = 0 and treats a hinge as inactive at x = bps[i].
+    Returns (gx, gcoords) where gx[j] = gout[j] * dF/dx at x[j] and
+    gcoords[i] = sum_j gout[j] * max(0, bps[i] - x[j]).  Every interval
+    k <= i lies below bps[i], so gcoords[i] is bps[i] times the running sum
+    of gout over intervals 0..i, minus the running sum of gout * x.
     """
-    hinge = np.maximum(bps[None, :] - x[:, None], 0.0)
-    active = hinge > 0.0
-    gx = gout * ((x >= 0.0).astype(np.float64) - active @ coords)
-    gcoords = gout @ hinge
-    return gx, gcoords
-
-
-_requested = os.environ.get("TAAN_BACKEND", "").strip().lower()
-if _requested not in ("", "numba", "numpy"):
-    raise ValueError(
-        f"TAAN_BACKEND must be 'numba' or 'numpy', got {_requested!r}"
-    )
-
-if _requested == "numpy":
-    BACKEND = "numpy"
-else:
-    try:
-        from numba import njit
-
-        BACKEND = "numba"
-    except ImportError:
-        if _requested == "numba":
-            raise
-        BACKEND = "numpy"
-
-if BACKEND == "numba":
-
-    @njit(cache=True)
-    def numba_apl_forward(x, coords, bps):
-        n = x.shape[0]
-        m = bps.shape[0]
-        out = np.empty(n)
-        for k in range(n):
-            xv = x[k]
-            acc = xv if xv > 0.0 else 0.0
-            for i in range(m):
-                d = bps[i] - xv
-                if d > 0.0:
-                    acc += coords[i] * d
-            out[k] = acc
-        return out
-
-    @njit(cache=True)
-    def numba_apl_backward(x, coords, bps, gout):
-        n = x.shape[0]
-        m = bps.shape[0]
-        gx = np.empty(n)
-        gcoords = np.zeros(m)
-        for k in range(n):
-            xv = x[k]
-            g = gout[k]
-            slope = 1.0 if xv >= 0.0 else 0.0
-            for i in range(m):
-                d = bps[i] - xv
-                if d > 0.0:
-                    slope -= coords[i]
-                    gcoords[i] += g * d
-            gx[k] = g * slope
-        return gx, gcoords
-
-    apl_forward = numba_apl_forward
-    apl_backward = numba_apl_backward
-else:
-    apl_forward = numpy_apl_forward
-    apl_backward = numpy_apl_backward
+    m = bps.shape[0]
+    k = np.searchsorted(bps, x, side="right")
+    _, b = _suffix_sums(coords, bps)
+    gx = gout * ((x >= 0.0) - b[k])
+    g_sum = np.bincount(k, gout, m + 1)
+    gx_sum = np.bincount(k, gout * np.minimum(x, bps[-1]), m + 1)
+    gcoords = bps * np.cumsum(g_sum[:m]) - np.cumsum(gx_sum[:m])
+    # Interval M (x >= bps[-1], and NaN, which searchsorted sorts last)
+    # contributes gout * 0 to every coordinate; adding 0 * its sum keeps a
+    # NaN there visible, as it is in the direct sum.
+    return gx, gcoords + 0.0 * gx_sum[m]

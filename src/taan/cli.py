@@ -153,19 +153,31 @@ def _load_datasets(cfg):
     return out
 
 
-def _architecture(cfg, datasets):
+def _output_dim(targets, task, loss):
+    """One output per target column; for a single column of class labels
+    under cross-entropy, one output per class."""
+    if targets.ndim == 2 and (targets.shape[1] > 1 or loss != "cross_entropy"):
+        return targets.shape[1]
+    labels = targets.reshape(-1)
+    if loss == "cross_entropy" and not np.all(
+        (labels >= 0) & (labels == np.floor(labels))
+    ):
+        raise ValueError(
+            f"task {task}: cross_entropy targets must be non-negative "
+            "integer class labels"
+        )
+    return int(np.max(labels)) + 1
+
+
+def _architecture(cfg, datasets, config):
     arch_cfg = dict(cfg["arch"])
     first = datasets[0].train
     arch_cfg.setdefault("input_dim", first.inputs.shape[1])
     if "output_dim" not in arch_cfg:
-        dims = []
-        for split in datasets:
-            targets = split.train.targets
-            if targets.ndim == 2:
-                dims.append(targets.shape[1])
-            else:
-                dims.append(int(np.max(targets)) + 1)
-        arch_cfg["output_dim"] = tuple(dims)
+        arch_cfg["output_dim"] = tuple(
+            _output_dim(split.train.targets, t, config.loss_kind(t))
+            for t, split in enumerate(datasets)
+        )
     arch_cfg["task_count"] = len(datasets)
     arch_cfg["basis_range"] = tuple(arch_cfg["basis_range"])
     arch_cfg["hidden_widths"] = tuple(arch_cfg["hidden_widths"])
@@ -200,8 +212,8 @@ def cmd_train(args):
     cfg = load_config(args)
     dirs = _outdirs(cfg["out"])
     datasets = _load_datasets(cfg)
-    arch = _architecture(cfg, datasets)
     config = _train_config(cfg)
+    arch = _architecture(cfg, datasets, config)
     model = build_model(arch, cfg["seed"])
     model, history = train(model, datasets, config)
     ckpt = dirs["checkpoints"] / "model.npz"

@@ -261,6 +261,12 @@ def train(model: TaanModel, datasets, config: TrainConfig, cache=None):
         raise ValueError(
             f"got {len(pairs)} datasets for {model.task_count} tasks"
         )
+    for t in range(model.task_count):
+        if config.loss_kind(t) == "cross_entropy" and model.head_dim(t) < 2:
+            raise ValueError(
+                f"task {t}: cross_entropy needs at least 2 output classes, "
+                f"but its head has {model.head_dim(t)} output"
+            )
     train_x, train_y, val_sets = [], [], []
     for t, (tr, va) in enumerate(pairs):
         x, y = _data_arrays(tr)

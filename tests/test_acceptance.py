@@ -8,7 +8,6 @@ suite's runtime (about a minute).
 """
 
 import json
-import os
 import subprocess
 import sys
 import time
@@ -16,6 +15,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import child_env
 from taan.analysis import (
     check_l1_bounds,
     cluster_separation,
@@ -489,7 +489,7 @@ def test_10_seeded_reruns_are_byte_identical(tmp_path):
             capture_output=True,
             text=True,
             cwd=tmp_path,
-            env=dict(os.environ),
+            env=child_env(),
             timeout=300,
         )
         assert proc.returncode == 0, proc.stderr

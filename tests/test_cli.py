@@ -1,13 +1,13 @@
 """End-to-end command-line runs in subprocesses."""
 
 import json
-import os
 import subprocess
 import sys
 
 import numpy as np
 
-from taan.data import CsvSchema, load_csv
+from conftest import child_env
+from taan.data import CsvSchema, TaskDataset, load_csv, save_csv
 from taan.analysis import load_heatmap_csv
 from taan.network import load_checkpoint
 
@@ -29,13 +29,12 @@ SMALL_CONFIG = {
 
 
 def run_cli(*argv, cwd):
-    env = dict(os.environ, TAAN_BACKEND="numpy")
     return subprocess.run(
         [sys.executable, "-m", "taan", *argv],
         capture_output=True,
         text=True,
         cwd=cwd,
-        env=env,
+        env=child_env(),
         timeout=300,
     )
 
@@ -179,3 +178,56 @@ def test_missing_subcommand_is_a_usage_error(tmp_path):
     proc = run_cli(cwd=tmp_path)
     assert proc.returncode == 2
     assert "usage" in proc.stderr.lower()
+
+
+def write_class_csvs(tmp_path, labels):
+    """One task's train/val CSVs (columns x0, x1, y0) with the given labels;
+    returns the config path for cross-entropy training on them."""
+    rng = np.random.default_rng(4)
+    paths = {}
+    for split in ("train", "val"):
+        x = rng.standard_normal((len(labels), 2))
+        path = tmp_path / f"{split}.csv"
+        save_csv(TaskDataset(x, np.array(labels, float)[:, None], 0, split), path)
+        paths[split] = str(path)
+    cfg = {
+        "seed": 2,
+        "arch": {"hidden_widths": [6], "basis_count": 4},
+        "train": {"epochs": 2, "batch_size": 16, "loss": "cross_entropy"},
+        "data": {
+            "synthetic": None,
+            "csv": {
+                "schema": {"n_inputs": 2, "n_targets": 1},
+                "tasks": [paths],
+            }
+        },
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    return path
+
+
+def test_train_csv_class_labels_under_cross_entropy(tmp_path):
+    cfg = write_class_csvs(tmp_path, [0, 1, 2] * 20)
+    proc = run_cli("train", "--config", str(cfg), "--out", "run", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    model, _, _ = load_checkpoint(tmp_path / "run/checkpoints/model.npz")
+    assert model.head_dim(0) == 3
+    lines = (tmp_path / "run/history/history.csv").read_text().split("\n")
+    header = lines[0].split(",")
+    for line in filter(None, lines[1:]):
+        row = dict(zip(header, line.split(",")))
+        # Three balanced classes start near ln 3; a one-class head reads 0.
+        assert float(row["train_loss"]) > 0.5
+        assert 0.0 <= float(row["val_metric"]) < 1.0
+
+
+def test_train_rejects_unusable_class_labels(tmp_path):
+    cfg = write_class_csvs(tmp_path, [0] * 30)
+    proc = run_cli("train", "--config", str(cfg), "--out", "one", cwd=tmp_path)
+    assert proc.returncode == 1
+    assert "task 0" in proc.stderr and "cross_entropy" in proc.stderr
+    cfg = write_class_csvs(tmp_path, [0.0, 1.5, 2.0] * 10)
+    proc = run_cli("train", "--config", str(cfg), "--out", "frac", cwd=tmp_path)
+    assert proc.returncode == 1
+    assert "task 0" in proc.stderr and "integer class labels" in proc.stderr
