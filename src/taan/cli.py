@@ -46,9 +46,9 @@ from taan.network import (
     backward,
     build_model,
     forward,
-    gradient_arrays,
     load_checkpoint,
     model_parameters,
+    param_views,
     save_checkpoint,
 )
 from taan.regularizers import RegConfig, reg_grad, regularizer_value
@@ -101,7 +101,11 @@ def load_config(args):
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as fh:
-            cfg = _deep_merge(cfg, json.load(fh))
+            file_cfg = json.load(fh)
+        if "csv" in file_cfg.get("data", {}):
+            # A CSV source replaces the default synthetic benchmark.
+            cfg["data"] = {}
+        cfg = _deep_merge(cfg, file_cfg)
     if getattr(args, "seed", None) is not None:
         cfg["seed"] = args.seed
     if getattr(args, "out", None):
@@ -122,6 +126,8 @@ def _outdirs(out):
 
 
 def _synthetic_spec(cfg):
+    if not cfg["data"].get("synthetic"):
+        raise ValueError("config has no data.synthetic section")
     params = dict(cfg["data"]["synthetic"])
     params.setdefault("seed", cfg["seed"])
     if params.get("clusters") is not None:
@@ -131,9 +137,11 @@ def _synthetic_spec(cfg):
 
 def _load_datasets(cfg):
     data_cfg = cfg.get("data", {})
-    if data_cfg.get("synthetic"):
-        return generate(_synthetic_spec(cfg))
     csv_cfg = data_cfg.get("csv")
+    if data_cfg.get("synthetic"):
+        if csv_cfg:
+            raise ValueError("config sets both data.synthetic and data.csv")
+        return generate(_synthetic_spec(cfg))
     if not csv_cfg:
         raise ValueError("config needs data.synthetic or data.csv")
     schema = CsvSchema(**csv_cfg["schema"])
@@ -362,7 +370,7 @@ def _check_network_gradients(rng):
     x = rng.standard_normal((3, arch.input_dim))
     projection = rng.standard_normal((3, 2))
     out, trace = forward(model, 0, x)
-    grads = gradient_arrays(backward(model, 0, trace, projection))
+    grads = param_views(model, backward(model, 0, trace, projection))
     params = model_parameters(model)
 
     def objective():

@@ -7,6 +7,8 @@ pass can chain through the activation's x- and coordinate-derivatives.
 """
 
 import json
+import math
+import os
 
 import numpy as np
 
@@ -56,6 +58,10 @@ class AalLayer:
 
 
 class TaanModel:
+    """Shared layers plus per-task heads.  Construction copies every array
+    into one float64 vector ``params`` (layout: ``_param_slots``) and rebinds
+    the layer and head objects' arrays to views of it."""
+
     def __init__(self, layers, heads, task_count):
         if len(heads) != task_count:
             raise ValueError(f"expected {task_count} heads, got {len(heads)}")
@@ -72,6 +78,18 @@ class TaanModel:
         self.layers = list(layers)
         self.heads = list(heads)
         self.task_count = task_count
+        # Packing rebinds each object's arrays, so an object passed twice
+        # would leave one slot of params that nothing reads.
+        parts = [(f"layers[{l}].linear", x.linear) for l, x in enumerate(layers)]
+        parts += [(f"heads[{t}]", x) for t, x in enumerate(heads)]
+        first = {}
+        for name, part in parts:
+            if first.setdefault(id(part), name) != name:
+                raise ValueError(f"{name} is the same object as {first[id(part)]}")
+        slots = _param_slots(self)
+        self.params = np.concatenate([getattr(o, n).ravel() for o, n in slots])
+        for (owner, name), view in zip(slots, param_views(self, self.params)):
+            setattr(owner, name, view)
 
     @property
     def input_dim(self):
@@ -90,40 +108,6 @@ class ForwardTrace:
         self.x = x
         self.pre_activations = pre_activations
         self.activations = activations
-
-
-class ModelGradients:
-    def __init__(self, layer_weight, layer_bias, layer_coords, head_weight, head_bias):
-        self.layer_weight = layer_weight
-        self.layer_bias = layer_bias
-        self.layer_coords = layer_coords
-        self.head_weight = head_weight
-        self.head_bias = head_bias
-
-    @classmethod
-    def zeros_like(cls, model):
-        return cls(
-            [np.zeros_like(l.linear.weight) for l in model.layers],
-            [np.zeros_like(l.linear.bias) for l in model.layers],
-            [np.zeros_like(l.coords) for l in model.layers],
-            [np.zeros_like(h.weight) for h in model.heads],
-            [np.zeros_like(h.bias) for h in model.heads],
-        )
-
-    def add_(self, other):
-        for mine, theirs in zip(self._lists(), other._lists()):
-            for a, b in zip(mine, theirs):
-                a += b
-        return self
-
-    def _lists(self):
-        return (
-            self.layer_weight,
-            self.layer_bias,
-            self.layer_coords,
-            self.head_weight,
-            self.head_bias,
-        )
 
 
 def _check_task(model, task):
@@ -164,23 +148,24 @@ def forward(model: TaanModel, task, x):
 def backward(model: TaanModel, task, trace: ForwardTrace, output_grad):
     """Chain output_grad back to every parameter touched by this task.
 
-    Fills gradients for the shared linear layers, the task's coordinate row
-    and the task's head; the other tasks' coordinate rows and heads stay
-    exactly zero.
+    Returns one gradient vector laid out like ``model.params``: it fills the
+    shared linear layers, the task's coordinate row and the task's head; the
+    other tasks' coordinate rows and heads stay exactly zero.
     """
     _check_task(model, task)
     output_grad = np.asarray(output_grad, dtype=np.float64)
-    grads = ModelGradients.zeros_like(model)
     h_last = trace.activations[-1] if model.layers else trace.x
     if output_grad.shape != (h_last.shape[0], model.head_dim(task)):
         raise ValueError(
             f"output_grad has shape {output_grad.shape}, expected "
             f"({h_last.shape[0]}, {model.head_dim(task)})"
         )
-    head = model.heads[task]
-    grads.head_weight[task][:] = output_grad.T @ h_last
-    grads.head_bias[task][:] = output_grad.sum(axis=0)
-    dh = output_grad @ head.weight
+    grad = np.zeros_like(model.params)
+    views = param_views(model, grad)
+    n_shared = 3 * len(model.layers)
+    views[n_shared + 2 * task][:] = output_grad.T @ h_last
+    views[n_shared + 2 * task + 1][:] = output_grad.sum(axis=0)
+    dh = output_grad @ model.heads[task].weight
     for l in range(len(model.layers) - 1, -1, -1):
         layer = model.layers[l]
         a = trace.pre_activations[l]
@@ -191,12 +176,13 @@ def backward(model: TaanModel, task, trace: ForwardTrace, output_grad):
             np.ascontiguousarray(dh.ravel()),
         )
         da = gx.reshape(a.shape)
-        grads.layer_coords[l][task, :] = gcoords
+        g_weight, g_bias, g_coords = views[3 * l : 3 * l + 3]
+        g_coords[task, :] = gcoords
         h_prev = trace.activations[l - 1] if l > 0 else trace.x
-        grads.layer_weight[l][:] = da.T @ h_prev
-        grads.layer_bias[l][:] = da.sum(axis=0)
+        g_weight[:] = da.T @ h_prev
+        g_bias[:] = da.sum(axis=0)
         dh = da @ layer.linear.weight
-    return grads
+    return grad
 
 
 class ArchitectureSpec:
@@ -264,7 +250,7 @@ def _shared_coords(coords):
     # Already-identical rows are kept verbatim instead of re-averaged, so the
     # reduction is exactly idempotent despite rounding in the mean.
     if np.all(coords == coords[0]):
-        return coords.copy()
+        return coords
     return np.repeat(coords.mean(axis=0, keepdims=True), coords.shape[0], axis=0)
 
 
@@ -273,13 +259,13 @@ def to_hard_sharing(model: TaanModel) -> TaanModel:
     activation per layer; weights, biases and heads are copied unchanged."""
     layers = [
         AalLayer(
-            LinearLayer(l.linear.weight.copy(), l.linear.bias.copy()),
+            LinearLayer(l.linear.weight, l.linear.bias),
             _shared_coords(l.coords),
             l.grid,
         )
         for l in model.layers
     ]
-    heads = [LinearLayer(h.weight.copy(), h.bias.copy()) for h in model.heads]
+    heads = [LinearLayer(h.weight, h.bias) for h in model.heads]
     return TaanModel(layers, heads, model.task_count)
 
 
@@ -289,48 +275,55 @@ def tie_heads(model: TaanModel) -> TaanModel:
     if any(h.out_dim != first.out_dim for h in model.heads):
         raise ValueError("cannot tie heads with different output dims")
     layers = [
-        AalLayer(
-            LinearLayer(l.linear.weight.copy(), l.linear.bias.copy()),
-            l.coords.copy(),
-            l.grid,
-        )
+        AalLayer(LinearLayer(l.linear.weight, l.linear.bias), l.coords, l.grid)
         for l in model.layers
     ]
-    heads = [
-        LinearLayer(first.weight.copy(), first.bias.copy())
-        for _ in range(model.task_count)
-    ]
+    heads = [LinearLayer(first.weight, first.bias) for _ in range(model.task_count)]
     return TaanModel(layers, heads, model.task_count)
 
 
-def model_parameters(model: TaanModel):
-    """All trainable arrays in a fixed order (layer W, b, coords; head W, b).
-
-    The returned arrays are the model's own buffers, so in-place optimizer
-    updates mutate the model directly.
-    """
-    params = []
+def _param_slots(model):
+    """The parameter layout: (owner, attribute) of each layer's weight, bias
+    and coords, then each head's weight and bias, packed in this order."""
+    slots = []
     for layer in model.layers:
-        params.extend((layer.linear.weight, layer.linear.bias, layer.coords))
+        slots += [(layer.linear, "weight"), (layer.linear, "bias"), (layer, "coords")]
     for head in model.heads:
-        params.extend((head.weight, head.bias))
-    return params
+        slots += [(head, "weight"), (head, "bias")]
+    return slots
 
 
-def gradient_arrays(grads: ModelGradients):
-    """Gradient arrays in the same order as model_parameters."""
-    out = []
-    for w, b, c in zip(grads.layer_weight, grads.layer_bias, grads.layer_coords):
-        out.extend((w, b, c))
-    for w, b in zip(grads.head_weight, grads.head_bias):
-        out.extend((w, b))
-    return out
+def param_views(model: TaanModel, flat):
+    """Split a flat vector laid out like ``model.params`` (a gradient, say)
+    into per-array views, in ``_param_slots`` order."""
+    views, start = [], 0
+    for owner, name in _param_slots(model):
+        shape = getattr(owner, name).shape
+        stop = start + math.prod(shape)
+        views.append(flat[start:stop].reshape(shape))
+        start = stop
+    if flat.shape != (start,):
+        raise ValueError(f"flat vector has shape {flat.shape}, expected ({start},)")
+    return views
+
+
+def coord_views(model: TaanModel, flat):
+    """Each layer's coordinate-matrix view of a flat vector in the layout."""
+    return param_views(model, flat)[2 : 3 * len(model.layers) : 3]
+
+
+def model_parameters(model: TaanModel):
+    """The model's own trainable arrays in layout order (layer W, b, coords;
+    head W, b); each is a view of ``model.params``."""
+    return [getattr(owner, name) for owner, name in _param_slots(model)]
 
 
 def save_checkpoint(model: TaanModel, path, mixture=None, seed=None):
     """Write the model (plus optional mixture and seed) as an npz archive.
 
-    float64 arrays round-trip bitwise.
+    float64 arrays round-trip bitwise.  Like ``np.savez``, a path without the
+    ``.npz`` suffix gets it; the archive goes to a temporary file beside the
+    target that is then moved into place, so no save leaves a partial file.
     """
     meta = {
         "task_count": model.task_count,
@@ -352,37 +345,52 @@ def save_checkpoint(model: TaanModel, path, mixture=None, seed=None):
         arrays["mixture_weights"] = mixture.weights
         arrays["mixture_means"] = mixture.means
         arrays["mixture_sigmas"] = mixture.sigmas
-    np.savez(path, **arrays)
+    path = os.fspath(path)
+    path += "" if path.endswith(".npz") else ".npz"
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            np.savez(fh, **arrays)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def load_checkpoint(path):
     """Inverse of save_checkpoint; returns (model, mixture, seed)."""
-    with np.load(path) as data:
-        meta = json.loads(bytes(data["meta"]).decode())
+    with np.load(path) as archive:
+
+        def data(key):
+            if key not in archive.files:
+                raise ValueError(f"checkpoint {path} has no member {key!r}")
+            return archive[key]
+
+        meta = json.loads(bytes(data("meta")).decode())
         layers = []
         grids = {}
         for l in range(meta["layer_count"]):
-            bps = data[f"layer{l}_grid"]
+            bps = data(f"layer{l}_grid")
             key = bps.tobytes()
             if key not in grids:
                 grids[key] = BasisGrid(bps)
             layers.append(
                 AalLayer(
-                    LinearLayer(data[f"layer{l}_weight"], data[f"layer{l}_bias"]),
-                    data[f"layer{l}_coords"],
+                    LinearLayer(data(f"layer{l}_weight"), data(f"layer{l}_bias")),
+                    data(f"layer{l}_coords"),
                     grids[key],
                 )
             )
         heads = [
-            LinearLayer(data[f"head{t}_weight"], data[f"head{t}_bias"])
+            LinearLayer(data(f"head{t}_weight"), data(f"head{t}_bias"))
             for t in range(meta["task_count"])
         ]
         mixture = None
         if meta["has_mixture"]:
             mixture = GaussianMixture(
-                data["mixture_weights"],
-                data["mixture_means"],
-                data["mixture_sigmas"],
+                data("mixture_weights"),
+                data("mixture_means"),
+                data("mixture_sigmas"),
             )
     model = TaanModel(layers, heads, meta["task_count"])
     return model, mixture, meta["seed"]

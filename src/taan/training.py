@@ -2,8 +2,8 @@
 
 Each optimization step draws one minibatch per task, sums the task losses,
 adds the coordinate-matrix regularizer, and applies a single Adam update to
-the flattened parameter list.  Everything is driven by one seeded generator
-so a run is fully reproducible.
+the model's flat parameter vector.  Everything is driven by one seeded
+generator so a run is fully reproducible.
 """
 
 import math
@@ -12,14 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from taan.metrics import GaussianMixture, build_gram, distance_matrix
-from taan.network import (
-    ModelGradients,
-    TaanModel,
-    forward,
-    backward,
-    gradient_arrays,
-    model_parameters,
-)
+from taan.network import TaanModel, backward, coord_views, forward
 from taan.regularizers import RegConfig, RegKind, reg_grad, regularizer_value
 
 LOSS_KINDS = ("squared_error", "cross_entropy")
@@ -41,43 +34,30 @@ class AdamState:
 
     @classmethod
     def for_params(
-        cls,
-        params,
-        learning_rate=1e-4,
-        beta1=0.9,
-        beta2=0.98,
-        epsilon=1e-8,
+        cls, param, learning_rate=1e-4, beta1=0.9, beta2=0.98, epsilon=1e-8
     ):
-        return cls(
-            [np.zeros_like(p) for p in params],
-            [np.zeros_like(p) for p in params],
-            0,
-            learning_rate,
-            beta1,
-            beta2,
-            epsilon,
+        m, v = np.zeros_like(param), np.zeros_like(param)
+        return cls(m, v, 0, learning_rate, beta1, beta2, epsilon)
+
+
+def adam_step(param, grad, state: AdamState):
+    """One in-place bias-corrected Adam update of one array (the model's flat
+    ``params``, in training); returns (param, state)."""
+    if not param.shape == grad.shape == state.m.shape:
+        raise ValueError(
+            f"shapes differ: {param.shape}, {grad.shape}, state {state.m.shape}"
         )
-
-
-def adam_step(params, grads, state: AdamState):
-    """One in-place bias-corrected Adam update; returns (params, state)."""
-    if len(params) != len(grads) or len(params) != len(state.m):
-        raise ValueError("params, grads and state must have the same length")
     state.step += 1
     b1, b2 = state.beta1, state.beta2
     bc1 = 1.0 - b1**state.step
     bc2 = 1.0 - b2**state.step
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        if p.shape != g.shape:
-            raise ValueError(
-                f"gradient shape {g.shape} does not match parameter {p.shape}"
-            )
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        p -= state.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + state.epsilon)
-    return params, state
+    m, v = state.m, state.v
+    m *= b1
+    m += (1.0 - b1) * grad
+    v *= b2
+    v += (1.0 - b2) * grad * grad
+    param -= state.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + state.epsilon)
+    return param, state
 
 
 @dataclass(frozen=True)
@@ -281,13 +261,8 @@ def train(model: TaanModel, datasets, config: TrainConfig, cache=None):
         train_y.append(y)
         val_sets.append(va)
     rng = np.random.default_rng(config.seed)
-    params = model_parameters(model)
     state = AdamState.for_params(
-        params,
-        config.learning_rate,
-        config.beta1,
-        config.beta2,
-        config.epsilon,
+        model.params, config.learning_rate, config.beta1, config.beta2, config.epsilon
     )
     caches = _layer_caches(model, cache)
     reg_on = config.reg.kind is not RegKind.NONE
@@ -303,7 +278,7 @@ def train(model: TaanModel, datasets, config: TrainConfig, cache=None):
             take = np.arange(
                 step * config.batch_size, (step + 1) * config.batch_size
             )
-            total = ModelGradients.zeros_like(model)
+            total = np.zeros_like(model.params)
             for t in range(model.task_count):
                 idx = np.take(perms[t], take, mode="wrap")
                 out, trace = forward(model, t, train_x[t][idx])
@@ -311,15 +286,22 @@ def train(model: TaanModel, datasets, config: TrainConfig, cache=None):
                     config.loss_kind(t), out, train_y[t][idx]
                 )
                 epoch_loss[t] += loss
-                total.add_(backward(model, t, trace, dout))
+                total += backward(model, t, trace, dout)
             if reg_on and config.reg.coefficient > 0:
+                coord_grads = coord_views(model, total)
                 for l, layer in enumerate(model.layers):
-                    total.layer_coords[l] += config.reg.coefficient * reg_grad(
+                    coord_grads[l] += config.reg.coefficient * reg_grad(
                         config.reg.kind,
                         layer.coords,
                         caches[l] if needs_cache else None,
                     )
-            adam_step(params, gradient_arrays(total), state)
+            adam_step(model.params, total, state)
+        bad = np.flatnonzero(~np.isfinite(epoch_loss))
+        if bad.size:
+            raise ValueError(
+                f"training diverged: epoch {epoch}, task {bad[0]} has loss "
+                f"{epoch_loss[bad[0]]:g}"
+            )
         reg_value = 0.0
         if reg_on:
             reg_value = sum(

@@ -38,8 +38,8 @@ from taan.network import (
     backward,
     build_model,
     forward,
-    gradient_arrays,
     model_parameters,
+    param_views,
     tie_heads,
     to_hard_sharing,
 )
@@ -239,7 +239,7 @@ def test_04_gradients_match_finite_differences():
         x = rng.standard_normal((3, 4))
         projection = rng.standard_normal((3, 2))
         _, trace = forward(model, 0, x)
-        grads = gradient_arrays(backward(model, 0, trace, projection))
+        grads = param_views(model, backward(model, 0, trace, projection))
         params = model_parameters(model)
 
         def objective():

@@ -231,3 +231,52 @@ def test_train_rejects_unusable_class_labels(tmp_path):
     proc = run_cli("train", "--config", str(cfg), "--out", "frac", cwd=tmp_path)
     assert proc.returncode == 1
     assert "task 0" in proc.stderr and "integer class labels" in proc.stderr
+
+
+def test_train_csv_only_config_uses_the_csv(tmp_path):
+    # The default config's synthetic block must not shadow a CSV source.
+    path = write_class_csvs(tmp_path, [0, 1, 2] * 20)
+    cfg = json.loads(path.read_text(encoding="utf-8"))
+    del cfg["data"]["synthetic"]
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    proc = run_cli("train", "--config", str(path), "--out", "run", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    model, _, _ = load_checkpoint(tmp_path / "run/checkpoints/model.npz")
+    assert model.task_count == 1 and model.input_dim == 2
+    assert model.head_dim(0) == 3
+    proc = run_cli("gen-data", "--config", str(path), "--out", "gen", cwd=tmp_path)
+    assert proc.returncode == 1 and "data.synthetic" in proc.stderr
+
+
+def test_train_rejects_both_data_sources(tmp_path):
+    path = write_class_csvs(tmp_path, [0, 1, 2] * 20)
+    cfg = json.loads(path.read_text(encoding="utf-8"))
+    cfg["data"]["synthetic"] = SMALL_CONFIG["data"]["synthetic"]
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    proc = run_cli("train", "--config", str(path), "--out", "run", cwd=tmp_path)
+    assert proc.returncode == 1
+    assert "data.synthetic" in proc.stderr and "data.csv" in proc.stderr
+
+
+def test_train_divergence_exits_1_without_checkpoint(tmp_path):
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((30, 2))
+    csv = tmp_path / "train.csv"
+    save_csv(TaskDataset(x, np.full((30, 1), 1e200), 0, "train"), csv)
+    cfg = {
+        "arch": {"hidden_widths": [4], "basis_count": 4},
+        "train": {"epochs": 2, "batch_size": 16},
+        "data": {
+            "csv": {
+                "schema": {"n_inputs": 2, "n_targets": 1},
+                "tasks": [{"train": str(csv)}],
+            }
+        },
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    proc = run_cli("train", "--config", str(path), "--out", "run", cwd=tmp_path)
+    assert proc.returncode == 1
+    assert "epoch 0, task 0" in proc.stderr
+    assert not list((tmp_path / "run/checkpoints").iterdir())
+    assert not (tmp_path / "run/history/history.csv").exists()

@@ -10,14 +10,13 @@ from taan.network import (
     AalLayer,
     ArchitectureSpec,
     LinearLayer,
-    ModelGradients,
     TaanModel,
     backward,
     build_model,
     forward,
-    gradient_arrays,
     load_checkpoint,
     model_parameters,
+    param_views,
     save_checkpoint,
     tie_heads,
     to_hard_sharing,
@@ -91,7 +90,7 @@ def test_backward_matches_finite_differences():
     out, trace = forward(model, task, x)
     grads = backward(model, task, trace, out.copy())
     params = model_parameters(model)
-    grad_arrays = gradient_arrays(grads)
+    grad_arrays = param_views(model, grads)
     eps = 1e-6
     for arr, g in zip(params, grad_arrays):
         flat = arr.reshape(-1)
@@ -118,14 +117,17 @@ def test_backward_leaves_other_tasks_untouched():
     rng = np.random.default_rng(13)
     x = rng.standard_normal((4, ARCH.input_dim))
     out, trace = forward(model, 2, x)
-    grads = backward(model, 2, trace, np.ones_like(out))
+    views = param_views(model, backward(model, 2, trace, np.ones_like(out)))
+    layer_coords = views[2 : 3 * len(model.layers) : 3]
+    head_weight = views[3 * len(model.layers) :: 2]
+    head_bias = views[3 * len(model.layers) + 1 :: 2]
     for l in range(len(model.layers)):
-        assert np.any(grads.layer_coords[l][2] != 0.0)
-        assert np.array_equal(grads.layer_coords[l][0], np.zeros(4))
-        assert np.array_equal(grads.layer_coords[l][1], np.zeros(4))
+        assert np.any(layer_coords[l][2] != 0.0)
+        assert np.array_equal(layer_coords[l][0], np.zeros(4))
+        assert np.array_equal(layer_coords[l][1], np.zeros(4))
     for t in (0, 1):
-        assert np.array_equal(grads.head_weight[t], np.zeros_like(model.heads[t].weight))
-        assert np.array_equal(grads.head_bias[t], np.zeros_like(model.heads[t].bias))
+        assert np.array_equal(head_weight[t], np.zeros_like(model.heads[t].weight))
+        assert np.array_equal(head_bias[t], np.zeros_like(model.heads[t].bias))
 
 
 def test_hard_sharing_with_tied_heads_is_task_independent():
@@ -188,19 +190,73 @@ def test_model_parameters_alias_model_buffers():
     assert params[-1] is model.heads[-1].bias
     # 3 arrays per layer + 2 per head.
     assert len(params) == 3 * len(model.layers) + 2 * len(model.heads)
-    grads = ModelGradients.zeros_like(model)
-    assert len(gradient_arrays(grads)) == len(params)
-    for p, g in zip(params, gradient_arrays(grads)):
+    grads = param_views(model, np.zeros_like(model.params))
+    assert len(grads) == len(params)
+    for p, g in zip(params, grads):
         assert p.shape == g.shape
 
 
-def test_gradient_accumulation():
+def assert_packed(model):
+    """Every model array is a view into model.params, in layout order."""
+    arrays = []
+    for layer in model.layers:
+        arrays += [layer.linear.weight, layer.linear.bias, layer.coords]
+    for head in model.heads:
+        arrays += [head.weight, head.bias]
+    assert model.params.dtype == np.float64 and model.params.flags.c_contiguous
+    assert model.params.size == sum(a.size for a in arrays)
+    start = 0
+    for a in arrays:
+        assert a.base is model.params
+        assert a.__array_interface__["data"][0] == (
+            model.params.__array_interface__["data"][0] + 8 * start
+        )
+        start += a.size
+    for a, p in zip(arrays, model_parameters(model)):
+        assert np.shares_memory(a, p) and a.shape == p.shape
+
+
+def test_every_array_is_a_view_of_params(tmp_path):
     model = small_model()
-    a = ModelGradients.zeros_like(model)
-    b = ModelGradients.zeros_like(model)
-    b.layer_weight[0][:] = 1.0
-    a.add_(b).add_(b)
-    assert np.array_equal(a.layer_weight[0], np.full_like(a.layer_weight[0], 2.0))
+    assert_packed(model)
+    # Writing through an array moves params and vice versa.
+    model.layers[1].coords[2, 3] = 7.0
+    assert 7.0 in model.params
+    model.params[:] = 0.0
+    assert np.all(model.heads[2].weight == 0.0)
+    model = small_model()
+    save_checkpoint(model, tmp_path / "m.npz")
+    loaded, _, _ = load_checkpoint(tmp_path / "m.npz")
+    assert_packed(loaded)
+    assert np.array_equal(loaded.params, model.params)
+    for derived in (to_hard_sharing(model), tie_heads(model)):
+        assert_packed(derived)
+        assert not np.shares_memory(derived.params, model.params)
+    assert_packed(model)
+    heads_only = TaanModel([], [LinearLayer(np.eye(3), np.zeros(3))], 1)
+    assert_packed(heads_only)
+
+
+def test_same_object_twice_is_rejected():
+    grid = BasisGrid.even(4)
+    head = LinearLayer(np.ones((1, 3)), np.zeros(1))
+    with pytest.raises(ValueError, match=r"heads\[1\] is the same object as heads\[0\]"):
+        TaanModel([], [head] * 2, task_count=2)
+    lin = LinearLayer(np.ones((3, 3)), np.zeros(3))
+    layer = AalLayer(lin, np.zeros((1, 4)), grid)
+    for second in (layer, AalLayer(lin, np.zeros((1, 4)), grid)):
+        with pytest.raises(
+            ValueError, match=r"layers\[1\].linear is the same object as layers\[0\]"
+        ):
+            TaanModel([layer, second], [head], task_count=1)
+    with pytest.raises(ValueError, match=r"heads\[0\] is the same object as layers"):
+        TaanModel([layer], [lin], task_count=1)
+
+
+def test_param_views_checks_the_size():
+    model = small_model()
+    with pytest.raises(ValueError):
+        param_views(model, np.zeros(model.params.size + 1))
 
 
 def test_checkpoint_round_trip_bitwise(tmp_path):
@@ -231,6 +287,27 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
     save_checkpoint(model, bare)
     _, none_mixture, none_seed = load_checkpoint(bare)
     assert none_mixture is None and none_seed is None
+
+
+def test_checkpoint_file_name_and_no_leftovers(tmp_path):
+    model = small_model(seed=2)
+    save_checkpoint(model, str(tmp_path / "plain"))
+    save_checkpoint(model, tmp_path / "plain.npz", seed=1)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["plain.npz"]
+    loaded, _, seed = load_checkpoint(tmp_path / "plain.npz")
+    assert seed == 1 and np.array_equal(loaded.params, model.params)
+
+
+def test_checkpoint_missing_member_names_path_and_key(tmp_path):
+    path = tmp_path / "model.npz"
+    save_checkpoint(small_model(), path)
+    with np.load(path) as data:
+        members = {k: data[k] for k in data.files if k != "layer0_coords"}
+    broken = tmp_path / "broken.npz"
+    np.savez(broken, **members)
+    with pytest.raises(ValueError, match="layer0_coords") as info:
+        load_checkpoint(broken)
+    assert str(broken) in str(info.value)
 
 
 def test_validation_errors():

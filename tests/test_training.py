@@ -14,6 +14,7 @@ from taan.network import (
     TaanModel,
     build_model,
     model_parameters,
+    param_views,
 )
 from taan.regularizers import RegConfig, RegKind, distance_reg
 from taan.training import (
@@ -33,16 +34,16 @@ def test_adam_zero_gradient_is_identity():
     rng = np.random.default_rng(0)
     p = rng.standard_normal((3, 2))
     before = p.copy()
-    state = AdamState.for_params([p])
-    adam_step([p], [np.zeros_like(p)], state)
+    state = AdamState.for_params(p)
+    adam_step(p, np.zeros_like(p), state)
     assert np.array_equal(p, before)
     assert state.step == 1
 
 
 def test_adam_first_step_moves_by_learning_rate():
     p = np.array([0.5])
-    state = AdamState.for_params([p], learning_rate=1e-3)
-    adam_step([p], [np.array([1.0])], state)
+    state = AdamState.for_params(p, learning_rate=1e-3)
+    adam_step(p, np.array([1.0]), state)
     # Bias correction makes the very first update lr * g / (|g| + eps).
     assert abs(p[0] - (0.5 - 1e-3)) < 1e-10
 
@@ -50,23 +51,52 @@ def test_adam_first_step_moves_by_learning_rate():
 def test_adam_constant_gradient_limit_is_signed_learning_rate():
     p = np.zeros(2)
     g = np.array([2.0, -0.3])
-    state = AdamState.for_params([p], learning_rate=0.01)
+    state = AdamState.for_params(p, learning_rate=0.01)
     for _ in range(250):
         prev = p.copy()
-        adam_step([p], [g], state)
+        adam_step(p, g, state)
     delta = p - prev
     assert np.all(np.abs(delta + 0.01 * np.sign(g)) < 1e-4)
 
 
 def test_adam_validates_structure():
     p = np.zeros(3)
-    state = AdamState.for_params([p])
+    state = AdamState.for_params(p)
     with pytest.raises(ValueError):
-        adam_step([p], [], state)
+        adam_step(p, np.zeros(4), state)
     with pytest.raises(ValueError):
-        adam_step([p], [np.zeros(4)], state)
-    with pytest.raises(ValueError):
-        AdamState([np.zeros(1)], [np.zeros(1)], -1, 1e-4, 0.9, 0.98, 1e-8)
+        AdamState(np.zeros(1), np.zeros(1), -1, 1e-4, 0.9, 0.98, 1e-8)
+
+
+def per_array_adam(params, grads, ms, vs, step, lr, b1, b2, eps):
+    """Reference Adam step looping over separate arrays."""
+    bc1 = 1.0 - b1**step
+    bc2 = 1.0 - b2**step
+    for p, g, m, v in zip(params, grads, ms, vs):
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * g * g
+        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+
+
+def test_flat_adam_matches_per_array_updates_bitwise():
+    model = build_model(ArchitectureSpec(4, (5, 3), (1, 2), 2, basis_count=4), 0)
+    rng = np.random.default_rng(3)
+    params = [p.copy() for p in model_parameters(model)]
+    ms = [np.zeros_like(p) for p in params]
+    vs = [np.zeros_like(p) for p in params]
+    state = AdamState.for_params(model.params, 3e-3, 0.9, 0.98, 1e-8)
+    for step in range(1, 6):
+        grad = rng.standard_normal(model.params.size) * 10.0 ** rng.integers(
+            -6, 3, model.params.size
+        )
+        adam_step(model.params, grad, state)
+        per_array_adam(
+            params, param_views(model, grad), ms, vs, step, 3e-3, 0.9, 0.98, 1e-8
+        )
+        for p, mine in zip(params, model_parameters(model)):
+            assert np.array_equal(p, mine)
 
 
 def test_squared_error_value_and_grad():
@@ -248,6 +278,20 @@ def test_train_input_validation():
     )
     with pytest.raises(ValueError):
         train(model, [datasets[0], wrong_width], TrainConfig(epochs=1))
+
+
+def test_non_finite_loss_stops_training():
+    model, datasets = regression_setup()
+    # Squared errors of 1e200 overflow to inf on the first step.
+    huge = SimpleNamespace(
+        inputs=datasets[1].train.inputs,
+        targets=np.full_like(datasets[1].train.targets, 1e200),
+    )
+    pairs = [(datasets[0].train, None), (huge, None)]
+    with np.errstate(over="ignore"), pytest.raises(
+        ValueError, match=r"epoch 0, task 1 has loss inf"
+    ):
+        train(model, pairs, TrainConfig(epochs=3, seed=4))
 
 
 def identity_model(dim):
