@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from taan.apl import apl_eval_batch
+from taan.apl import apl_eval_pair
 from taan.metrics import (
     GaussianMixture,
     GramCache,
@@ -235,11 +235,11 @@ def check_l1_bounds(
     while done < mc_samples:
         n = min(MC_CHUNK, mc_samples - done)
         x = rng.standard_normal((n, layer.linear.in_dim))
-        a = x @ weight_t + bias
-        h1 = apl_eval_batch(a, coords1, layer.grid)
-        h2 = h1 if t1 == t2 else apl_eval_batch(a, coords2, layer.grid)
+        a = (x @ weight_t + bias).ravel()
+        h1, h2, diff = (
+            v.reshape(n, -1) for v in apl_eval_pair(a, coords1, coords2, layer.grid)
+        )
         s = np.einsum("ij,ij->i", h1, h2)
-        diff = h1 - h2
         d = np.einsum("ij,ij->i", diff, diff)
         sums += (s.sum(), d.sum())
         sumsq += (np.dot(s, s), np.dot(d, d))

@@ -6,7 +6,7 @@ Gram structure built on them stays constant; only the coordinates are
 task-specific and learned.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -15,9 +15,14 @@ from taan import _backend
 
 @dataclass(frozen=True)
 class BasisGrid:
-    """Strictly increasing, finite hinge locations shared by activations."""
+    """Strictly increasing, finite hinge locations shared by activations.
+
+    ``lookup`` is derived from the breakpoints: the even-grid interval
+    lookup where it is exact for them, else None (binary search).
+    """
 
     breakpoints: np.ndarray
+    lookup: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         bps = np.asarray(self.breakpoints, dtype=np.float64)
@@ -30,6 +35,7 @@ class BasisGrid:
         bps = np.ascontiguousarray(bps)
         bps.flags.writeable = False
         object.__setattr__(self, "breakpoints", bps)
+        object.__setattr__(self, "lookup", _backend.even_lookup(bps))
 
     @classmethod
     def even(cls, basis_count, lo=-2.0, hi=2.0):
@@ -42,6 +48,10 @@ class BasisGrid:
 
     def __len__(self):
         return self.breakpoints.size
+
+    def intervals(self, x):
+        """Interval index #{i : b_i <= x} of each element of a 1-D array."""
+        return _backend.intervals(x, self.breakpoints, self.lookup)
 
 
 def _as_coords(coords, grid):
@@ -86,9 +96,26 @@ def apl_eval(x, coords, grid):
 def apl_eval_batch(pre_activation, coords, grid):
     """Elementwise apl_eval; preserves the input's shape."""
     coords = _as_coords(coords, grid)
-    x = np.ascontiguousarray(pre_activation, dtype=np.float64)
-    out = _backend.apl_forward(x.ravel(), coords, grid.breakpoints)
-    return out.reshape(x.shape)
+    x = np.ascontiguousarray(pre_activation, dtype=np.float64).ravel()
+    bps = grid.breakpoints
+    tables = _backend.suffix_tables(coords, bps)
+    out = _backend.apl_forward(x, grid.intervals(x), tables, bps)
+    return out.reshape(np.shape(pre_activation))
+
+
+def apl_eval_pair(x, coords1, coords2, grid):
+    """(F1, F2, F1 - F2) over a 1-D array, with one interval lookup for both
+    functions.  The difference is read off the difference of their tables,
+    so it carries no cancelled relu term."""
+    bps = grid.breakpoints
+    tables = _backend.suffix_tables(np.stack([coords1, coords2]), bps)
+    tables1, tables2 = tables[:, : bps.size + 1], tables[:, bps.size + 1 :]
+    k = grid.intervals(x)
+    return (
+        _backend.apl_forward(x, k, tables1, bps),
+        _backend.apl_forward(x, k, tables2, bps),
+        _backend.hinge_sum(x, k, tables1 - tables2, bps),
+    )
 
 
 def apl_grad_x(x, coords, grid):

@@ -369,12 +369,12 @@ def _check_network_gradients(rng):
         layer.coords[:] = rng.uniform(-0.5, 0.5, layer.coords.shape)
     x = rng.standard_normal((3, arch.input_dim))
     projection = rng.standard_normal((3, 2))
-    out, trace = forward(model, 0, x)
-    grads = param_views(model, backward(model, 0, trace, projection))
+    _, trace = forward(model, {0: x})
+    grads = param_views(model, backward(model, trace, {0: projection}))
     params = model_parameters(model)
 
     def objective():
-        return float(np.sum(forward(model, 0, x)[0] * projection))
+        return float(np.sum(forward(model, {0: x})[0][0] * projection))
 
     worst = 0.0
     eps = 1e-5

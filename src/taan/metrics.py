@@ -24,8 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from taan import _backend
-from taan.apl import BasisGrid, validate_coordinates
+from taan.apl import BasisGrid, apl_eval_pair
 from taan.moments import GaussianParams, moment_b0_sq, moment_b0b, moment_bb
 
 DEGENERATE_NORM_EPS = 1e-12
@@ -199,8 +198,11 @@ def distance_matrix(alpha, cache: GramCache):
     """All pairwise squared distances between the rows of a coordinate
     matrix.
 
-    Exactly symmetric with an exactly zero diagonal by construction; tiny
-    negative rounding residue is clipped to zero.
+    Each pair's entry is the Gram form of the row difference, as in
+    ``distance_sq``, so nearby rows keep their relative precision (the
+    expanded form q_i + q_j - 2 p_ij cancels).  Exactly symmetric with an
+    exactly zero diagonal by construction; tiny negative rounding residue is
+    clipped to zero.
     """
     alpha = np.asarray(alpha, dtype=np.float64)
     if alpha.ndim != 2 or alpha.shape[1] != cache.basis_count:
@@ -208,10 +210,12 @@ def distance_matrix(alpha, cache: GramCache):
             f"coordinate matrix has shape {alpha.shape}, expected "
             f"(tasks, {cache.basis_count})"
         )
-    p = alpha @ cache.hinge_hinge @ alpha.T
-    q = np.diag(p)
-    d = q[:, None] + q[None, :] - (p + p.T)
-    return np.maximum(d, 0.0)
+    i, j = np.triu_indices(alpha.shape[0], 1)
+    diff = alpha[i] - alpha[j]
+    d = np.zeros((alpha.shape[0],) * 2)
+    d[i, j] = np.maximum(np.einsum("pm,pm->p", diff @ cache.hinge_hinge, diff), 0.0)
+    d[j, i] = d[i, j]
+    return d
 
 
 def sample_mixture(mixture: GaussianMixture, n, rng):
@@ -227,17 +231,14 @@ def mc_inner_and_distance(c1, c2, grid, mixture, n_samples, rng, chunk=1_000_000
     independent sampling route against the closed-form Gram route; it shares
     no moment code with build_gram.
     """
-    c1, c2 = np.asarray(c1, np.float64), np.asarray(c2, np.float64)
-    bps = grid.breakpoints
     s_p = s_p2 = s_d = s_d2 = 0.0
     done = 0
     while done < n_samples:
         take = min(chunk, n_samples - done)
         x = sample_mixture(mixture, take, rng)
-        f1 = _backend.apl_forward(x, np.ascontiguousarray(c1), bps)
-        f2 = _backend.apl_forward(x, np.ascontiguousarray(c2), bps)
+        f1, f2, diff = apl_eval_pair(x, c1, c2, grid)
         prod = f1 * f2
-        diff2 = (f1 - f2) ** 2
+        diff2 = diff * diff
         s_p += prod.sum()
         s_p2 += (prod * prod).sum()
         s_d += diff2.sum()

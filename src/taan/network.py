@@ -2,8 +2,10 @@
 
 Every hidden layer is a linear map shared by all tasks followed by an
 activation whose hinge coordinates are task-specific; each task has its own
-linear output head.  Forward caches pre-activations so the manual backward
-pass can chain through the activation's x- and coordinate-derivatives.
+linear output head.  One forward pass carries any set of tasks' batches
+through the shared layers together, and caches the pre-activations and
+their interval indices so the manual backward pass can chain through the
+activation's x- and coordinate-derivatives without searching again.
 """
 
 import json
@@ -59,8 +61,9 @@ class AalLayer:
 
 class TaanModel:
     """Shared layers plus per-task heads.  Construction copies every array
-    into one float64 vector ``params`` (layout: ``_param_slots``) and rebinds
-    the layer and head objects' arrays to views of it."""
+    into one float64 vector ``params`` (layout: ``_param_slots``), rebinds
+    the layer and head objects' arrays to views of it, and caches the
+    layout (name, offset and shape of each slot)."""
 
     def __init__(self, layers, heads, task_count):
         if len(heads) != task_count:
@@ -87,9 +90,14 @@ class TaanModel:
             if first.setdefault(id(part), name) != name:
                 raise ValueError(f"{name} is the same object as {first[id(part)]}")
         slots = _param_slots(self)
-        self.params = np.concatenate([getattr(o, n).ravel() for o, n in slots])
-        for (owner, name), view in zip(slots, param_views(self, self.params)):
-            setattr(owner, name, view)
+        self.layout, start = [], 0
+        for name, owner, attr in slots:
+            shape = getattr(owner, attr).shape
+            self.layout.append((name, start, shape))
+            start += math.prod(shape)
+        self.params = np.concatenate([getattr(o, a).ravel() for _, o, a in slots])
+        for (_, owner, attr), view in zip(slots, param_views(self, self.params)):
+            setattr(owner, attr, view)
 
     @property
     def input_dim(self):
@@ -102,11 +110,16 @@ class TaanModel:
 
 
 class ForwardTrace:
-    """Backprop cache: the input plus per-layer pre- and post-activations."""
+    """Backprop cache of one pass over stacked task batches: the input rows,
+    the row range of each task's batch, and per layer the pre-activations,
+    their table indices, the coordinate tables and the activations."""
 
-    def __init__(self, x, pre_activations, activations):
+    def __init__(self, x, spans, pre_activations, indices, tables, activations):
         self.x = x
+        self.spans = spans
         self.pre_activations = pre_activations
+        self.indices = indices
+        self.tables = tables
         self.activations = activations
 
 
@@ -117,71 +130,105 @@ def _check_task(model, task):
         )
 
 
-def forward(model: TaanModel, task, x):
-    """Run one task's batch through the network.
+def forward(model: TaanModel, batches):
+    """Run every task's batch through the network in one pass.
 
-    Returns (outputs, trace); the trace holds everything backward needs.
+    ``batches`` maps task id -> inputs of shape (rows, input_dim).  The rows
+    are stacked, so each shared layer is one matmul and one interval lookup,
+    and every task's activation is read off one table of all tasks'
+    coordinate rows.  Returns ({task: outputs}, trace); the trace holds
+    everything backward needs.
     """
-    _check_task(model, task)
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != model.input_dim:
-        raise ValueError(
-            f"input has shape {x.shape}, expected (batch, {model.input_dim})"
-        )
+    spans, xs, start = {}, [], 0
+    for task, x in batches.items():
+        _check_task(model, task)
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim != 2 or x.shape[1] != model.input_dim:
+            raise ValueError(
+                f"task {task} input has shape {x.shape}, expected "
+                f"(batch, {model.input_dim})"
+            )
+        spans[task] = (start, start + x.shape[0])
+        start += x.shape[0]
+        xs.append(x)
+    if not xs:
+        raise ValueError("forward needs at least one task batch")
+    x = np.concatenate(xs)
+    row_task = np.repeat(list(spans), [e - s for s, e in spans.values()])
     h = x
-    pre, act = [], []
+    pre, indices, tables, act = [], [], [], []
     for layer in model.layers:
-        a = h @ layer.linear.weight.T + layer.linear.bias
-        z = _backend.apl_forward(
-            np.ascontiguousarray(a.ravel()),
-            layer.coords[task],
-            layer.grid.breakpoints,
-        ).reshape(a.shape)
+        bps = layer.grid.breakpoints
+        a = h @ layer.linear.weight.T
+        a += layer.linear.bias
+        flat = a.ravel()
+        idx = layer.grid.intervals(flat)
+        # Row r's entries live in its task's block of the stacked tables.
+        rows = idx.reshape(a.shape)
+        rows += (row_task * (bps.size + 1))[:, None]
+        table = _backend.suffix_tables(layer.coords, bps)
+        h = _backend.apl_forward(flat, idx, table, bps).reshape(a.shape)
         pre.append(a)
-        act.append(z)
-        h = z
-    head = model.heads[task]
-    out = h @ head.weight.T + head.bias
-    return out, ForwardTrace(x, pre, act)
+        indices.append(idx)
+        tables.append(table)
+        act.append(h)
+    outs = {}
+    for task, (s, e) in spans.items():
+        head = model.heads[task]
+        outs[task] = h[s:e] @ head.weight.T + head.bias
+    return outs, ForwardTrace(x, spans, pre, indices, tables, act)
 
 
-def backward(model: TaanModel, task, trace: ForwardTrace, output_grad):
-    """Chain output_grad back to every parameter touched by this task.
+def _slot(model, flat, i):
+    _, start, shape = model.layout[i]
+    return flat[start : start + math.prod(shape)].reshape(shape)
 
-    Returns one gradient vector laid out like ``model.params``: it fills the
-    shared linear layers, the task's coordinate row and the task's head; the
-    other tasks' coordinate rows and heads stay exactly zero.
+
+def backward(model: TaanModel, trace: ForwardTrace, output_grads):
+    """Chain each task's output gradient back to the parameters.
+
+    ``output_grads`` maps every task of the forward pass to the gradient of
+    its outputs.  Returns the summed gradient as one vector laid out like
+    ``model.params``: the shared linear layers and the coordinate rows and
+    heads of the tasks in the pass; every other task's coordinate row and
+    head stays exactly zero.
     """
-    _check_task(model, task)
-    output_grad = np.asarray(output_grad, dtype=np.float64)
-    h_last = trace.activations[-1] if model.layers else trace.x
-    if output_grad.shape != (h_last.shape[0], model.head_dim(task)):
+    if set(output_grads) != set(trace.spans):
         raise ValueError(
-            f"output_grad has shape {output_grad.shape}, expected "
-            f"({h_last.shape[0]}, {model.head_dim(task)})"
+            f"output gradients for tasks {sorted(output_grads)}, but the "
+            f"forward pass ran tasks {sorted(trace.spans)}"
         )
-    grad = np.zeros_like(model.params)
-    views = param_views(model, grad)
     n_shared = 3 * len(model.layers)
-    views[n_shared + 2 * task][:] = output_grad.T @ h_last
-    views[n_shared + 2 * task + 1][:] = output_grad.sum(axis=0)
-    dh = output_grad @ model.heads[task].weight
+    grad = np.zeros_like(model.params)
+    h_last = trace.activations[-1] if model.layers else trace.x
+    dh = np.empty_like(h_last)
+    for task, (s, e) in trace.spans.items():
+        g = np.asarray(output_grads[task], dtype=np.float64)
+        if g.shape != (e - s, model.head_dim(task)):
+            raise ValueError(
+                f"task {task} output gradient has shape {g.shape}, expected "
+                f"({e - s}, {model.head_dim(task)})"
+            )
+        _slot(model, grad, n_shared + 2 * task)[:] = g.T @ h_last[s:e]
+        _slot(model, grad, n_shared + 2 * task + 1)[:] = g.sum(axis=0)
+        dh[s:e] = g @ model.heads[task].weight
     for l in range(len(model.layers) - 1, -1, -1):
         layer = model.layers[l]
         a = trace.pre_activations[l]
         gx, gcoords = _backend.apl_backward(
-            np.ascontiguousarray(a.ravel()),
-            layer.coords[task],
+            a.ravel(),
+            trace.indices[l],
+            trace.tables[l],
             layer.grid.breakpoints,
-            np.ascontiguousarray(dh.ravel()),
+            dh.ravel(),
         )
         da = gx.reshape(a.shape)
-        g_weight, g_bias, g_coords = views[3 * l : 3 * l + 3]
-        g_coords[task, :] = gcoords
         h_prev = trace.activations[l - 1] if l > 0 else trace.x
-        g_weight[:] = da.T @ h_prev
-        g_bias[:] = da.sum(axis=0)
-        dh = da @ layer.linear.weight
+        _slot(model, grad, 3 * l)[:] = da.T @ h_prev
+        _slot(model, grad, 3 * l + 1)[:] = da.sum(axis=0)
+        _slot(model, grad, 3 * l + 2)[:] = gcoords
+        if l > 0:
+            dh = da @ layer.linear.weight
     return grad
 
 
@@ -283,39 +330,66 @@ def tie_heads(model: TaanModel) -> TaanModel:
 
 
 def _param_slots(model):
-    """The parameter layout: (owner, attribute) of each layer's weight, bias
-    and coords, then each head's weight and bias, packed in this order."""
+    """The parameter layout: (name, owner, attribute) of each layer's
+    weight, bias and coords, then each head's weight and bias, packed in
+    this order."""
     slots = []
-    for layer in model.layers:
-        slots += [(layer.linear, "weight"), (layer.linear, "bias"), (layer, "coords")]
-    for head in model.heads:
-        slots += [(head, "weight"), (head, "bias")]
+    for l, layer in enumerate(model.layers):
+        slots += [
+            (f"layers[{l}].linear.weight", layer.linear, "weight"),
+            (f"layers[{l}].linear.bias", layer.linear, "bias"),
+            (f"layers[{l}].coords", layer, "coords"),
+        ]
+    for t, head in enumerate(model.heads):
+        slots += [
+            (f"heads[{t}].weight", head, "weight"),
+            (f"heads[{t}].bias", head, "bias"),
+        ]
     return slots
+
+
+def check_packed(model: TaanModel):
+    """Raise ValueError naming the first model array that is no longer the
+    view of ``model.params`` at its slot, as after ``model.heads[1] =
+    model.heads[0]`` or ``layer.coords = new_array``: training would then
+    update a slot that nothing reads."""
+    slots = _param_slots(model)
+    if [name for name, _, _ in slots] != [name for name, _, _ in model.layout]:
+        raise ValueError("layers or heads were added or removed after construction")
+    base = model.params.ctypes.data
+    for (name, owner, attr), (_, start, shape) in zip(slots, model.layout):
+        arr = getattr(owner, attr)
+        if not (
+            isinstance(arr, np.ndarray)
+            and arr.base is model.params
+            and arr.shape == shape
+            and arr.ctypes.data == base + 8 * start
+        ):
+            raise ValueError(
+                f"{name} is not the view of model.params at its slot; write "
+                "through the array (arr[...] = value) instead of rebinding it"
+            )
 
 
 def param_views(model: TaanModel, flat):
     """Split a flat vector laid out like ``model.params`` (a gradient, say)
     into per-array views, in ``_param_slots`` order."""
-    views, start = [], 0
-    for owner, name in _param_slots(model):
-        shape = getattr(owner, name).shape
-        stop = start + math.prod(shape)
-        views.append(flat[start:stop].reshape(shape))
-        start = stop
-    if flat.shape != (start,):
-        raise ValueError(f"flat vector has shape {flat.shape}, expected ({start},)")
-    return views
+    if flat.shape != model.params.shape:
+        raise ValueError(
+            f"flat vector has shape {flat.shape}, expected {model.params.shape}"
+        )
+    return [_slot(model, flat, i) for i in range(len(model.layout))]
 
 
 def coord_views(model: TaanModel, flat):
     """Each layer's coordinate-matrix view of a flat vector in the layout."""
-    return param_views(model, flat)[2 : 3 * len(model.layers) : 3]
+    return [_slot(model, flat, 3 * l + 2) for l in range(len(model.layers))]
 
 
 def model_parameters(model: TaanModel):
     """The model's own trainable arrays in layout order (layer W, b, coords;
     head W, b); each is a view of ``model.params``."""
-    return [getattr(owner, name) for owner, name in _param_slots(model)]
+    return [getattr(owner, attr) for _, owner, attr in _param_slots(model)]
 
 
 def save_checkpoint(model: TaanModel, path, mixture=None, seed=None):
@@ -324,7 +398,10 @@ def save_checkpoint(model: TaanModel, path, mixture=None, seed=None):
     float64 arrays round-trip bitwise.  Like ``np.savez``, a path without the
     ``.npz`` suffix gets it; the archive goes to a temporary file beside the
     target that is then moved into place, so no save leaves a partial file.
+    A model array rebound away from ``model.params`` is an error
+    (``check_packed``).
     """
+    check_packed(model)
     meta = {
         "task_count": model.task_count,
         "layer_count": len(model.layers),

@@ -1,8 +1,9 @@
 """Multi-task training: bias-corrected Adam over the composite loss.
 
-Each optimization step draws one minibatch per task, sums the task losses,
-adds the coordinate-matrix regularizer, and applies a single Adam update to
-the model's flat parameter vector.  Everything is driven by one seeded
+Each optimization step draws one minibatch per task, runs all of them
+through one fused forward and backward pass, sums the task losses, adds the
+coordinate-matrix regularizer, and applies a single Adam update to the
+model's flat parameter vector.  Everything is driven by one seeded
 generator so a run is fully reproducible.
 """
 
@@ -12,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from taan.metrics import GaussianMixture, build_gram, distance_matrix
-from taan.network import TaanModel, backward, coord_views, forward
+from taan.network import TaanModel, backward, check_packed, coord_views, forward
 from taan.regularizers import RegConfig, RegKind, reg_grad, regularizer_value
 
 LOSS_KINDS = ("squared_error", "cross_entropy")
@@ -247,7 +248,8 @@ def train(model: TaanModel, datasets, config: TrainConfig, cache=None):
                 f"task {t}: cross_entropy needs at least 2 output classes, "
                 f"but its head has {model.head_dim(t)} output"
             )
-    train_x, train_y, val_sets = [], [], []
+    check_packed(model)
+    train_x, train_y, val_x, val_y = [], [], {}, {}
     for t, (tr, va) in enumerate(pairs):
         x, y = _data_arrays(tr)
         if x.shape[0] == 0:
@@ -259,7 +261,8 @@ def train(model: TaanModel, datasets, config: TrainConfig, cache=None):
             )
         train_x.append(x)
         train_y.append(y)
-        val_sets.append(va)
+        if va is not None and np.asarray(va.inputs).shape[0] > 0:
+            val_x[t], val_y[t] = _data_arrays(va)
     rng = np.random.default_rng(config.seed)
     state = AdamState.for_params(
         model.params, config.learning_rate, config.beta1, config.beta2, config.epsilon
@@ -278,15 +281,17 @@ def train(model: TaanModel, datasets, config: TrainConfig, cache=None):
             take = np.arange(
                 step * config.batch_size, (step + 1) * config.batch_size
             )
-            total = np.zeros_like(model.params)
-            for t in range(model.task_count):
-                idx = np.take(perms[t], take, mode="wrap")
-                out, trace = forward(model, t, train_x[t][idx])
-                loss, dout = loss_and_grad(
-                    config.loss_kind(t), out, train_y[t][idx]
+            rows = [np.take(perm, take, mode="wrap") for perm in perms]
+            outs, trace = forward(
+                model, {t: x[r] for t, (x, r) in enumerate(zip(train_x, rows))}
+            )
+            douts = {}
+            for t, out in outs.items():
+                loss, douts[t] = loss_and_grad(
+                    config.loss_kind(t), out, train_y[t][rows[t]]
                 )
                 epoch_loss[t] += loss
-                total += backward(model, t, trace, dout)
+            total = backward(model, trace, douts)
             if reg_on and config.reg.coefficient > 0:
                 coord_grads = coord_views(model, total)
                 for l, layer in enumerate(model.layers):
@@ -316,17 +321,16 @@ def train(model: TaanModel, datasets, config: TrainConfig, cache=None):
             _mean_offdiag(distance_matrix(layer.coords, caches[l]))
             for l, layer in enumerate(model.layers)
         ]
-        for t in range(model.task_count):
-            val = val_sets[t]
-            metric = math.nan
-            if val is not None and np.asarray(val.inputs).shape[0] > 0:
+        metrics = {}
+        if val_x:
+            outs, _ = forward(model, val_x)
+            for t, out in outs.items():
                 kind = config.loss_kind(t)
-                metric = evaluate(
-                    model,
-                    val,
-                    t,
-                    "mse" if kind == "squared_error" else "accuracy",
+                metrics[t] = _score(
+                    out, val_y[t], "mse" if kind == "squared_error" else "accuracy"
                 )
+        for t in range(model.task_count):
+            metric = metrics.get(t, math.nan)
             for l in range(len(model.layers)):
                 history.append(
                     epoch=epoch,
@@ -375,7 +379,11 @@ def evaluate(model: TaanModel, dataset, task, metric, k=10):
     inputs, targets = _data_arrays(dataset)
     if inputs.shape[0] == 0:
         raise ValueError("cannot evaluate an empty dataset")
-    out, _ = forward(model, task, inputs)
+    outs, _ = forward(model, {task: inputs})
+    return _score(outs[task], targets, metric, k)
+
+
+def _score(out, targets, metric, k=10):
     if metric == "mse":
         targets = np.asarray(targets, dtype=np.float64)
         if targets.shape != out.shape:

@@ -238,12 +238,12 @@ def test_04_gradients_match_finite_differences():
             layer.coords[:] = rng.uniform(-0.5, 0.5, layer.coords.shape)
         x = rng.standard_normal((3, 4))
         projection = rng.standard_normal((3, 2))
-        _, trace = forward(model, 0, x)
-        grads = param_views(model, backward(model, 0, trace, projection))
+        _, trace = forward(model, {0: x})
+        grads = param_views(model, backward(model, trace, {0: projection}))
         params = model_parameters(model)
 
         def objective():
-            return float(np.sum(forward(model, 0, x)[0] * projection))
+            return float(np.sum(forward(model, {0: x})[0][0] * projection))
 
         for _ in range(10):
             a = int(rng.integers(len(params)))
@@ -318,9 +318,9 @@ def test_06_hard_sharing_reduction():
         layer.coords[:] = rng.uniform(-0.5, 0.5, layer.coords.shape)
     shared = tie_heads(to_hard_sharing(model))
     x = rng.standard_normal((16, 6))
-    base, _ = forward(shared, 0, x)
+    base = forward(shared, {0: x})[0][0]
     for task in range(1, 8):
-        out, _ = forward(shared, task, x)
+        out = forward(shared, {task: x})[0][task]
         assert np.max(np.abs(out - base)) <= 1e-12
     once = to_hard_sharing(model)
     twice = to_hard_sharing(once)

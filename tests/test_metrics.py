@@ -111,6 +111,23 @@ def test_distance_matrix_exact_properties():
             assert abs(dist[i, j] - expected) < 1e-10
 
 
+def test_distance_matrix_keeps_precision_for_nearby_rows():
+    # Rows a and a ± 1e-6·u: the expanded form q_i + q_j - 2 p_ij cancels
+    # about ten digits here, the Gram form of the difference none.
+    rng = np.random.default_rng(6)
+    cache = build_gram(BasisGrid.even(16), GaussianMixture.standard_normal())
+    for _ in range(5):
+        a = rng.uniform(-1.0, 1.0, 16)
+        u = rng.standard_normal(16)
+        alpha = np.stack([a, a + 1e-6 * u, a - 1e-6 * u])
+        dist = distance_matrix(alpha, cache)
+        for i in range(3):
+            for j in range(3):
+                if i != j:
+                    expected = distance_sq(alpha[i], alpha[j], cache)
+                    assert abs(dist[i, j] - expected) <= 1e-13 * expected
+
+
 def test_identical_coordinates_have_zero_distance_unit_cosine():
     rng = np.random.default_rng(4)
     grid, mixture = random_instance(rng)

@@ -1,11 +1,14 @@
 """Multi-task network: forward against a scalar-loop oracle, backward against
 finite differences, sharing reductions, checkpoint round-trips."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from taan.apl import BasisGrid, apl_eval
 from taan.metrics import GaussianMixture
+from taan.training import TrainConfig, loss_and_grad, train
 from taan.network import (
     AalLayer,
     ArchitectureSpec,
@@ -54,7 +57,8 @@ def test_forward_matches_scalar_loop():
     rng = np.random.default_rng(10)
     x = rng.standard_normal((7, ARCH.input_dim))
     for task in range(ARCH.task_count):
-        out, trace = forward(model, task, x)
+        outs, trace = forward(model, {task: x})
+        out = outs[task]
         assert out.shape == (7, 2)
         assert np.allclose(out, loop_forward(model, task, x), atol=1e-12)
         assert len(trace.pre_activations) == len(model.layers)
@@ -65,20 +69,21 @@ def test_tasks_differ_through_coordinates_only():
     model = small_model()
     rng = np.random.default_rng(11)
     x = rng.standard_normal((5, ARCH.input_dim))
-    out0, _ = forward(model, 0, x)
-    out1, _ = forward(model, 1, x)
+    out0 = forward(model, {0: x})[0][0]
+    out1 = forward(model, {1: x})[0][1]
     assert not np.allclose(out0, out1)
     # Forcing task 1's coordinates and head to task 0's removes the gap.
     for layer in model.layers:
         layer.coords[1] = layer.coords[0]
-    model.heads[1] = model.heads[0]
-    out1b, _ = forward(model, 1, x)
-    assert np.array_equal(out0, forward(model, 0, x)[0])
+    model.heads[1].weight[:] = model.heads[0].weight
+    model.heads[1].bias[:] = model.heads[0].bias
+    out1b = forward(model, {1: x})[0][1]
+    assert np.array_equal(out0, forward(model, {0: x})[0][0])
     assert np.array_equal(out0, out1b)
 
 
 def objective(model, task, x):
-    out, _ = forward(model, task, x)
+    out = forward(model, {task: x})[0][task]
     return 0.5 * float((out**2).sum())
 
 
@@ -87,8 +92,8 @@ def test_backward_matches_finite_differences():
     rng = np.random.default_rng(12)
     x = rng.standard_normal((6, ARCH.input_dim))
     task = 1
-    out, trace = forward(model, task, x)
-    grads = backward(model, task, trace, out.copy())
+    outs, trace = forward(model, {task: x})
+    grads = backward(model, trace, {task: outs[task].copy()})
     params = model_parameters(model)
     grad_arrays = param_views(model, grads)
     eps = 1e-6
@@ -116,8 +121,8 @@ def test_backward_leaves_other_tasks_untouched():
     model = small_model()
     rng = np.random.default_rng(13)
     x = rng.standard_normal((4, ARCH.input_dim))
-    out, trace = forward(model, 2, x)
-    views = param_views(model, backward(model, 2, trace, np.ones_like(out)))
+    outs, trace = forward(model, {2: x})
+    views = param_views(model, backward(model, trace, {2: np.ones_like(outs[2])}))
     layer_coords = views[2 : 3 * len(model.layers) : 3]
     head_weight = views[3 * len(model.layers) :: 2]
     head_bias = views[3 * len(model.layers) + 1 :: 2]
@@ -130,14 +135,119 @@ def test_backward_leaves_other_tasks_untouched():
         assert np.array_equal(head_bias[t], np.zeros_like(model.heads[t].bias))
 
 
+def reference_pass(model, batches, output_grads):
+    """Per-task loop with dense (rows, width, M) hinge arrays: each task's
+    batch on its own through the network and back, gradients summed per
+    array.  Returns ({task: outputs}, gradients in layout order)."""
+    params = model_parameters(model)
+    grads = [np.zeros_like(p) for p in params]
+    n_shared = 3 * len(model.layers)
+    outs = {}
+    for t, x in batches.items():
+        hs, pres, hinges = [x], [], []
+        for layer in model.layers:
+            a = hs[-1] @ layer.linear.weight.T + layer.linear.bias
+            hinge = np.maximum(layer.grid.breakpoints - a[..., None], 0.0)
+            hs.append(np.maximum(a, 0.0) + hinge @ layer.coords[t])
+            pres.append(a)
+            hinges.append(hinge)
+        head = model.heads[t]
+        outs[t] = hs[-1] @ head.weight.T + head.bias
+        g = output_grads[t]
+        grads[n_shared + 2 * t] += g.T @ hs[-1]
+        grads[n_shared + 2 * t + 1] += g.sum(axis=0)
+        dh = g @ head.weight
+        for l in range(len(model.layers) - 1, -1, -1):
+            layer, a, hinge = model.layers[l], pres[l], hinges[l]
+            da = dh * ((a >= 0.0) - (hinge > 0.0) @ layer.coords[t])
+            grads[3 * l] += da.T @ hs[l]
+            grads[3 * l + 1] += da.sum(axis=0)
+            grads[3 * l + 2][t] += np.einsum("nh,nhm->m", dh, hinge)
+            dh = da @ layer.linear.weight
+    return outs, grads
+
+
+def fused_against_reference(model, batches, losses, targets):
+    outs, trace = forward(model, batches)
+    douts = {
+        t: loss_and_grad(losses[t], outs[t], targets[t])[1] for t in batches
+    }
+    ref_outs, ref_grads = reference_pass(model, batches, douts)
+    grads = param_views(model, backward(model, trace, douts))
+    worst = 0.0
+    for t in batches:
+        assert outs[t].shape == ref_outs[t].shape
+        err = np.max(np.abs(outs[t] - ref_outs[t])) / np.max(np.abs(ref_outs[t]))
+        worst = max(worst, err)
+    for g, ref in zip(grads, ref_grads):
+        if np.any(ref != 0.0):
+            worst = max(worst, np.max(np.abs(g - ref)) / np.max(np.abs(ref)))
+        else:
+            assert np.array_equal(g, ref)
+    return worst
+
+
+def test_fused_gradient_matches_per_task_reference():
+    # The acceptance shape (8 tasks, width 32, M = 16, batch 64) and the
+    # wide_deep shape (4 tasks, 2 x 64, M = 64, batch 256).
+    rng = np.random.default_rng(16)
+    for arch, batch in (
+        (ArchitectureSpec(8, (32,), 1, task_count=8, basis_count=16), 64),
+        (ArchitectureSpec(16, (64, 64), 1, task_count=4, basis_count=64), 256),
+    ):
+        model = small_model(seed=5, arch=arch)
+        batches = {
+            t: rng.standard_normal((batch, arch.input_dim))
+            for t in range(arch.task_count)
+        }
+        targets = {t: rng.standard_normal((batch, 1)) for t in batches}
+        losses = {t: "squared_error" for t in batches}
+        assert fused_against_reference(model, batches, losses, targets) <= 1e-13
+
+
+def test_fused_step_with_unequal_heads_mixed_losses_and_batch_sizes():
+    rng = np.random.default_rng(17)
+    arch = ArchitectureSpec(4, (6, 5), (1, 3, 2, 4), task_count=4, basis_count=7)
+    model = small_model(seed=6, arch=arch)
+    sizes = {0: 9, 1: 4, 3: 1}  # task 2 sits out: its slots stay zero
+    batches = {t: rng.standard_normal((n, 4)) for t, n in sizes.items()}
+    losses = {0: "squared_error", 1: "cross_entropy", 3: "cross_entropy"}
+    targets = {
+        0: rng.standard_normal((9, 1)),
+        1: rng.integers(0, 3, 4),
+        3: rng.integers(0, 4, 1),
+    }
+    assert fused_against_reference(model, batches, losses, targets) <= 1e-13
+
+
+def test_rebound_arrays_fail_loudly(tmp_path):
+    # Rebinding a model array detaches it from model.params; training or
+    # saving would then silently use a slot that nothing reads.
+    model = small_model()
+    model.heads[1] = model.heads[0]
+    split = SimpleNamespace(inputs=np.zeros((3, 4)), targets=np.zeros((3, 2)))
+    data = [(split, None)] * 3
+    with pytest.raises(ValueError, match=r"heads\[1\]\.weight"):
+        train(model, data, TrainConfig(epochs=1))
+    with pytest.raises(ValueError, match=r"heads\[1\]\.weight"):
+        save_checkpoint(model, tmp_path / "heads.npz")
+    model = small_model()
+    model.layers[1].coords = model.layers[1].coords.copy()
+    with pytest.raises(ValueError, match=r"layers\[1\]\.coords"):
+        save_checkpoint(model, tmp_path / "coords.npz")
+    with pytest.raises(ValueError, match=r"layers\[1\]\.coords"):
+        train(model, data, TrainConfig(epochs=1))
+    assert not any(tmp_path.iterdir())
+
+
 def test_hard_sharing_with_tied_heads_is_task_independent():
     model = small_model(seed=3)
     shared = tie_heads(to_hard_sharing(model))
     rng = np.random.default_rng(14)
     x = rng.standard_normal((8, ARCH.input_dim))
-    base, _ = forward(shared, 0, x)
+    base = forward(shared, {0: x})[0][0]
     for task in range(1, ARCH.task_count):
-        out, _ = forward(shared, task, x)
+        out = forward(shared, {task: x})[0][task]
         assert np.max(np.abs(out - base)) <= 1e-12
 
 
@@ -314,14 +424,14 @@ def test_validation_errors():
     model = small_model()
     rng = np.random.default_rng(15)
     with pytest.raises(ValueError):
-        forward(model, 99, rng.standard_normal((2, ARCH.input_dim)))
+        forward(model, {99: rng.standard_normal((2, ARCH.input_dim))})
     with pytest.raises(ValueError):
-        forward(model, 0, rng.standard_normal((2, ARCH.input_dim + 1)))
+        forward(model, {0: rng.standard_normal((2, ARCH.input_dim + 1))})
     with pytest.raises(ValueError):
-        forward(model, 0, rng.standard_normal(ARCH.input_dim))
-    out, trace = forward(model, 0, rng.standard_normal((2, ARCH.input_dim)))
+        forward(model, {0: rng.standard_normal(ARCH.input_dim)})
+    out, trace = forward(model, {0: rng.standard_normal((2, ARCH.input_dim))})
     with pytest.raises(ValueError):
-        backward(model, 0, trace, np.ones((2, 3)))
+        backward(model, trace, {0: np.ones((2, 3))})
     with pytest.raises(ValueError):
         LinearLayer(np.ones((2, 3)), np.zeros(3))
     with pytest.raises(ValueError):

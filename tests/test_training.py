@@ -214,6 +214,39 @@ def test_loss_decreases_and_val_metric_matches_evaluate():
         assert recorded == {evaluate(model, split.val, t, "mse")}
 
 
+def test_fused_validation_matches_evaluate_for_unequal_sizes():
+    rng = np.random.default_rng(8)
+    arch = ArchitectureSpec(4, (6,), (1, 3, 1, 2), task_count=4, basis_count=5)
+    model = build_model(arch, 12)
+    sizes = (37, 5, 0, 18)  # task 2 has an empty validation split
+
+    def split(t, n, name):
+        x = rng.standard_normal((n, 4))
+        if arch.output_dims[t] == 1:
+            return TaskDataset(x, rng.standard_normal((n, 1)), t, name)
+        return TaskDataset(x, rng.integers(0, arch.output_dims[t], n), t, name)
+
+    datasets = [
+        (split(t, 40, "train"), split(t, n, "val")) for t, n in enumerate(sizes)
+    ]
+    datasets[0] = (datasets[0][0], None)
+    config = TrainConfig(
+        epochs=3,
+        batch_size=16,
+        learning_rate=3e-3,
+        seed=2,
+        loss=("squared_error", "cross_entropy", "squared_error", "cross_entropy"),
+    )
+    _, history = train(model, datasets, config)
+    final = {r[1]: r[3] for r in history.rows if r[0] == 2}
+    assert math.isnan(final[0]) and math.isnan(final[2])
+    assert final[1] == evaluate(model, datasets[1][1], 1, "accuracy")
+    assert final[3] == evaluate(model, datasets[3][1], 3, "accuracy")
+    datasets[0] = (datasets[0][0], split(0, 11, "val"))
+    _, history = train(model, datasets, TrainConfig(epochs=1, loss=config.loss))
+    assert history.rows[0][3] == evaluate(model, datasets[0][1], 0, "mse")
+
+
 def test_zero_coefficient_matches_no_regularizer():
     results = []
     for reg in (RegConfig(RegKind.DISTANCE, 0.0), RegConfig(RegKind.NONE, 0.0)):
