@@ -7,7 +7,11 @@ reports the best of ``REPEATS`` runs in nanoseconds per element:
 * ``intervals``: the even-grid interval lookup, next to the binary search
   (``searchsorted``) it replaces on even grids;
 * ``apl_forward``: the value pass over the suffix tables;
-* ``apl_backward``: dF/dx and the coordinate gradient.
+* ``apl_backward``: dF/dx and the coordinate gradient;
+
+and the Gram cache build (``metrics.build_gram``) in milliseconds, at the
+acceptance shape (M = 16, standard normal) and the geometry shape (M = 64,
+a 3-component mixture).
 """
 
 import time
@@ -15,6 +19,8 @@ import time
 import numpy as np
 
 from taan import _backend
+from taan.apl import BasisGrid
+from taan.metrics import GaussianMixture, build_gram
 
 # The interval rows cover the fused training step's sizes: the acceptance
 # config (8 tasks x 64 rows x 32 units, M = 16), a 4-task, 256-row, 64-wide
@@ -22,17 +28,22 @@ from taan import _backend
 INTERVAL_SIZES = ((16_384, 16), (65_536, 64), (1_000_000, 64))
 SIZES = (10_000, 100_000, 1_000_000)
 BASIS = (8, 32, 64)
+GRAM_SIZES = ((16, 1), (64, 3))
 REPEATS = 5
 
 
-def best_ns_per_elem(fn, n, *args):
+def best_s(fn, *args):
     fn(*args)  # warm-up
     best = float("inf")
     for _ in range(REPEATS):
         t0 = time.perf_counter()
         fn(*args)
         best = min(best, time.perf_counter() - t0)
-    return best * 1e9 / n
+    return best
+
+
+def best_ns_per_elem(fn, n, *args):
+    return best_s(fn, *args) * 1e9 / n
 
 
 def main():
@@ -63,6 +74,19 @@ def main():
             fwd = best_ns_per_elem(_backend.apl_forward, n, x, k, tables, bps)
             bwd = best_ns_per_elem(_backend.apl_backward, n, x, k, tables, bps, gout)
             print(f"{n:>9} {m:>4} {fwd:>10.1f} {bwd:>10.1f}")
+    print()
+    header = f"{'M':>4} {'K':>3} {'build_gram ms':>14}"
+    print("Gram cache build")
+    print(header)
+    print("-" * len(header))
+    for m, k in GRAM_SIZES:
+        mixture = GaussianMixture(
+            rng.dirichlet(np.ones(k)),
+            rng.uniform(-1.0, 1.0, k),
+            rng.uniform(0.5, 2.0, k),
+        )
+        ms = best_s(build_gram, BasisGrid.even(m), mixture) * 1e3
+        print(f"{m:>4} {k:>3} {ms:>14.3f}")
 
 
 if __name__ == "__main__":

@@ -16,11 +16,11 @@ import numpy as np
 from taan.apl import apl_eval_pair
 from taan.metrics import (
     GaussianMixture,
-    GramCache,
     build_gram,
     distance_matrix,
     distance_sq,
     inner_product,
+    layer_grams,
 )
 from taan.moments import GaussianParams
 from taan.network import TaanModel
@@ -65,21 +65,13 @@ def layer_distances(model: TaanModel, cache=None, labels=None, mixture=None):
         labels = tuple(f"task{t}" for t in range(model.task_count))
     if mixture is None:
         mixture = GaussianMixture.standard_normal()
-    built = {}
-    reports = []
-    for l, layer in enumerate(model.layers):
-        layer_cache = cache
-        if layer_cache is None:
-            key = layer.grid.breakpoints.tobytes()
-            if key not in built:
-                built[key] = build_gram(layer.grid, mixture)
-            layer_cache = built[key]
-        reports.append(
-            LayerDistanceReport(
-                l, distance_matrix(layer.coords, layer_cache), labels
-            )
-        )
-    return reports
+    caches = [cache] * len(model.layers) if cache is not None else layer_grams(
+        [layer.grid for layer in model.layers], mixture
+    )
+    return [
+        LayerDistanceReport(l, distance_matrix(layer.coords, caches[l]), labels)
+        for l, layer in enumerate(model.layers)
+    ]
 
 
 def export_heatmap(report: LayerDistanceReport, path, fmt="csv"):
@@ -204,28 +196,32 @@ def check_l1_bounds(
     seed=0,
 ) -> BoundCheckReport:
     """Estimate E[h1ᵀh2] and E[‖h1−h2‖²] at layer 1 by Monte Carlo and
-    compare against c1 times the per-unit metric sums."""
+    compare against c1 times the per-unit metric sums: N times the forms
+    under one cache for the equal-weight mixture of the N unit Gaussians."""
     if not (math.isfinite(c1) and c1 > 0):
         raise ValueError(f"envelope constant must be positive, got {c1!r}")
+    if mc_samples < 2:
+        raise ValueError(f"mc_samples must be at least 2, got {mc_samples!r}")
     t1, t2 = tasks
+    for t in (t1, t2):
+        if not 0 <= t < model.task_count:
+            raise ValueError(f"task id {t} outside [0, {model.task_count})")
     layer = model.layers[0]
-    if len(unit_gaussians) != layer.linear.out_dim:
+    n_units = len(unit_gaussians)
+    if n_units != layer.linear.out_dim:
         raise ValueError(
-            f"need {layer.linear.out_dim} unit Gaussians, "
-            f"got {len(unit_gaussians)}"
+            f"need {layer.linear.out_dim} unit Gaussians, got {n_units}"
         )
     coords1 = layer.coords[t1]
     coords2 = layer.coords[t2]
-    inner_right = 0.0
-    dist_right = 0.0
-    for g in unit_gaussians:
-        cache = build_gram(
-            layer.grid, GaussianMixture.from_components([(1.0, g.mu, g.sigma)])
-        )
-        inner_right += inner_product(coords1, coords2, cache)
-        dist_right += distance_sq(coords1, coords2, cache)
-    inner_right *= c1
-    dist_right *= c1
+    cache = build_gram(
+        layer.grid,
+        GaussianMixture.from_components(
+            (1.0 / n_units, g.mu, g.sigma) for g in unit_gaussians
+        ),
+    )
+    inner_right = c1 * n_units * inner_product(coords1, coords2, cache)
+    dist_right = c1 * n_units * distance_sq(coords1, coords2, cache)
     rng = np.random.default_rng(seed)
     weight_t = layer.linear.weight.T
     bias = layer.linear.bias

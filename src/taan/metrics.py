@@ -8,8 +8,9 @@ With basis moments
     v_i = sum_k pi_k E_k[relu * hinge_{b_i}]
     G_ij = sum_k pi_k E_k[hinge_{b_i} * hinge_{b_j}]
 
-cached once per (grid, mixture) pair, the metrics reduce to quadratic forms
-in the coordinate vectors:
+built by broadcasting the closed forms of ``taan.moments`` over the
+breakpoint grid, once per distinct grid per call of ``layer_grams``, the
+metrics reduce to quadratic forms in the coordinate vectors:
 
     <F1, F2>  = s + (c1 + c2)' v + c1' G c2          (= E[F1(X) F2(X)])
     d2(F1,F2) = (c1 - c2)' G (c1 - c2)               (= E[(F1(X) - F2(X))^2])
@@ -121,26 +122,28 @@ class GramCache:
 
 
 def build_gram(grid: BasisGrid, mixture: GaussianMixture) -> GramCache:
-    """Accumulate the moment cache for one (grid, mixture) pair.
-
-    Breakpoints are fixed, so the cache is constant during training; build it
-    once and share it across layers that use the same grid and mixture.
-    """
-    bps = grid.breakpoints
-    m = bps.size
+    """The moment cache for one (grid, mixture) pair: per mixture component,
+    one broadcast of the closed forms over the breakpoints and one over the
+    (M, M) breakpoint grid."""
+    b = grid.breakpoints
     s = 0.0
-    v = np.zeros(m)
-    g = np.zeros((m, m))
+    v = np.zeros(b.size)
+    g = np.zeros((b.size, b.size))
     for pi, comp in mixture.components():
         s += pi * moment_b0_sq(comp)
-        for i in range(m):
-            v[i] += pi * moment_b0b(bps[i], comp)
-            for j in range(i, m):
-                mij = pi * moment_bb(bps[i], bps[j], comp)
-                g[i, j] += mij
-                if j != i:
-                    g[j, i] += mij
+        v += pi * moment_b0b(b, comp)
+        g += pi * moment_bb(b[:, None], b[None, :], comp)
     return GramCache(s, v, g)
+
+
+def layer_grams(grids, mixture: GaussianMixture):
+    """One GramCache per grid, built once per distinct ``BasisGrid`` object
+    (``build_model`` and ``load_checkpoint`` let layers share one grid)."""
+    built = {}
+    for grid in grids:
+        if id(grid) not in built:
+            built[id(grid)] = build_gram(grid, mixture)
+    return [built[id(grid)] for grid in grids]
 
 
 def _pair(c1, c2, cache):

@@ -20,6 +20,9 @@ bt = min(bi, bj) and c = (bt - mu)/sigma:
 (relu and hinge_b have disjoint supports when b <= 0, so the cross moment
 vanishes there, and the b > 0 branch is continuous at b = 0.)
 
+The breakpoint arguments broadcast like numpy arrays, so ``build_gram`` in
+``taan.metrics`` evaluates each moment over a whole grid in one call.
+
 ``oracle_moment`` evaluates the same integrals by adaptive Gauss-Kronrod
 quadrature with the interval split at the hinge locations, so the integrand
 handed to each panel is smooth.  It is the ground truth the closed forms are
@@ -29,9 +32,10 @@ verified against; every coefficient above has been checked against it.
 import math
 from dataclasses import dataclass
 
+import numpy as np
 from scipy.integrate import quad
+from scipy.special import ndtr
 
-_SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
@@ -57,21 +61,23 @@ class GaussianParams:
 
 
 def std_normal_cdf(x):
-    """Standard normal CDF via the complementary error function.
+    """Standard normal CDF, elementwise.
 
     Accurate to about 1e-16 absolute over the whole real line, including far
     tails where 1 - erf would cancel.
     """
-    return 0.5 * math.erfc(-x / _SQRT2)
+    return ndtr(x)
 
 
 def _std_normal_pdf(z):
-    return _INV_SQRT_2PI * math.exp(-0.5 * z * z)
+    return _INV_SQRT_2PI * np.exp(-0.5 * z * z)
 
 
 def _check_breakpoint(name, b):
-    if not math.isfinite(b):
-        raise ValueError(f"{name} must be finite, got {b}")
+    b = np.asarray(b, dtype=np.float64)
+    if not np.all(np.isfinite(b)):
+        raise ValueError(f"{name} must be finite, got {b[~np.isfinite(b)].flat[0]}")
+    return b
 
 
 def moment_b0_sq(g: GaussianParams):
@@ -85,12 +91,12 @@ def moment_b0_sq(g: GaussianParams):
 def moment_bb(bi, bj, g: GaussianParams):
     """E[max(0, bi - X) * max(0, bj - X)] for X ~ N(g.mu, g.sigma^2).
 
-    Symmetric in (bi, bj): both orders hit the same expression through
-    bt = min(bi, bj).
+    Broadcasts over array breakpoints.  Symmetric in (bi, bj), bit for bit:
+    both orders hit the same expression through bt = min(bi, bj).
     """
-    _check_breakpoint("bi", bi)
-    _check_breakpoint("bj", bj)
-    bt = min(bi, bj)
+    bi = _check_breakpoint("bi", bi)
+    bj = _check_breakpoint("bj", bj)
+    bt = np.minimum(bi, bj)
     c = (bt - g.mu) / g.sigma
     quadratic = g.mu * g.mu + g.sigma * g.sigma + bi * bj - (bi + bj) * g.mu
     return quadratic * std_normal_cdf(c) + (
@@ -101,19 +107,19 @@ def moment_bb(bi, bj, g: GaussianParams):
 def moment_b0b(b, g: GaussianParams):
     """E[max(0, X) * max(0, b - X)] for X ~ N(g.mu, g.sigma^2).
 
-    Exactly zero for b <= 0 (the factors have disjoint supports).
+    Broadcasts over array breakpoints.  Exactly zero wherever b <= 0 (the
+    factors have disjoint supports).
     """
-    _check_breakpoint("b", b)
-    if b <= 0.0:
-        return 0.0
+    b = _check_breakpoint("b", b)
     a0 = -g.mu / g.sigma
     a1 = (b - g.mu) / g.sigma
     delta_cdf = std_normal_cdf(a1) - std_normal_cdf(a0)
-    return (
+    cross = (
         (b * g.mu - g.mu * g.mu - g.sigma * g.sigma) * delta_cdf
         + g.sigma * g.mu * _std_normal_pdf(a1)
         + g.sigma * (b - g.mu) * _std_normal_pdf(a0)
     )
+    return np.where(b > 0.0, cross, 0.0)[()]
 
 
 def oracle_moment(pair, g: GaussianParams, tol=1e-10):

@@ -100,11 +100,13 @@ def cosine_reg(alpha, cache: GramCache):
 
 
 def distance_reg(alpha, cache: GramCache):
-    """Mean of all pairwise squared function distances (>= 0)."""
+    """Mean of all pairwise squared function distances (>= 0): the centred
+    form (2 / T) sum_t (a_t - a_bar)' G (a_t - a_bar)."""
     alpha = _as_matrix(alpha)
-    diff = alpha[:, None, :] - alpha[None, :, :]
-    d = np.einsum("ijk,kl,ijl->ij", diff, cache.hinge_hinge, diff)
-    return float(d.mean())
+    t = alpha.shape[0]
+    centered = t * alpha - alpha.sum(axis=0)  # T (a_t - a_bar): no division
+    quad = np.einsum("ij,ij->", centered @ cache.hinge_hinge, centered)
+    return float(2.0 * quad / t**3)
 
 
 def regularizer_value(kind: RegKind, alpha, cache=None):

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from taan.metrics import GaussianMixture, build_gram, distance_matrix
+from taan.metrics import GaussianMixture, distance_matrix, layer_grams
 from taan.network import TaanModel, backward, check_packed, coord_views, forward
 from taan.regularizers import RegConfig, RegKind, reg_grad, regularizer_value
 
@@ -210,19 +210,6 @@ def _data_arrays(dataset):
     return inputs, targets
 
 
-def _layer_caches(model, cache):
-    if cache is not None:
-        return [cache] * len(model.layers)
-    built = {}
-    caches = []
-    for layer in model.layers:
-        key = layer.grid.breakpoints.tobytes()
-        if key not in built:
-            built[key] = build_gram(layer.grid, GaussianMixture.standard_normal())
-        caches.append(built[key])
-    return caches
-
-
 def _mean_offdiag(dist):
     t = dist.shape[0]
     if t < 2:
@@ -267,7 +254,9 @@ def train(model: TaanModel, datasets, config: TrainConfig, cache=None):
     state = AdamState.for_params(
         model.params, config.learning_rate, config.beta1, config.beta2, config.epsilon
     )
-    caches = _layer_caches(model, cache)
+    caches = [cache] * len(model.layers) if cache is not None else layer_grams(
+        [layer.grid for layer in model.layers], GaussianMixture.standard_normal()
+    )
     reg_on = config.reg.kind is not RegKind.NONE
     needs_cache = config.reg.kind in (RegKind.COSINE, RegKind.DISTANCE)
     steps = max(

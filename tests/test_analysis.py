@@ -15,7 +15,7 @@ from taan.analysis import (
     layer_distances,
     load_heatmap_csv,
 )
-from taan.metrics import GaussianMixture
+from taan.metrics import GaussianMixture, build_gram, distance_sq, inner_product
 from taan.network import ArchitectureSpec, build_model, to_hard_sharing
 
 
@@ -167,6 +167,12 @@ def test_l1_bound_validation_and_csv(tmp_path):
         check_l1_bounds(model, gaussians, 0.0, (0, 1))
     with pytest.raises(ValueError):
         check_l1_bounds(model, gaussians[:-1], 1.0, (0, 1))
+    for tasks, bad in (((-1, 0), "-1"), ((0, 2), "2")):
+        with pytest.raises(ValueError, match=f"task id {bad} "):
+            check_l1_bounds(model, gaussians, 1.0, tasks, mc_samples=100)
+    for samples in (0, 1):
+        with pytest.raises(ValueError, match=f"got {samples}"):
+            check_l1_bounds(model, gaussians, 1.0, (0, 1), mc_samples=samples)
     report = check_l1_bounds(
         model, gaussians, 1.0, (0, 1), mc_samples=50_000, seed=3
     )
@@ -177,6 +183,26 @@ def test_l1_bound_validation_and_csv(tmp_path):
     assert len(lines) == 3
     assert lines[1].startswith("0,1,inner,")
     assert lines[2].startswith("0,1,dist,")
+
+
+def test_l1_bound_right_sides_equal_per_unit_sums():
+    arch = ArchitectureSpec(6, (16,), 1, task_count=3, basis_count=8)
+    model = build_model(arch, 4)
+    layer = model.layers[0]
+    layer.coords[:] = np.random.default_rng(5).uniform(-1.0, 1.0, layer.coords.shape)
+    gaussians = layer1_unit_gaussians(model)
+    for tasks in ((0, 2), (1, 1)):
+        inner = dist = 0.0
+        c1, c2 = layer.coords[tasks[0]], layer.coords[tasks[1]]
+        for g in gaussians:
+            cache = build_gram(
+                layer.grid, GaussianMixture.from_components([(1.0, g.mu, g.sigma)])
+            )
+            inner += inner_product(c1, c2, cache)
+            dist += distance_sq(c1, c2, cache)
+        report = check_l1_bounds(model, gaussians, 1.5, tasks, mc_samples=100)
+        assert abs(report.inner_right - 1.5 * inner) <= 1e-13 * abs(1.5 * inner)
+        assert abs(report.dist_right - 1.5 * dist) <= 1e-13 * max(1.5 * dist, 1e-300)
 
 
 def test_bound_report_validation():

@@ -1,5 +1,7 @@
 """Mixture-weighted functional metrics: Gram soundness, Monte-Carlo parity."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -13,9 +15,11 @@ from taan.metrics import (
     distance_matrix,
     distance_sq,
     inner_product,
+    layer_grams,
     mc_inner_and_distance,
     norm,
 )
+from taan.moments import GaussianParams, moment_b0_sq, moment_b0b, moment_bb
 
 
 def random_instance(rng, max_m=8):
@@ -39,6 +43,119 @@ def full_gram(cache: GramCache):
     g[1:, 0] = cache.relu_hinge
     g[1:, 1:] = cache.hinge_hinge
     return g
+
+
+def _cdf(x):
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+
+def _pdf(z):
+    return math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+
+
+def reference_gram(breakpoints, mixture):
+    """Per-pair scalar loop over the closed forms, sharing no code with
+    taan.moments.  Returns (relu_relu, relu_hinge, hinge_hinge)."""
+    bps = [float(b) for b in breakpoints]
+    m = len(bps)
+    s = 0.0
+    v = np.zeros(m)
+    g = np.zeros((m, m))
+    for p, mu, sg in zip(
+        mixture.weights.tolist(), mixture.means.tolist(), mixture.sigmas.tolist()
+    ):
+        a0 = -mu / sg
+        s += p * ((mu * mu + sg * sg) * (1.0 - _cdf(a0)) + mu * sg * _pdf(a0))
+        for i, bi in enumerate(bps):
+            if bi > 0.0:
+                a1 = (bi - mu) / sg
+                v[i] += p * (
+                    (bi * mu - mu * mu - sg * sg) * (_cdf(a1) - _cdf(a0))
+                    + sg * mu * _pdf(a1)
+                    + sg * (bi - mu) * _pdf(a0)
+                )
+            for j, bj in enumerate(bps):
+                bt = min(bi, bj)
+                c = (bt - mu) / sg
+                g[i, j] += p * (
+                    (mu * mu + sg * sg + bi * bj - (bi + bj) * mu) * _cdf(c)
+                    + (bi + bj - mu - bt) * sg * _pdf(c)
+                )
+    return s, v, g
+
+
+def assert_matches_reference(grid, mixture):
+    cache = build_gram(grid, mixture)
+    s, v, g = reference_gram(grid.breakpoints, mixture)
+    scale = max(abs(s), np.abs(v).max(), np.abs(g).max())
+    assert abs(cache.relu_relu - s) <= 1e-13 * scale
+    assert np.abs(cache.relu_hinge - v).max() <= 1e-13 * scale
+    assert np.abs(cache.hinge_hinge - g).max() <= 1e-13 * scale
+    assert np.array_equal(cache.hinge_hinge, cache.hinge_hinge.T)
+    return cache
+
+
+def random_mixture(rng, k):
+    return GaussianMixture(
+        rng.dirichlet(np.ones(k)), rng.uniform(-2.0, 2.0, k), rng.uniform(0.3, 2.5, k)
+    )
+
+
+@pytest.mark.parametrize("m", (1, 2, 16, 64))
+@pytest.mark.parametrize("k", (1, 3))
+def test_build_gram_matches_scalar_reference(m, k):
+    rng = np.random.default_rng(100 * m + k)
+    for _ in range(3):
+        grid = BasisGrid(np.sort(rng.uniform(-3.0, 3.0, m)))
+        assert_matches_reference(grid, random_mixture(rng, k))
+
+
+def test_build_gram_nonpositive_breakpoints():
+    # Breakpoints <= 0 take the zero branch of E[relu * hinge_b].
+    rng = np.random.default_rng(7)
+    for bps in (
+        np.array([-1.5, -0.25, 0.0]),
+        np.array([-2.0, -1.0, 0.0, 0.5, 1.0]),
+        np.linspace(-4.0, 0.0, 16),
+    ):
+        cache = assert_matches_reference(BasisGrid(bps), random_mixture(rng, 3))
+        assert np.all(cache.relu_hinge[bps <= 0.0] == 0.0)
+
+
+def test_array_moments_equal_scalar_calls():
+    rng = np.random.default_rng(8)
+    b = np.concatenate([[-1.0, 0.0], rng.uniform(-3.0, 3.0, 12)])
+    for g in (GaussianParams(0.0, 1.0), GaussianParams(-1.3, 0.4)):
+        assert isinstance(moment_b0_sq(g), float)
+        cross = moment_b0b(b, g)
+        pairs = moment_bb(b[:, None], b[None, :], g)
+        assert cross.shape == b.shape and pairs.shape == (b.size, b.size)
+        for i, bi in enumerate(b):
+            scalar = moment_b0b(float(bi), g)
+            assert isinstance(scalar, float) and cross[i] == scalar
+            for j, bj in enumerate(b):
+                assert pairs[i, j] == moment_bb(float(bi), float(bj), g)
+
+
+def test_array_moments_reject_non_finite_breakpoints():
+    g = GaussianParams(0.0, 1.0)
+    bad = np.array([0.5, np.nan, 1.0])
+    with pytest.raises(ValueError, match="nan"):
+        moment_b0b(bad, g)
+    with pytest.raises(ValueError, match="nan"):
+        moment_bb(bad[:, None], bad[None, :], g)
+    with pytest.raises(ValueError, match="inf"):
+        moment_bb(np.array([0.0, np.inf]), 0.0, g)
+
+
+def test_layer_grams_builds_once_per_grid_object():
+    mixture = GaussianMixture.standard_normal()
+    a = BasisGrid.even(4)
+    b = BasisGrid.even(4)
+    caches = layer_grams([a, a, b, a], mixture)
+    assert caches[0] is caches[1] is caches[3]
+    assert caches[2] is not caches[0]
+    assert np.array_equal(caches[2].hinge_hinge, caches[0].hinge_hinge)
 
 
 def test_standard_normal_single_breakpoint_cache():

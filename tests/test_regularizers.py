@@ -102,6 +102,31 @@ def test_distance_reg_two_task_example():
     assert abs(distance_reg(alpha, cache) - 0.25) < 1e-14
 
 
+def pairwise_distance_reg(alpha, cache):
+    """Reference: the mean over all T x T ordered pairs of the Gram form of
+    the row difference."""
+    diff = alpha[:, None, :] - alpha[None, :, :]
+    return float(np.einsum("ijk,kl,ijl->ij", diff, cache.hinge_hinge, diff).mean())
+
+
+def test_distance_reg_matches_pairwise_form():
+    rng = np.random.default_rng(11)
+    for t, m in ((1, 4), (2, 1), (3, 6), (8, 16), (16, 64)):
+        cache = build_gram(
+            BasisGrid(np.sort(rng.uniform(-2.5, 2.5, m))),
+            GaussianMixture(
+                np.array([0.4, 0.6]), rng.uniform(-1, 1, 2), rng.uniform(0.5, 2, 2)
+            ),
+        )
+        alpha = rng.uniform(-1.5, 1.5, (t, m))
+        expected = pairwise_distance_reg(alpha, cache)
+        got = distance_reg(alpha, cache)
+        if t == 1:
+            assert got == expected == 0.0
+        else:
+            assert abs(got - expected) <= 1e-13 * expected
+
+
 def test_cosine_reg_identical_rows():
     cache = standard_cache()
     alpha = np.tile(np.array([0.4, -0.2, 0.1, 0.3]), (4, 1))
