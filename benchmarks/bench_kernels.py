@@ -9,18 +9,28 @@ reports the best of ``REPEATS`` runs in nanoseconds per element:
 * ``apl_forward``: the value pass over the suffix tables;
 * ``apl_backward``: dF/dx and the coordinate gradient;
 
-and the Gram cache build (``metrics.build_gram``) in milliseconds, at the
+the Gram cache build (``metrics.build_gram``) in milliseconds, at the
 acceptance shape (M = 16, standard normal) and the geometry shape (M = 64,
-a 3-component mixture).
+a 3-component mixture), and ``save_checkpoint`` / ``load_checkpoint`` in
+milliseconds at the geometry shape (16 tasks, three 64-wide layers,
+M = 64, a 3-component mixture).
 """
 
+import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 
 from taan import _backend
 from taan.apl import BasisGrid
 from taan.metrics import GaussianMixture, build_gram
+from taan.network import (
+    ArchitectureSpec,
+    build_model,
+    load_checkpoint,
+    save_checkpoint,
+)
 
 # The interval rows cover the fused training step's sizes: the acceptance
 # config (8 tasks x 64 rows x 32 units, M = 16), a 4-task, 256-row, 64-wide
@@ -87,6 +97,22 @@ def main():
         )
         ms = best_s(build_gram, BasisGrid.even(m), mixture) * 1e3
         print(f"{m:>4} {k:>3} {ms:>14.3f}")
+    print()
+    arch = ArchitectureSpec(8, (64, 64, 64), 1, task_count=16, basis_count=64)
+    model = build_model(arch, 0)
+    mixture = GaussianMixture(
+        rng.dirichlet(np.ones(3)), rng.uniform(-1.0, 1.0, 3), rng.uniform(0.5, 2.0, 3)
+    )
+    header = f"{'checkpoint':>16} {'ms':>8}"
+    print("checkpoint at the geometry shape")
+    print(header)
+    print("-" * len(header))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.npz"
+        save_ms = best_s(save_checkpoint, model, path, mixture, 0) * 1e3
+        load_ms = best_s(load_checkpoint, path) * 1e3
+    print(f"{'save_checkpoint':>16} {save_ms:>8.3f}")
+    print(f"{'load_checkpoint':>16} {load_ms:>8.3f}")
 
 
 if __name__ == "__main__":

@@ -30,7 +30,7 @@ BACKEND = "numpy"
 
 
 def _even_guess(x, shift, scale, m):
-    # (x - bps[0]) * (M - 1) / (bps[-1] - bps[0]) + 1 as x * scale + shift,
+    # (x - bps[0]) * (M - 1) / (bps[-1] - bps[0]) + 1/2 as x * scale + shift,
     # clipped to [0, M] and truncated (= floored, being >= 0).  Every step is
     # monotone in x, which even_lookup's exactness check relies on; fmin
     # runs before fmax so that NaN lands on M, where searchsorted sorts it.
@@ -45,25 +45,27 @@ def even_lookup(bps):
     """Tables for the even-grid interval lookup, or None where it is not
     exact.
 
-    The guess is monotone in x, so if at every breakpoint bps[i] it lands on
-    i or i + 1 (the true index there is i + 1), it is off by at most one for
-    every x, and one correction each way makes it exact.  That holds for
-    evenly spaced grids; M = 1 and irregular grids get None.
+    The guess sits half an interval low, so that it is k or k - 1 for the
+    true index k and one upward correction makes it exact.  It is monotone
+    in x, so that holds for every x if it holds at the ends of every
+    interval: at each breakpoint bps[i] (true index i + 1) the guess must be
+    i or i + 1, and at the float just below it (true index i) i - 1 or i.
+    That holds for evenly spaced grids; M = 1 and irregular grids get None.
     """
     m = bps.shape[0]
     if m < 2:
         return None
     scale = (m - 1) / (bps[-1] - bps[0])
-    shift = 1.0 - bps[0] * scale
+    shift = 0.5 - bps[0] * scale
     if not (np.isfinite(scale) and np.isfinite(shift)):
         return None
-    guess = _even_guess(bps, shift, scale, m)
     i = np.arange(m)
-    if not np.all((guess == i) | (guess == i + 1)):
+    at = _even_guess(bps, shift, scale, m) - i
+    below = _even_guess(np.nextafter(bps, -np.inf), shift, scale, m) - i
+    if not (np.all((at == 0) | (at == 1)) and np.all((below == -1) | (below == 0))):
         return None
     # The NaN end pad compares false, so x = +inf (and NaN) stays at k = M.
-    padded = np.concatenate(([-np.inf], bps, [np.nan]))
-    return shift, scale, padded
+    return shift, scale, np.append(bps, np.nan)
 
 
 def intervals(x, bps, lookup=None):
@@ -71,11 +73,10 @@ def intervals(x, bps, lookup=None):
     ``searchsorted(bps, x, side="right")``; ``lookup`` is ``even_lookup(bps)``."""
     if lookup is None:
         return np.searchsorted(bps, x, side="right")
-    shift, scale, padded = lookup
+    shift, scale, upper = lookup
     with np.errstate(over="ignore"):  # |x| near the float maximum
         k = _even_guess(x, shift, scale, bps.shape[0])
-    k -= x < padded[k]
-    k += x >= padded[1:][k]
+    k += x >= np.take(upper, k)
     return k
 
 

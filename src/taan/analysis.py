@@ -83,8 +83,8 @@ def export_heatmap(report: LayerDistanceReport, path, fmt="csv"):
     if fmt == "csv":
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(",".join(report.labels) + "\n")
-            for row in report.matrix:
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
+            for row in report.matrix.tolist():
+                fh.write(",".join(map(repr, row)) + "\n")
         return
     if fmt == "pgm":
         peak = float(report.matrix.max())

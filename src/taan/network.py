@@ -392,36 +392,42 @@ def model_parameters(model: TaanModel):
     return [getattr(owner, attr) for _, owner, attr in _param_slots(model)]
 
 
+CHECKPOINT_FORMAT = 2
+
+
 def save_checkpoint(model: TaanModel, path, mixture=None, seed=None):
     """Write the model (plus optional mixture and seed) as an npz archive.
 
-    float64 arrays round-trip bitwise.  Like ``np.savez``, a path without the
-    ``.npz`` suffix gets it; the archive goes to a temporary file beside the
-    target that is then moved into place, so no save leaves a partial file.
-    A model array rebound away from ``model.params`` is an error
-    (``check_packed``).
+    The archive has at most four members, whatever the layer and task
+    counts: ``meta`` (JSON: format version, widths, per-layer basis counts,
+    head output dims, seed), ``params`` (``model.params``), ``breakpoints``
+    (every layer's grid, concatenated) and, when a mixture is given,
+    ``mixture`` (rows: weights, means, sigmas).  float64 arrays round-trip
+    bitwise.  Like ``np.savez``, a path without the ``.npz`` suffix gets it;
+    the archive goes to a temporary file beside the target that is then
+    moved into place, so no save leaves a partial file.  A model array
+    rebound away from ``model.params`` is an error (``check_packed``).
     """
     check_packed(model)
     meta = {
+        "format": CHECKPOINT_FORMAT,
         "task_count": model.task_count,
-        "layer_count": len(model.layers),
+        "input_dim": model.input_dim,
+        "widths": [layer.linear.out_dim for layer in model.layers],
+        "basis_counts": [len(layer.grid) for layer in model.layers],
         "output_dims": [h.out_dim for h in model.heads],
         "seed": None if seed is None else int(seed),
         "has_mixture": mixture is not None,
     }
-    arrays = {"meta": np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)}
-    for l, layer in enumerate(model.layers):
-        arrays[f"layer{l}_weight"] = layer.linear.weight
-        arrays[f"layer{l}_bias"] = layer.linear.bias
-        arrays[f"layer{l}_coords"] = layer.coords
-        arrays[f"layer{l}_grid"] = layer.grid.breakpoints
-    for t, head in enumerate(model.heads):
-        arrays[f"head{t}_weight"] = head.weight
-        arrays[f"head{t}_bias"] = head.bias
+    arrays = {
+        "meta": np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
+        "params": model.params,
+        "breakpoints": np.concatenate(
+            [np.zeros(0)] + [layer.grid.breakpoints for layer in model.layers]
+        ),
+    }
     if mixture is not None:
-        arrays["mixture_weights"] = mixture.weights
-        arrays["mixture_means"] = mixture.means
-        arrays["mixture_sigmas"] = mixture.sigmas
+        arrays["mixture"] = np.stack([mixture.weights, mixture.means, mixture.sigmas])
     path = os.fspath(path)
     path += "" if path.endswith(".npz") else ".npz"
     tmp = f"{path}.{os.getpid()}.tmp"
@@ -435,7 +441,12 @@ def save_checkpoint(model: TaanModel, path, mixture=None, seed=None):
 
 
 def load_checkpoint(path):
-    """Inverse of save_checkpoint; returns (model, mixture, seed)."""
+    """Inverse of save_checkpoint; returns (model, mixture, seed).
+
+    The layers and heads are built from ``meta`` with zero arrays, packed
+    by ``TaanModel``, and then ``params`` is copied in; layers with equal
+    breakpoints share one ``BasisGrid``.
+    """
     with np.load(path) as archive:
 
         def data(key):
@@ -444,30 +455,51 @@ def load_checkpoint(path):
             return archive[key]
 
         meta = json.loads(bytes(data("meta")).decode())
-        layers = []
-        grids = {}
-        for l in range(meta["layer_count"]):
-            bps = data(f"layer{l}_grid")
-            key = bps.tobytes()
-            if key not in grids:
-                grids[key] = BasisGrid(bps)
-            layers.append(
-                AalLayer(
-                    LinearLayer(data(f"layer{l}_weight"), data(f"layer{l}_bias")),
-                    data(f"layer{l}_coords"),
-                    grids[key],
-                )
+        version = meta.get("format", 1)
+        if version != CHECKPOINT_FORMAT:
+            raise ValueError(
+                f"checkpoint {path} has format {version}, not "
+                f"{CHECKPOINT_FORMAT}; format 1, the old per-array layout "
+                "with one member per array, is no longer read"
             )
+        task_count, counts = meta["task_count"], meta["basis_counts"]
+        bps = data("breakpoints")
+        if bps.shape != (sum(counts),):
+            raise ValueError(
+                f"checkpoint {path}: breakpoints has shape {bps.shape}, "
+                f"expected ({sum(counts)},)"
+            )
+        layers, grids = [], {}
+        fan_in, start = meta["input_dim"], 0
+        for width, m in zip(meta["widths"], counts):
+            row = bps[start : start + m]
+            start += m
+            key = row.tobytes()
+            if key not in grids:
+                grids[key] = BasisGrid(row)
+            linear = LinearLayer(np.zeros((width, fan_in)), np.zeros(width))
+            layers.append(AalLayer(linear, np.zeros((task_count, m)), grids[key]))
+            fan_in = width
         heads = [
-            LinearLayer(data(f"head{t}_weight"), data(f"head{t}_bias"))
-            for t in range(meta["task_count"])
+            LinearLayer(np.zeros((d, fan_in)), np.zeros(d)) for d in meta["output_dims"]
         ]
+        model = TaanModel(layers, heads, task_count)
+        params = data("params")
+        if params.shape != model.params.shape:
+            raise ValueError(
+                f"checkpoint {path}: params has shape {params.shape}, expected "
+                f"{model.params.shape} for its meta"
+            )
+        if not np.all(np.isfinite(params)):
+            raise ValueError(f"checkpoint {path}: params has non-finite entries")
+        model.params[:] = params
         mixture = None
         if meta["has_mixture"]:
-            mixture = GaussianMixture(
-                data("mixture_weights"),
-                data("mixture_means"),
-                data("mixture_sigmas"),
-            )
-    model = TaanModel(layers, heads, meta["task_count"])
+            mix = data("mixture")
+            if mix.ndim != 2 or mix.shape[0] != 3:
+                raise ValueError(
+                    f"checkpoint {path}: mixture has shape {mix.shape}, "
+                    "expected (3, components)"
+                )
+            mixture = GaussianMixture(*mix)
     return model, mixture, meta["seed"]

@@ -1,6 +1,7 @@
 """Multi-task network: forward against a scalar-loop oracle, backward against
 finite differences, sharing reductions, checkpoint round-trips."""
 
+import json
 from types import SimpleNamespace
 
 import numpy as np
@@ -408,16 +409,113 @@ def test_checkpoint_file_name_and_no_leftovers(tmp_path):
     assert seed == 1 and np.array_equal(loaded.params, model.params)
 
 
+def rewrite_members(path, out, **changes):
+    """Copy an npz archive to ``out`` with members replaced (None drops)."""
+    with np.load(path) as data:
+        members = {k: data[k] for k in data.files}
+    members.update(changes)
+    np.savez(out, **{k: v for k, v in members.items() if v is not None})
+    return out
+
+
 def test_checkpoint_missing_member_names_path_and_key(tmp_path):
     path = tmp_path / "model.npz"
-    save_checkpoint(small_model(), path)
+    mixture = GaussianMixture.standard_normal()
+    save_checkpoint(small_model(), path, mixture=mixture)
+    for key in ("meta", "params", "breakpoints", "mixture"):
+        broken = rewrite_members(path, tmp_path / "broken.npz", **{key: None})
+        with pytest.raises(ValueError, match=repr(key)) as info:
+            load_checkpoint(broken)
+        assert str(broken) in str(info.value)
+
+
+def test_checkpoint_old_per_array_layout_is_rejected(tmp_path):
+    meta = {
+        "task_count": 1,
+        "layer_count": 0,
+        "output_dims": [1],
+        "seed": None,
+        "has_mixture": False,
+    }
+    old = tmp_path / "old.npz"
+    np.savez(
+        old,
+        meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
+        head0_weight=np.ones((1, 3)),
+        head0_bias=np.zeros(1),
+    )
+    with pytest.raises(ValueError, match="old per-array layout") as info:
+        load_checkpoint(old)
+    assert str(old) in str(info.value)
+
+
+def test_checkpoint_bad_params_are_rejected(tmp_path):
+    path = tmp_path / "model.npz"
+    model = small_model()
+    save_checkpoint(model, path)
+    nan_params = model.params.copy()
+    nan_params[7] = np.nan
+    for params, match in ((model.params[:-1], "shape"), (nan_params, "non-finite")):
+        broken = rewrite_members(path, tmp_path / "broken.npz", params=params)
+        with pytest.raises(ValueError, match=match) as info:
+            load_checkpoint(broken)
+        assert str(broken) in str(info.value)
+
+
+def mixed_grid_model():
+    rng = np.random.default_rng(4)
+    grids = [
+        BasisGrid.even(6),
+        BasisGrid(np.array([-1.0, 0.25, 3.0])),
+        BasisGrid.even(1),
+    ]
+    layers, fan_in = [], 3
+    for width, grid in zip((5, 4, 2), grids):
+        linear = LinearLayer(
+            rng.standard_normal((width, fan_in)), rng.standard_normal(width)
+        )
+        layers.append(AalLayer(linear, rng.standard_normal((2, len(grid))), grid))
+        fan_in = width
+    heads = [
+        LinearLayer(rng.standard_normal((d, fan_in)), rng.standard_normal(d))
+        for d in (1, 3)
+    ]
+    return TaanModel(layers, heads, task_count=2)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: small_model(arch=ArchitectureSpec(4, (5,), (1, 3, 2), task_count=3)),
+        mixed_grid_model,
+        lambda: TaanModel(
+            [], [LinearLayer(np.arange(6.0).reshape(2, 3), np.ones(2))], 1
+        ),
+    ],
+    ids=["unequal_heads", "per_layer_grids", "heads_only"],
+)
+def test_checkpoint_round_trip_shapes(tmp_path, make):
+    model = make()
+    save_checkpoint(model, tmp_path / "m.npz", seed=5)
+    loaded, mixture, seed = load_checkpoint(tmp_path / "m.npz")
+    assert mixture is None and seed == 5
+    assert loaded.layout == model.layout
+    assert loaded.params.tobytes() == model.params.tobytes()
+    for a, b in zip(model.layers, loaded.layers):
+        assert a.grid.breakpoints.tobytes() == b.grid.breakpoints.tobytes()
+
+
+def test_geometry_checkpoint_has_four_members(tmp_path):
+    arch = ArchitectureSpec(8, (64, 64, 64), 1, task_count=16, basis_count=64)
+    mixture = GaussianMixture(
+        np.array([0.2, 0.3, 0.5]),
+        np.array([-1.0, 0.0, 1.0]),
+        np.array([0.5, 1.0, 2.0]),
+    )
+    path = tmp_path / "geometry.npz"
+    save_checkpoint(build_model(arch, 3), path, mixture=mixture)
     with np.load(path) as data:
-        members = {k: data[k] for k in data.files if k != "layer0_coords"}
-    broken = tmp_path / "broken.npz"
-    np.savez(broken, **members)
-    with pytest.raises(ValueError, match="layer0_coords") as info:
-        load_checkpoint(broken)
-    assert str(broken) in str(info.value)
+        assert sorted(data.files) == ["breakpoints", "meta", "mixture", "params"]
 
 
 def test_validation_errors():
