@@ -132,7 +132,7 @@ def _apply_map(theta, x):
     # so independently drawn maps are near-orthogonal as functions.
     a, b = theta
     u = x @ a
-    z = (u**3 - 3.0 * u) / np.sqrt(6.0)
+    z = (u * u * u - 3.0 * u) / np.sqrt(6.0)
     return z @ b / np.sqrt(HIDDEN_UNITS)
 
 
