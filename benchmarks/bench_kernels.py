@@ -25,12 +25,7 @@ import numpy as np
 from taan import _backend
 from taan.apl import BasisGrid
 from taan.metrics import GaussianMixture, build_gram
-from taan.network import (
-    ArchitectureSpec,
-    build_model,
-    load_checkpoint,
-    save_checkpoint,
-)
+from taan.network import ArchitectureSpec, build_model, load_checkpoint, save_checkpoint
 
 # The interval rows cover the fused training step's sizes: the acceptance
 # config (8 tasks x 64 rows x 32 units, M = 16), a 4-task, 256-row, 64-wide

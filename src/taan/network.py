@@ -449,10 +449,16 @@ def load_checkpoint(path):
     """
     with np.load(path) as archive:
 
-        def data(key):
+        def data(key, shape=None):
             if key not in archive.files:
                 raise ValueError(f"checkpoint {path} has no member {key!r}")
-            return archive[key]
+            arr = archive[key]
+            if shape is not None and arr.shape != shape:
+                raise ValueError(
+                    f"checkpoint {path}: {key} has shape {arr.shape}, "
+                    f"expected {shape}"
+                )
+            return arr
 
         meta = json.loads(bytes(data("meta")).decode())
         version = meta.get("format", 1)
@@ -463,12 +469,7 @@ def load_checkpoint(path):
                 "with one member per array, is no longer read"
             )
         task_count, counts = meta["task_count"], meta["basis_counts"]
-        bps = data("breakpoints")
-        if bps.shape != (sum(counts),):
-            raise ValueError(
-                f"checkpoint {path}: breakpoints has shape {bps.shape}, "
-                f"expected ({sum(counts)},)"
-            )
+        bps = data("breakpoints", (sum(counts),))
         layers, grids = [], {}
         fan_in, start = meta["input_dim"], 0
         for width, m in zip(meta["widths"], counts):
@@ -484,12 +485,7 @@ def load_checkpoint(path):
             LinearLayer(np.zeros((d, fan_in)), np.zeros(d)) for d in meta["output_dims"]
         ]
         model = TaanModel(layers, heads, task_count)
-        params = data("params")
-        if params.shape != model.params.shape:
-            raise ValueError(
-                f"checkpoint {path}: params has shape {params.shape}, expected "
-                f"{model.params.shape} for its meta"
-            )
+        params = data("params", model.params.shape)
         if not np.all(np.isfinite(params)):
             raise ValueError(f"checkpoint {path}: params has non-finite entries")
         model.params[:] = params
