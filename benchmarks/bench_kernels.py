@@ -13,9 +13,11 @@ the Gram cache build (``metrics.build_gram``) in milliseconds, at the
 acceptance shape (M = 16, standard normal) and the geometry shape (M = 64,
 a 3-component mixture), and ``save_checkpoint`` / ``load_checkpoint`` in
 milliseconds at the geometry shape (16 tasks, three 64-wide layers,
-M = 64, a 3-component mixture).
+M = 64, a 3-component mixture), next to the median of ``MODEL_REPEATS``
+``build_model`` calls at that shape.
 """
 
+import statistics
 import tempfile
 import time
 from pathlib import Path
@@ -35,16 +37,21 @@ SIZES = (10_000, 100_000, 1_000_000)
 BASIS = (8, 32, 64)
 GRAM_SIZES = ((16, 1), (64, 3))
 REPEATS = 5
+MODEL_REPEATS = 101
+
+
+def times_s(fn, args, repeats=REPEATS):
+    fn(*args)  # warm-up
+    times = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        fn(*args)
+        times.append(time.perf_counter() - t0)
+    return times
 
 
 def best_s(fn, *args):
-    fn(*args)  # warm-up
-    best = float("inf")
-    for _ in range(REPEATS):
-        t0 = time.perf_counter()
-        fn(*args)
-        best = min(best, time.perf_counter() - t0)
-    return best
+    return min(times_s(fn, args))
 
 
 def best_ns_per_elem(fn, n, *args):
@@ -98,8 +105,8 @@ def main():
     mixture = GaussianMixture(
         rng.dirichlet(np.ones(3)), rng.uniform(-1.0, 1.0, 3), rng.uniform(0.5, 2.0, 3)
     )
-    header = f"{'checkpoint':>16} {'ms':>8}"
-    print("checkpoint at the geometry shape")
+    header = f"{'call':>16} {'ms':>8}"
+    print("checkpoint and model build at the geometry shape")
     print(header)
     print("-" * len(header))
     with tempfile.TemporaryDirectory() as tmp:
@@ -108,6 +115,8 @@ def main():
         load_ms = best_s(load_checkpoint, path) * 1e3
     print(f"{'save_checkpoint':>16} {save_ms:>8.3f}")
     print(f"{'load_checkpoint':>16} {load_ms:>8.3f}")
+    build_ms = statistics.median(times_s(build_model, (arch, 0), MODEL_REPEATS)) * 1e3
+    print(f"{'build_model':>16} {build_ms:>8.3f}  (median)")
 
 
 if __name__ == "__main__":

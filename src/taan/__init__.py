@@ -46,7 +46,7 @@ from taan.network import (
     tie_heads,
     to_hard_sharing,
 )
-from taan.regularizers import RegConfig, RegKind, regularizer_value, reg_grad, total_loss
+from taan.regularizers import RegConfig, RegKind, regularizer_value, reg_grad
 from taan.training import AdamState, TrainConfig, adam_step, evaluate, map_at_k, train
 from taan.analysis import (
     BoundCheckReport,
@@ -90,7 +90,6 @@ __all__ = [
     "RegKind",
     "regularizer_value",
     "reg_grad",
-    "total_loss",
     # network
     "ArchitectureSpec",
     "TaanModel",

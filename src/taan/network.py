@@ -21,6 +21,40 @@ from taan.metrics import GaussianMixture
 COORD_INIT_SCALE = 0.01
 
 
+class _Owned:
+    """Base of the objects a model owns: rebinding an attribute that is
+    already set raises ValueError naming the slot (``_name`` is its
+    prefix); setting it to the object it holds, as ``arr += d`` does, is
+    allowed."""
+
+    _name = "model."
+
+    def __setattr__(self, attr, value):
+        if self.__dict__.get(attr, value) is not value:
+            raise _rebind_error(self._name + attr)
+        object.__setattr__(self, attr, value)
+
+
+def _rebind_error(slot):
+    return ValueError(
+        f"{slot} is fixed at model construction; write through the array "
+        "(arr[...] = value) instead of rebinding it"
+    )
+
+
+class _Fixed(tuple):
+    """A model's layers or heads; item assignment raises ValueError naming
+    the item's first slot."""
+
+    def __new__(cls, items, slots):
+        self = super().__new__(cls, items)
+        self.slots = slots
+        return self
+
+    def __setitem__(self, i, value):
+        raise _rebind_error(self.slots[i])
+
+
 class LinearLayer:
     """Dense map y = x W' + b with weight (out, in) and bias (out,)."""
 
@@ -59,11 +93,27 @@ class AalLayer:
         return self.coords.shape[0]
 
 
-class TaanModel:
-    """Shared layers plus per-task heads.  Construction copies every array
-    into one float64 vector ``params`` (layout: ``_param_slots``), rebinds
-    the layer and head objects' arrays to views of it, and caches the
-    layout (name, offset and shape of each slot)."""
+class _OwnedLinear(_Owned, LinearLayer):
+    def __init__(self, name, weight, bias):  # views of params: validated already
+        self.__dict__.update(_name=name, weight=weight, bias=bias)
+
+
+class _OwnedAal(_Owned, AalLayer):
+    def __init__(self, name, linear, coords, grid):
+        self.__dict__.update(_name=name, linear=linear, coords=coords, grid=grid)
+
+
+class TaanModel(_Owned):
+    """Shared layers plus per-task heads.
+
+    Construction copies the given arrays into one float64 vector ``params``
+    and records the layout: (name, offset, shape) of each slot, packed as
+    each layer's weight, bias and coords, then each head's weight and bias.
+    ``layers`` and ``heads`` are the model's own objects over views of
+    ``params``; the caller's objects are only read.  The arrays are
+    writable, but neither they, the objects nor ``params`` can be rebound:
+    that raises ``ValueError`` naming the slot.
+    """
 
     def __init__(self, layers, heads, task_count):
         if len(heads) != task_count:
@@ -78,26 +128,36 @@ class TaanModel:
         for head in heads:
             if width is not None and head.in_dim != width:
                 raise ValueError("head input width must match the last layer")
-        self.layers = list(layers)
-        self.heads = list(heads)
         self.task_count = task_count
-        # Packing rebinds each object's arrays, so an object passed twice
-        # would leave one slot of params that nothing reads.
-        parts = [(f"layers[{l}].linear", x.linear) for l, x in enumerate(layers)]
-        parts += [(f"heads[{t}]", x) for t, x in enumerate(heads)]
-        first = {}
-        for name, part in parts:
-            if first.setdefault(id(part), name) != name:
-                raise ValueError(f"{name} is the same object as {first[id(part)]}")
-        slots = _param_slots(self)
-        self.layout, start = [], 0
-        for name, owner, attr in slots:
-            shape = getattr(owner, attr).shape
-            self.layout.append((name, start, shape))
-            start += math.prod(shape)
-        self.params = np.concatenate([getattr(o, a).ravel() for _, o, a in slots])
-        for (_, owner, attr), view in zip(slots, param_views(self, self.params)):
-            setattr(owner, attr, view)
+        names, arrays = [], []
+        for l, x in enumerate(layers):
+            names += [f"layers[{l}].linear.{a}" for a in ("weight", "bias")]
+            names.append(f"layers[{l}].coords")
+            arrays += [x.linear.weight, x.linear.bias, x.coords]
+        for t, x in enumerate(heads):
+            names += [f"heads[{t}].weight", f"heads[{t}].bias"]
+            arrays += [x.weight, x.bias]
+        self.params = params = np.concatenate([arr.ravel() for arr in arrays])
+        self.layout, v, start = [], [], 0
+        for name, arr in zip(names, arrays):
+            self.layout.append((name, start, arr.shape))
+            v.append(params[start : start + arr.size].reshape(arr.shape))
+            start += arr.size
+        self._arrays = tuple(v)
+        own, n = [], 3 * len(layers)
+        for l, x in enumerate(layers):
+            w, b, c = v[3 * l : 3 * l + 3]
+            p = f"layers[{l}]."
+            own.append(_OwnedAal(p, _OwnedLinear(p + "linear.", w, b), c, x.grid))
+        self.layers = _Fixed(own, names[0:n:3])
+        pairs = enumerate(zip(v[n::2], v[n + 1 :: 2]))
+        own = [_OwnedLinear(f"heads[{t}].", w, b) for t, (w, b) in pairs]
+        self.heads = _Fixed(own, names[n::2])
+
+    def __reduce__(self):
+        # Copies and pickles are rebuilt by the constructor, so their arrays
+        # are views of their own params rather than detached copies.
+        return TaanModel, (list(self.layers), list(self.heads), self.task_count)
 
     @property
     def input_dim(self):
@@ -305,15 +365,9 @@ def to_hard_sharing(model: TaanModel) -> TaanModel:
     """Replace every coordinate row with the row mean so all tasks share one
     activation per layer; weights, biases and heads are copied unchanged."""
     layers = [
-        AalLayer(
-            LinearLayer(l.linear.weight, l.linear.bias),
-            _shared_coords(l.coords),
-            l.grid,
-        )
-        for l in model.layers
+        AalLayer(l.linear, _shared_coords(l.coords), l.grid) for l in model.layers
     ]
-    heads = [LinearLayer(h.weight, h.bias) for h in model.heads]
-    return TaanModel(layers, heads, model.task_count)
+    return TaanModel(layers, model.heads, model.task_count)
 
 
 def tie_heads(model: TaanModel) -> TaanModel:
@@ -321,59 +375,12 @@ def tie_heads(model: TaanModel) -> TaanModel:
     first = model.heads[0]
     if any(h.out_dim != first.out_dim for h in model.heads):
         raise ValueError("cannot tie heads with different output dims")
-    layers = [
-        AalLayer(LinearLayer(l.linear.weight, l.linear.bias), l.coords, l.grid)
-        for l in model.layers
-    ]
-    heads = [LinearLayer(first.weight, first.bias) for _ in range(model.task_count)]
-    return TaanModel(layers, heads, model.task_count)
-
-
-def _param_slots(model):
-    """The parameter layout: (name, owner, attribute) of each layer's
-    weight, bias and coords, then each head's weight and bias, packed in
-    this order."""
-    slots = []
-    for l, layer in enumerate(model.layers):
-        slots += [
-            (f"layers[{l}].linear.weight", layer.linear, "weight"),
-            (f"layers[{l}].linear.bias", layer.linear, "bias"),
-            (f"layers[{l}].coords", layer, "coords"),
-        ]
-    for t, head in enumerate(model.heads):
-        slots += [
-            (f"heads[{t}].weight", head, "weight"),
-            (f"heads[{t}].bias", head, "bias"),
-        ]
-    return slots
-
-
-def check_packed(model: TaanModel):
-    """Raise ValueError naming the first model array that is no longer the
-    view of ``model.params`` at its slot, as after ``model.heads[1] =
-    model.heads[0]`` or ``layer.coords = new_array``: training would then
-    update a slot that nothing reads."""
-    slots = _param_slots(model)
-    if [name for name, _, _ in slots] != [name for name, _, _ in model.layout]:
-        raise ValueError("layers or heads were added or removed after construction")
-    base = model.params.ctypes.data
-    for (name, owner, attr), (_, start, shape) in zip(slots, model.layout):
-        arr = getattr(owner, attr)
-        if not (
-            isinstance(arr, np.ndarray)
-            and arr.base is model.params
-            and arr.shape == shape
-            and arr.ctypes.data == base + 8 * start
-        ):
-            raise ValueError(
-                f"{name} is not the view of model.params at its slot; write "
-                "through the array (arr[...] = value) instead of rebinding it"
-            )
+    return TaanModel(model.layers, [first] * model.task_count, model.task_count)
 
 
 def param_views(model: TaanModel, flat):
     """Split a flat vector laid out like ``model.params`` (a gradient, say)
-    into per-array views, in ``_param_slots`` order."""
+    into per-array views, in layout order."""
     if flat.shape != model.params.shape:
         raise ValueError(
             f"flat vector has shape {flat.shape}, expected {model.params.shape}"
@@ -389,7 +396,7 @@ def coord_views(model: TaanModel, flat):
 def model_parameters(model: TaanModel):
     """The model's own trainable arrays in layout order (layer W, b, coords;
     head W, b); each is a view of ``model.params``."""
-    return [getattr(owner, attr) for _, owner, attr in _param_slots(model)]
+    return list(model._arrays)
 
 
 CHECKPOINT_FORMAT = 2
@@ -405,10 +412,9 @@ def save_checkpoint(model: TaanModel, path, mixture=None, seed=None):
     ``mixture`` (rows: weights, means, sigmas).  float64 arrays round-trip
     bitwise.  Like ``np.savez``, a path without the ``.npz`` suffix gets it;
     the archive goes to a temporary file beside the target that is then
-    moved into place, so no save leaves a partial file.  A model array
-    rebound away from ``model.params`` is an error (``check_packed``).
+    moved into place, so no save leaves a partial file.  Every model array
+    is a view of ``params``, so that one member holds them all.
     """
-    check_packed(model)
     meta = {
         "format": CHECKPOINT_FORMAT,
         "task_count": model.task_count,
@@ -443,9 +449,9 @@ def save_checkpoint(model: TaanModel, path, mixture=None, seed=None):
 def load_checkpoint(path):
     """Inverse of save_checkpoint; returns (model, mixture, seed).
 
-    The layers and heads are built from ``meta`` with zero arrays, packed
-    by ``TaanModel``, and then ``params`` is copied in; layers with equal
-    breakpoints share one ``BasisGrid``.
+    The layers and heads are built from ``meta`` with zero arrays and
+    copied into a ``TaanModel``, and then ``params`` is written into it;
+    layers with equal breakpoints share one ``BasisGrid``.
     """
     with np.load(path) as archive:
 

@@ -1,4 +1,4 @@
-"""Coordinate-matrix regularizers and the composite multi-task loss.
+"""Coordinate-matrix regularizers of the multi-task loss.
 
 Three penalties on a task-by-basis coordinate matrix alpha:
 
@@ -150,17 +150,3 @@ def reg_grad(kind: RegKind, alpha, cache=None):
         cos.sum(axis=1) / n**2
     )[:, None] * w
     return (-2.0 / t**2) * grad
-
-
-def total_loss(task_losses, per_layer_alphas, config: RegConfig, cache=None):
-    """Sum of per-task losses plus coefficient * sum of per-layer penalties."""
-    task_losses = np.asarray(task_losses, dtype=np.float64)
-    if task_losses.ndim != 1:
-        raise ValueError("task_losses must be a vector")
-    total = float(task_losses.sum())
-    if config.kind is not RegKind.NONE and config.coefficient != 0.0:
-        for alpha in per_layer_alphas:
-            total += config.coefficient * regularizer_value(
-                config.kind, alpha, cache
-            )
-    return total

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from taan.metrics import GaussianMixture, distance_matrix, layer_grams
-from taan.network import TaanModel, backward, check_packed, coord_views, forward
+from taan.network import TaanModel, backward, coord_views, forward
 from taan.regularizers import RegConfig, RegKind, reg_grad, regularizer_value
 
 LOSS_KINDS = ("squared_error", "cross_entropy")
@@ -235,7 +235,6 @@ def train(model: TaanModel, datasets, config: TrainConfig, cache=None):
                 f"task {t}: cross_entropy needs at least 2 output classes, "
                 f"but its head has {model.head_dim(t)} output"
             )
-    check_packed(model)
     train_x, train_y, val_x, val_y = [], [], {}, {}
     for t, (tr, va) in enumerate(pairs):
         x, y = _data_arrays(tr)

@@ -1,15 +1,16 @@
 """Multi-task network: forward against a scalar-loop oracle, backward against
 finite differences, sharing reductions, checkpoint round-trips."""
 
+import copy
 import json
-from types import SimpleNamespace
+import pickle
 
 import numpy as np
 import pytest
 
 from taan.apl import BasisGrid, apl_eval
 from taan.metrics import GaussianMixture
-from taan.training import TrainConfig, loss_and_grad, train
+from taan.training import loss_and_grad
 from taan.network import (
     AalLayer,
     ArchitectureSpec,
@@ -221,24 +222,28 @@ def test_fused_step_with_unequal_heads_mixed_losses_and_batch_sizes():
     assert fused_against_reference(model, batches, losses, targets) <= 1e-13
 
 
-def test_rebound_arrays_fail_loudly(tmp_path):
-    # Rebinding a model array detaches it from model.params; training or
-    # saving would then silently use a slot that nothing reads.
+def test_rebound_arrays_fail_loudly():
+    # The model's arrays are views of model.params; rebinding one would leave
+    # a slot that nothing reads, so the assignment itself is refused.
     model = small_model()
-    model.heads[1] = model.heads[0]
-    split = SimpleNamespace(inputs=np.zeros((3, 4)), targets=np.zeros((3, 2)))
-    data = [(split, None)] * 3
     with pytest.raises(ValueError, match=r"heads\[1\]\.weight"):
-        train(model, data, TrainConfig(epochs=1))
-    with pytest.raises(ValueError, match=r"heads\[1\]\.weight"):
-        save_checkpoint(model, tmp_path / "heads.npz")
-    model = small_model()
-    model.layers[1].coords = model.layers[1].coords.copy()
+        model.heads[1] = model.heads[0]
     with pytest.raises(ValueError, match=r"layers\[1\]\.coords"):
-        save_checkpoint(model, tmp_path / "coords.npz")
-    with pytest.raises(ValueError, match=r"layers\[1\]\.coords"):
-        train(model, data, TrainConfig(epochs=1))
-    assert not any(tmp_path.iterdir())
+        model.layers[1].coords = model.layers[1].coords.copy()
+    with pytest.raises(ValueError, match=r"heads\[0\]\.bias"):
+        model.heads[0].bias = np.zeros(2)
+    with pytest.raises(ValueError, match=r"layers\[0\]\.linear\.weight"):
+        model.layers[0].linear.weight = model.layers[0].linear.weight.copy()
+    with pytest.raises(ValueError, match=r"model\.params"):
+        model.params = model.params.copy()
+    assert_packed(model)
+    # In-place updates rebind an attribute to the object it holds.
+    coords = model.layers[1].coords
+    before = coords.copy()
+    model.layers[1].coords += 1.0
+    assert model.layers[1].coords is coords
+    assert np.array_equal(param_views(model, model.params)[5], before + 1.0)
+    assert_packed(model)
 
 
 def test_hard_sharing_with_tied_heads_is_task_independent():
@@ -348,20 +353,32 @@ def test_every_array_is_a_view_of_params(tmp_path):
     assert_packed(heads_only)
 
 
-def test_same_object_twice_is_rejected():
-    grid = BasisGrid.even(4)
-    head = LinearLayer(np.ones((1, 3)), np.zeros(1))
-    with pytest.raises(ValueError, match=r"heads\[1\] is the same object as heads\[0\]"):
-        TaanModel([], [head] * 2, task_count=2)
+def test_same_object_twice_gives_independent_slots():
+    weight = np.ones((1, 3))
+    head = LinearLayer(weight, np.zeros(1))
+    model = TaanModel([], [head] * 2, task_count=2)
+    assert_packed(model)
+    model.heads[1].weight[:] = 5.0
+    model.heads[1].bias[:] = 5.0
+    assert np.array_equal(model.heads[0].weight, np.ones((1, 3)))
+    assert np.array_equal(model.heads[0].bias, np.zeros(1))
+    assert np.array_equal(head.weight, np.ones((1, 3)))
+    assert np.array_equal(weight, np.ones((1, 3)))
     lin = LinearLayer(np.ones((3, 3)), np.zeros(3))
-    layer = AalLayer(lin, np.zeros((1, 4)), grid)
-    for second in (layer, AalLayer(lin, np.zeros((1, 4)), grid)):
-        with pytest.raises(
-            ValueError, match=r"layers\[1\].linear is the same object as layers\[0\]"
-        ):
-            TaanModel([layer, second], [head], task_count=1)
-    with pytest.raises(ValueError, match=r"heads\[0\] is the same object as layers"):
-        TaanModel([layer], [lin], task_count=1)
+    layer = AalLayer(lin, np.zeros((1, 4)), BasisGrid.even(4))
+    model = TaanModel([layer, layer], [lin], task_count=1)
+    assert_packed(model)
+    model.layers[1].linear.weight[:] = 5.0
+    assert np.all(model.layers[0].linear.weight == 1.0)
+    assert np.all(model.heads[0].weight == 1.0) and np.all(lin.weight == 1.0)
+
+
+def test_copies_and_pickles_stay_packed():
+    model = small_model()
+    for other in (copy.deepcopy(model), pickle.loads(pickle.dumps(model))):
+        assert_packed(other)
+        assert np.array_equal(other.params, model.params)
+        assert not np.shares_memory(other.params, model.params)
 
 
 def test_param_views_checks_the_size():

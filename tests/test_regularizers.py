@@ -13,7 +13,6 @@ from taan.regularizers import (
     distance_reg,
     reg_grad,
     regularizer_value,
-    total_loss,
     trace_norm,
     trace_norm_grad,
 )
@@ -189,22 +188,3 @@ def test_reg_config_coercion_and_validation():
         RegConfig("cos", -1.0)
     with pytest.raises(ValueError):
         RegConfig("cos", float("nan"))
-
-
-def test_total_loss_composition():
-    cache = standard_cache()
-    rng = np.random.default_rng(5)
-    alphas = [rng.uniform(-1.0, 1.0, (3, 4)) for _ in range(2)]
-    losses = np.array([1.0, 2.0, 0.5])
-    config = RegConfig(RegKind.DISTANCE, 0.5)
-    expected = losses.sum() + 0.5 * sum(
-        distance_reg(a, cache) for a in alphas
-    )
-    got = total_loss(losses, alphas, config, cache)
-    assert abs(got - expected) < 1e-12
-    # A zero coefficient or kind NONE reduces to the plain task-loss sum.
-    assert total_loss(losses, alphas, RegConfig(RegKind.NONE, 0.0)) == losses.sum()
-    assert (
-        total_loss(losses, alphas, RegConfig(RegKind.DISTANCE, 0.0), cache)
-        == losses.sum()
-    )
