@@ -14,7 +14,10 @@ acceptance shape (M = 16, standard normal) and the geometry shape (M = 64,
 a 3-component mixture), and ``save_checkpoint`` / ``load_checkpoint`` in
 milliseconds at the geometry shape (16 tasks, three 64-wide layers,
 M = 64, a 3-component mixture), next to the median of ``MODEL_REPEATS``
-``build_model`` calls at that shape.
+``build_model`` calls at that shape; and the Monte-Carlo throughput, in
+samples per second over ``MC_SAMPLES`` samples, of
+``metrics.mc_inner_and_distance`` (a 2-component mixture, M = 4) and of
+``analysis.check_l1_bounds`` (8 inputs, 16 units, M = 16).
 """
 
 import statistics
@@ -25,8 +28,9 @@ from pathlib import Path
 import numpy as np
 
 from taan import _backend
+from taan.analysis import check_l1_bounds, layer1_unit_gaussians
 from taan.apl import BasisGrid
-from taan.metrics import GaussianMixture, build_gram
+from taan.metrics import GaussianMixture, build_gram, mc_inner_and_distance
 from taan.network import ArchitectureSpec, build_model, load_checkpoint, save_checkpoint
 
 # The interval rows cover the fused training step's sizes: the acceptance
@@ -38,6 +42,7 @@ BASIS = (8, 32, 64)
 GRAM_SIZES = ((16, 1), (64, 3))
 REPEATS = 5
 MODEL_REPEATS = 101
+MC_SAMPLES = 1_000_000
 
 
 def times_s(fn, args, repeats=REPEATS):
@@ -117,6 +122,23 @@ def main():
     print(f"{'load_checkpoint':>16} {load_ms:>8.3f}")
     build_ms = statistics.median(times_s(build_model, (arch, 0), MODEL_REPEATS)) * 1e3
     print(f"{'build_model':>16} {build_ms:>8.3f}  (median)")
+    print()
+    header = f"{'call':>22} {'samples/s':>11}"
+    print(f"Monte Carlo, {MC_SAMPLES} samples")
+    print(header)
+    print("-" * len(header))
+    grid = BasisGrid.even(4)
+    mixture = GaussianMixture(
+        np.array([0.4, 0.6]), np.array([-0.5, 0.8]), np.array([0.7, 1.3])
+    )
+    c1, c2 = rng.uniform(-1.0, 1.0, (2, len(grid)))
+    mc_s = best_s(mc_inner_and_distance, c1, c2, grid, mixture, MC_SAMPLES, rng)
+    print(f"{'mc_inner_and_distance':>22} {MC_SAMPLES / mc_s:>11.3g}")
+    model = build_model(ArchitectureSpec(8, (16,), 1, task_count=2, basis_count=16), 0)
+    model.layers[0].coords[:] = rng.uniform(0.0, 0.5, model.layers[0].coords.shape)
+    units = layer1_unit_gaussians(model)
+    bounds_s = best_s(check_l1_bounds, model, units, 1.0, (0, 1), MC_SAMPLES)
+    print(f"{'check_l1_bounds':>22} {MC_SAMPLES / bounds_s:>11.3g}")
 
 
 if __name__ == "__main__":

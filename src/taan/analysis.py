@@ -21,11 +21,10 @@ from taan.metrics import (
     distance_sq,
     inner_product,
     layer_grams,
+    _mc_mean_se,
 )
 from taan.moments import GaussianParams
 from taan.network import TaanModel
-
-MC_CHUNK = 100_000
 
 
 @dataclass(frozen=True)
@@ -55,19 +54,13 @@ class LayerDistanceReport:
         object.__setattr__(self, "labels", labels)
 
 
-def layer_distances(model: TaanModel, cache=None, labels=None, mixture=None):
-    """One LayerDistanceReport per activation layer.
-
-    When cache is omitted each layer's Gram matrix is built under the given
-    mixture (standard normal by default).
-    """
-    if labels is None:
-        labels = tuple(f"task{t}" for t in range(model.task_count))
+def layer_distances(model: TaanModel, mixture=None):
+    """One LayerDistanceReport per activation layer, with each layer's Gram
+    matrix built under the given mixture (standard normal by default)."""
     if mixture is None:
         mixture = GaussianMixture.standard_normal()
-    caches = [cache] * len(model.layers) if cache is not None else layer_grams(
-        [layer.grid for layer in model.layers], mixture
-    )
+    caches = layer_grams([layer.grid for layer in model.layers], mixture)
+    labels = tuple(f"task{t}" for t in range(model.task_count))
     return [
         LayerDistanceReport(l, distance_matrix(layer.coords, caches[l]), labels)
         for l, layer in enumerate(model.layers)
@@ -200,8 +193,6 @@ def check_l1_bounds(
     under one cache for the equal-weight mixture of the N unit Gaussians."""
     if not (math.isfinite(c1) and c1 > 0):
         raise ValueError(f"envelope constant must be positive, got {c1!r}")
-    if mc_samples < 2:
-        raise ValueError(f"mc_samples must be at least 2, got {mc_samples!r}")
     t1, t2 = tasks
     for t in (t1, t2):
         if not 0 <= t < model.task_count:
@@ -225,26 +216,16 @@ def check_l1_bounds(
     rng = np.random.default_rng(seed)
     weight_t = layer.linear.weight.T
     bias = layer.linear.bias
-    sums = np.zeros(2)
-    sumsq = np.zeros(2)
-    done = 0
-    while done < mc_samples:
-        n = min(MC_CHUNK, mc_samples - done)
+
+    def draw(n):
         x = rng.standard_normal((n, layer.linear.in_dim))
         a = (x @ weight_t + bias).ravel()
         h1, h2, diff = (
             v.reshape(n, -1) for v in apl_eval_pair(a, coords1, coords2, layer.grid)
         )
-        s = np.einsum("ij,ij->i", h1, h2)
-        d = np.einsum("ij,ij->i", diff, diff)
-        sums += (s.sum(), d.sum())
-        sumsq += (np.dot(s, s), np.dot(d, d))
-        done += n
-    means = sums / mc_samples
-    variances = np.maximum(
-        (sumsq - mc_samples * means**2) / (mc_samples - 1), 0.0
-    )
-    ses = np.sqrt(variances / mc_samples)
+        return np.einsum("ij,ij->i", h1, h2), np.einsum("ij,ij->i", diff, diff)
+
+    means, ses = _mc_mean_se(draw, mc_samples)
     return BoundCheckReport(
         (int(t1), int(t2)),
         float(means[0]),

@@ -63,7 +63,7 @@ def _as_coords(coords, grid):
     return coords
 
 
-def validate_coordinates(alpha, grid, task_count=None):
+def validate_coordinates(alpha, grid):
     """Check a task-by-basis coordinate matrix against a grid; returns it as
     a float64 array."""
     alpha = np.ascontiguousarray(alpha, dtype=np.float64)
@@ -71,11 +71,6 @@ def validate_coordinates(alpha, grid, task_count=None):
         raise ValueError(
             f"coordinate matrix has shape {alpha.shape}, expected "
             f"(tasks, {len(grid)})"
-        )
-    if task_count is not None and alpha.shape[0] != task_count:
-        raise ValueError(
-            f"coordinate matrix has {alpha.shape[0]} rows, expected "
-            f"{task_count}"
         )
     if not np.all(np.isfinite(alpha)):
         raise ValueError("coordinate matrix contains non-finite entries")

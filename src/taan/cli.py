@@ -33,7 +33,7 @@ from taan.data import (
     load_csv,
     save_csv,
 )
-from taan.metrics import GaussianMixture
+from taan.metrics import GaussianMixture, mean_pairwise_distance
 from taan.moments import (
     GaussianParams,
     moment_b0_sq,
@@ -54,34 +54,14 @@ from taan.network import (
 from taan.regularizers import RegConfig, reg_grad, regularizer_value
 from taan.training import TrainConfig, train
 
+# The CLI's own defaults; everything else defaults in TrainConfig,
+# ArchitectureSpec and SyntheticSpec.
 DEFAULT_CONFIG = {
     "out": "taan_out",
     "seed": 0,
-    "arch": {
-        "hidden_widths": [16, 16],
-        "basis_count": 8,
-        "basis_range": [-2.0, 2.0],
-    },
-    "train": {
-        "epochs": 10,
-        "batch_size": 64,
-        "learning_rate": 1e-4,
-        "beta1": 0.9,
-        "beta2": 0.98,
-        "epsilon": 1e-8,
-        "loss": "squared_error",
-        "reg": {"kind": "none", "coefficient": 0.0},
-    },
-    "data": {
-        "synthetic": {
-            "task_count": 8,
-            "samples_per_task": 1000,
-            "input_dim": 8,
-            "clusters": [0, 0, 0, 0, 1, 1, 1, 1],
-            "relatedness": 0.3,
-            "noise": 0.1,
-        }
-    },
+    "arch": {"hidden_widths": [16, 16]},
+    "train": {"epochs": 10, "reg": {"kind": "none", "coefficient": 0.0}},
+    "data": {"synthetic": {"clusters": [0, 0, 0, 0, 1, 1, 1, 1]}},
 }
 
 OUT_SUBDIRS = ("checkpoints", "history", "matrices", "reports", "data")
@@ -130,8 +110,6 @@ def _synthetic_spec(cfg):
         raise ValueError("config has no data.synthetic section")
     params = dict(cfg["data"]["synthetic"])
     params.setdefault("seed", cfg["seed"])
-    if params.get("clusters") is not None:
-        params["clusters"] = tuple(params["clusters"])
     return SyntheticSpec(**params)
 
 
@@ -187,8 +165,6 @@ def _architecture(cfg, datasets, config):
             for t, split in enumerate(datasets)
         )
     arch_cfg["task_count"] = len(datasets)
-    arch_cfg["basis_range"] = tuple(arch_cfg["basis_range"])
-    arch_cfg["hidden_widths"] = tuple(arch_cfg["hidden_widths"])
     return ArchitectureSpec(**arch_cfg)
 
 
@@ -253,8 +229,7 @@ def cmd_analyze(args):
             path = dirs["matrices"] / f"layer{report.layer_id}.{fmt}"
             export_heatmap(report, path, fmt)
             print(f"wrote {path}")
-        t = report.matrix.shape[0]
-        mean = report.matrix.sum() / (t * (t - 1)) if t > 1 else 0.0
+        mean = mean_pairwise_distance(report.matrix)
         lines.append(
             f"layer {report.layer_id}: mean pairwise distance {mean:.6g}, "
             f"max {report.matrix.max():.6g}"

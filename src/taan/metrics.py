@@ -29,6 +29,7 @@ from taan.apl import BasisGrid, apl_eval_pair
 from taan.moments import GaussianParams, moment_b0_sq, moment_b0b, moment_bb
 
 DEGENERATE_NORM_EPS = 1e-12
+MC_CHUNK = 100_000
 
 
 class NumericError(ArithmeticError):
@@ -221,38 +222,69 @@ def distance_matrix(alpha, cache: GramCache):
     return d
 
 
+def mean_pairwise_distance(dist):
+    """Mean of a distance matrix over its ordered pairs of distinct tasks;
+    0 for fewer than two tasks."""
+    t = dist.shape[0]
+    if t < 2:
+        return 0.0
+    return float(dist.sum() / (t * (t - 1)))
+
+
 def sample_mixture(mixture: GaussianMixture, n, rng):
-    """Draw n samples from the mixture density (used by Monte-Carlo checks)."""
-    comps = rng.choice(mixture.weights.size, size=n, p=mixture.weights)
-    return mixture.means[comps] + mixture.sigmas[comps] * rng.standard_normal(n)
+    """Draw n samples from the mixture density (used by Monte-Carlo checks).
+
+    One multinomial draw gives the per-component counts and one standard
+    normal draw is scaled block by block, so the samples come grouped by
+    component; every Monte-Carlo estimate here is a sum, which does not
+    depend on their order.
+    """
+    counts = rng.multinomial(n, mixture.weights)
+    x = rng.standard_normal(n)
+    start = 0
+    for count, mean, sigma in zip(counts, mixture.means, mixture.sigmas):
+        block = x[start : start + count]
+        block *= sigma
+        block += mean
+        start += count
+    return x
 
 
-def mc_inner_and_distance(c1, c2, grid, mixture, n_samples, rng, chunk=1_000_000):
+def _mc_mean_se(draw, n_samples):
+    """Monte-Carlo means and standard errors of per-sample statistics.
+
+    ``draw(n)`` returns one length-n array per statistic; it is called on
+    chunks of at most MC_CHUNK samples, which bounds memory.  The standard
+    error uses the sample variance, over n - 1.  Kept private so that the
+    benchmark's tracer, which wraps public functions, charges the sampling
+    loop to the caller.
+    """
+    if n_samples < 2:
+        raise ValueError(f"need at least 2 Monte-Carlo samples, got {n_samples!r}")
+    sums = sumsq = 0.0
+    done = 0
+    while done < n_samples:
+        n = min(MC_CHUNK, n_samples - done)
+        values = draw(n)
+        sums += np.array([v.sum() for v in values])
+        sumsq += np.array([np.dot(v, v) for v in values])
+        done += n
+    means = sums / n_samples
+    variances = np.maximum((sumsq - n_samples * means**2) / (n_samples - 1), 0.0)
+    return means, np.sqrt(variances / n_samples)
+
+
+def mc_inner_and_distance(c1, c2, grid, mixture, n_samples, rng):
     """Monte-Carlo estimates of <F1, F2> and d2(F1, F2) under the mixture.
 
     Returns ((ip_mean, ip_stderr), (d2_mean, d2_stderr)).  This is the
     independent sampling route against the closed-form Gram route; it shares
     no moment code with build_gram.
     """
-    s_p = s_p2 = s_d = s_d2 = 0.0
-    done = 0
-    while done < n_samples:
-        take = min(chunk, n_samples - done)
-        x = sample_mixture(mixture, take, rng)
-        f1, f2, diff = apl_eval_pair(x, c1, c2, grid)
-        prod = f1 * f2
-        diff2 = diff * diff
-        s_p += prod.sum()
-        s_p2 += (prod * prod).sum()
-        s_d += diff2.sum()
-        s_d2 += (diff2 * diff2).sum()
-        done += take
-    n = float(n_samples)
-    ip_mean = s_p / n
-    d2_mean = s_d / n
-    ip_var = max(s_p2 / n - ip_mean**2, 0.0)
-    d2_var = max(s_d2 / n - d2_mean**2, 0.0)
-    return (
-        (ip_mean, math.sqrt(ip_var / n)),
-        (d2_mean, math.sqrt(d2_var / n)),
-    )
+
+    def draw(n):
+        f1, f2, diff = apl_eval_pair(sample_mixture(mixture, n, rng), c1, c2, grid)
+        return f1 * f2, diff * diff
+
+    (ip, d2), (ip_se, d2_se) = _mc_mean_se(draw, n_samples)
+    return (float(ip), float(ip_se)), (float(d2), float(d2_se))

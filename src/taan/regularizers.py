@@ -72,30 +72,32 @@ def trace_norm_grad(alpha):
     return u[:, keep] @ vt[keep, :]
 
 
-def _pairwise_inner(alpha, cache):
-    # IP[i, j] = s + (a_i + a_j)' v + a_i' G a_j for all task pairs
+def _cosine_terms(alpha, cache):
+    """alpha @ G, the row norms n_i = ||F_i|| and the matrix of pairwise
+    cosines C_ij, from IP[i, j] = s + (a_i + a_j)' v + a_i' G a_j."""
+    ag = alpha @ cache.hinge_hinge
     u = alpha @ cache.relu_hinge
-    p = alpha @ cache.hinge_hinge @ alpha.T
-    return cache.relu_relu + u[:, None] + u[None, :] + p
-
-
-def _row_norms(ip):
+    ip = cache.relu_relu + u[:, None] + u[None, :] + ag @ alpha.T
     q = np.diag(ip)
     if np.any(q < -1e-10):
         raise NumericError(f"negative self inner product {q.min()!r}")
-    return np.sqrt(np.maximum(q, 0.0))
-
-
-def cosine_reg(alpha, cache: GramCache):
-    """Negative mean of all pairwise cosine similarities (in [-1, 1])."""
-    alpha = _as_matrix(alpha)
-    ip = _pairwise_inner(alpha, cache)
-    n = _row_norms(ip)
+    n = np.sqrt(np.maximum(q, 0.0))
     if np.any(n <= DEGENERATE_NORM_EPS):
         raise DegenerateFunctionError(
             "cosine regularizer hit a near-zero-norm activation"
         )
-    cos = ip / np.outer(n, n)
+    return ag, n, ip / np.outer(n, n)
+
+
+def _centred_gram(alpha, cache):
+    """T (a_t - a_bar) for every row (no division), and its product with G."""
+    centred = alpha.shape[0] * alpha - alpha.sum(axis=0)
+    return centred, centred @ cache.hinge_hinge
+
+
+def cosine_reg(alpha, cache: GramCache):
+    """Negative mean of all pairwise cosine similarities (in [-1, 1])."""
+    _, _, cos = _cosine_terms(_as_matrix(alpha), cache)
     return float(-cos.mean())
 
 
@@ -103,10 +105,9 @@ def distance_reg(alpha, cache: GramCache):
     """Mean of all pairwise squared function distances (>= 0): the centred
     form (2 / T) sum_t (a_t - a_bar)' G (a_t - a_bar)."""
     alpha = _as_matrix(alpha)
-    t = alpha.shape[0]
-    centered = t * alpha - alpha.sum(axis=0)  # T (a_t - a_bar): no division
-    quad = np.einsum("ij,ij->", centered @ cache.hinge_hinge, centered)
-    return float(2.0 * quad / t**3)
+    centred, centred_g = _centred_gram(alpha, cache)
+    quad = np.einsum("ij,ij->", centred_g, centred)
+    return float(2.0 * quad / alpha.shape[0] ** 3)
 
 
 def regularizer_value(kind: RegKind, alpha, cache=None):
@@ -133,18 +134,11 @@ def reg_grad(kind: RegKind, alpha, cache=None):
         raise ValueError(f"{kind} requires a Gram cache")
     if kind is RegKind.DISTANCE:
         # row t of the gradient: (4 / T^2) * sum_j G (a_t - a_j)
-        centered = t * alpha - alpha.sum(axis=0)[None, :]
-        return (4.0 / t**2) * centered @ cache.hinge_hinge
+        return (4.0 / t**2) * _centred_gram(alpha, cache)[1]
     # cosine, by the quotient rule: with w_i = v + G a_i and n_i = ||F_i||,
     # dL/da_t = -(2/T^2) sum_j (w_j / (n_t n_j) - C_tj w_t / n_t^2)
-    ip = _pairwise_inner(alpha, cache)
-    n = _row_norms(ip)
-    if np.any(n <= DEGENERATE_NORM_EPS):
-        raise DegenerateFunctionError(
-            "cosine regularizer hit a near-zero-norm activation"
-        )
-    cos = ip / np.outer(n, n)
-    w = cache.relu_hinge[None, :] + alpha @ cache.hinge_hinge
+    ag, n, cos = _cosine_terms(alpha, cache)
+    w = cache.relu_hinge[None, :] + ag
     scaled = w / n[:, None]
     grad = (1.0 / n)[:, None] * scaled.sum(axis=0)[None, :] - (
         cos.sum(axis=1) / n**2

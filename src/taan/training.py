@@ -12,7 +12,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from taan.metrics import GaussianMixture, distance_matrix, layer_grams
+from taan.metrics import (
+    GaussianMixture,
+    distance_matrix,
+    layer_grams,
+    mean_pairwise_distance,
+)
 from taan.network import TaanModel, backward, coord_views, forward
 from taan.regularizers import RegConfig, RegKind, reg_grad, regularizer_value
 
@@ -108,11 +113,22 @@ def squared_error(pred, target):
     return 0.5 * float(np.sum(r * r)) / n, r / n
 
 
+def _class_labels(target):
+    """Class labels as a 1-D int64 array; a label that is not a whole
+    number raises ValueError naming it."""
+    labels = np.asarray(target).reshape(-1)
+    if labels.dtype.kind == "f":
+        bad = ~(np.isfinite(labels) & (labels == np.trunc(labels)))
+        if bad.any():
+            raise ValueError(f"class label {float(labels[bad][0])!r} is not an integer")
+    return labels.astype(np.int64)
+
+
 def _as_onehot(target, n_classes):
     target = np.asarray(target)
     if target.ndim == 2 and target.shape[1] == n_classes:
         return np.asarray(target, dtype=np.float64)
-    labels = np.asarray(target, dtype=np.int64).reshape(-1)
+    labels = _class_labels(target)
     if labels.min() < 0 or labels.max() >= n_classes:
         raise ValueError(f"labels outside [0, {n_classes})")
     onehot = np.zeros((labels.shape[0], n_classes))
@@ -210,24 +226,21 @@ def _data_arrays(dataset):
     return inputs, targets
 
 
-def _mean_offdiag(dist):
-    t = dist.shape[0]
-    if t < 2:
-        return 0.0
-    return float(dist.sum() / (t * (t - 1)))
-
-
-def train(model: TaanModel, datasets, config: TrainConfig, cache=None):
+def train(model: TaanModel, datasets, config: TrainConfig):
     """Optimize the model in place; returns (model, History).
 
     datasets holds one train/val split per task (objects with .train/.val
-    attributes, or (train, val) pairs).  When cache is omitted each layer's
-    Gram matrix is built under the standard normal mixture.
+    attributes, or (train, val) pairs).  Each layer's Gram matrix is built
+    under the standard normal mixture.
     """
     pairs = [_split_pair(d) for d in datasets]
     if len(pairs) != model.task_count:
         raise ValueError(
             f"got {len(pairs)} datasets for {model.task_count} tasks"
+        )
+    if not isinstance(config.loss, str) and len(config.loss) != model.task_count:
+        raise ValueError(
+            f"got {len(config.loss)} loss kinds for {model.task_count} tasks"
         )
     for t in range(model.task_count):
         if config.loss_kind(t) == "cross_entropy" and model.head_dim(t) < 2:
@@ -253,11 +266,10 @@ def train(model: TaanModel, datasets, config: TrainConfig, cache=None):
     state = AdamState.for_params(
         model.params, config.learning_rate, config.beta1, config.beta2, config.epsilon
     )
-    caches = [cache] * len(model.layers) if cache is not None else layer_grams(
+    caches = layer_grams(
         [layer.grid for layer in model.layers], GaussianMixture.standard_normal()
     )
     reg_on = config.reg.kind is not RegKind.NONE
-    needs_cache = config.reg.kind in (RegKind.COSINE, RegKind.DISTANCE)
     steps = max(
         int(math.ceil(x.shape[0] / config.batch_size)) for x in train_x
     )
@@ -284,9 +296,7 @@ def train(model: TaanModel, datasets, config: TrainConfig, cache=None):
                 coord_grads = coord_views(model, total)
                 for l, layer in enumerate(model.layers):
                     coord_grads[l] += config.reg.coefficient * reg_grad(
-                        config.reg.kind,
-                        layer.coords,
-                        caches[l] if needs_cache else None,
+                        config.reg.kind, layer.coords, caches[l]
                     )
             adam_step(model.params, total, state)
         bad = np.flatnonzero(~np.isfinite(epoch_loss))
@@ -298,15 +308,11 @@ def train(model: TaanModel, datasets, config: TrainConfig, cache=None):
         reg_value = 0.0
         if reg_on:
             reg_value = sum(
-                regularizer_value(
-                    config.reg.kind,
-                    layer.coords,
-                    caches[l] if needs_cache else None,
-                )
+                regularizer_value(config.reg.kind, layer.coords, caches[l])
                 for l, layer in enumerate(model.layers)
             )
         mean_dists = [
-            _mean_offdiag(distance_matrix(layer.coords, caches[l]))
+            mean_pairwise_distance(distance_matrix(layer.coords, caches[l]))
             for l, layer in enumerate(model.layers)
         ]
         metrics = {}
@@ -385,7 +391,7 @@ def _score(out, targets, metric, k=10):
         if labels.ndim == 2 and labels.shape[1] == out.shape[1]:
             labels = np.argmax(labels, axis=1)
         else:
-            labels = np.asarray(labels, dtype=np.int64).reshape(-1)
+            labels = _class_labels(labels)
         return float(np.mean(predicted == labels))
     if metric == "map_at_k":
         return map_at_k(out, targets, k)

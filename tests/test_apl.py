@@ -139,5 +139,3 @@ def test_validate_coordinates():
         validate_coordinates(np.zeros((4, 2)), grid)
     with pytest.raises(ValueError):
         validate_coordinates(np.full((4, 3), np.nan), grid)
-    with pytest.raises(ValueError):
-        validate_coordinates(np.zeros((4, 3)), grid, task_count=5)

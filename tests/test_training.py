@@ -119,6 +119,20 @@ def test_cross_entropy_value_and_grad():
         cross_entropy(np.zeros((1, 2)), np.array([5]))
 
 
+def test_fractional_class_labels_are_rejected():
+    with pytest.raises(ValueError, match=r"class label 1\.7 is not an integer"):
+        cross_entropy(np.zeros((2, 3)), [0.0, 1.7])
+    with pytest.raises(ValueError, match=r"class label nan "):
+        cross_entropy(np.zeros((2, 3)), [np.nan, 1.0])
+    assert cross_entropy(np.zeros((2, 3)), [0.0, 2.0])[0] == (
+        cross_entropy(np.zeros((2, 3)), [0, 2])[0]
+    )
+    model = identity_model(4)
+    fractional = SimpleNamespace(inputs=MAP_SCORES, targets=np.array([1.9, 0.2, 0]))
+    with pytest.raises(ValueError, match=r"class label 1\.9 is not an integer"):
+        evaluate(model, fractional, 0, "accuracy")
+
+
 def test_cross_entropy_gradient_finite_difference():
     rng = np.random.default_rng(1)
     pred = rng.standard_normal((3, 4))
@@ -311,6 +325,14 @@ def test_train_input_validation():
     )
     with pytest.raises(ValueError):
         train(model, [datasets[0], wrong_width], TrainConfig(epochs=1))
+
+
+def test_per_task_loss_count_must_match_tasks():
+    model, datasets = regression_setup()
+    for kinds in (("squared_error",), ("squared_error",) * 3):
+        expected = f"got {len(kinds)} loss kinds for 2 tasks"
+        with pytest.raises(ValueError, match=expected):
+            train(model, datasets, TrainConfig(epochs=1, loss=kinds))
 
 
 def test_non_finite_loss_stops_training():
