@@ -17,12 +17,14 @@ M = 64, a 3-component mixture), next to the median of ``MODEL_REPEATS``
 ``build_model`` calls at that shape; and the Monte-Carlo throughput, in
 samples per second over ``MC_SAMPLES`` samples, of
 ``metrics.mc_inner_and_distance`` (a 2-component mixture, M = 4) and of
-``analysis.check_l1_bounds`` (8 inputs, 16 units, M = 16).
+``analysis.check_l1_bounds`` (8 inputs, 16 units, M = 16), each next to the
+peak memory ``tracemalloc`` traces during one more call.
 """
 
 import statistics
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -30,13 +32,13 @@ import numpy as np
 from taan import _backend
 from taan.analysis import check_l1_bounds, layer1_unit_gaussians
 from taan.apl import BasisGrid
-from taan.metrics import GaussianMixture, build_gram, mc_inner_and_distance
+from taan.metrics import MC_CHUNK, GaussianMixture, build_gram, mc_inner_and_distance
 from taan.network import ArchitectureSpec, build_model, load_checkpoint, save_checkpoint
 
 # The interval rows cover the fused training step's sizes: the acceptance
 # config (8 tasks x 64 rows x 32 units, M = 16), a 4-task, 256-row, 64-wide
-# layer with M = 64, and a Monte-Carlo chunk.
-INTERVAL_SIZES = ((16_384, 16), (65_536, 64), (1_000_000, 64))
+# layer with M = 64, and one Monte-Carlo chunk of the bound check (M = 16).
+INTERVAL_SIZES = ((16_384, 16), (65_536, 64), (MC_CHUNK, 16))
 SIZES = (10_000, 100_000, 1_000_000)
 BASIS = (8, 32, 64)
 GRAM_SIZES = ((16, 1), (64, 3))
@@ -61,6 +63,15 @@ def best_s(fn, *args):
 
 def best_ns_per_elem(fn, n, *args):
     return best_s(fn, *args) * 1e9 / n
+
+
+def peak_mb(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
 
 
 def main():
@@ -123,7 +134,7 @@ def main():
     build_ms = statistics.median(times_s(build_model, (arch, 0), MODEL_REPEATS)) * 1e3
     print(f"{'build_model':>16} {build_ms:>8.3f}  (median)")
     print()
-    header = f"{'call':>22} {'samples/s':>11}"
+    header = f"{'call':>22} {'samples/s':>11} {'peak MB':>8}"
     print(f"Monte Carlo, {MC_SAMPLES} samples")
     print(header)
     print("-" * len(header))
@@ -132,13 +143,17 @@ def main():
         np.array([0.4, 0.6]), np.array([-0.5, 0.8]), np.array([0.7, 1.3])
     )
     c1, c2 = rng.uniform(-1.0, 1.0, (2, len(grid)))
-    mc_s = best_s(mc_inner_and_distance, c1, c2, grid, mixture, MC_SAMPLES, rng)
-    print(f"{'mc_inner_and_distance':>22} {MC_SAMPLES / mc_s:>11.3g}")
+    mc_args = (c1, c2, grid, mixture, MC_SAMPLES, rng)
+    mc_s = best_s(mc_inner_and_distance, *mc_args)
+    mc_mb = peak_mb(mc_inner_and_distance, *mc_args)
+    print(f"{'mc_inner_and_distance':>22} {MC_SAMPLES / mc_s:>11.3g} {mc_mb:>8.1f}")
     model = build_model(ArchitectureSpec(8, (16,), 1, task_count=2, basis_count=16), 0)
     model.layers[0].coords[:] = rng.uniform(0.0, 0.5, model.layers[0].coords.shape)
     units = layer1_unit_gaussians(model)
-    bounds_s = best_s(check_l1_bounds, model, units, 1.0, (0, 1), MC_SAMPLES)
-    print(f"{'check_l1_bounds':>22} {MC_SAMPLES / bounds_s:>11.3g}")
+    bounds_args = (model, units, 1.0, (0, 1), MC_SAMPLES)
+    bounds_s = best_s(check_l1_bounds, *bounds_args)
+    bounds_mb = peak_mb(check_l1_bounds, *bounds_args)
+    print(f"{'check_l1_bounds':>22} {MC_SAMPLES / bounds_s:>11.3g} {bounds_mb:>8.1f}")
 
 
 if __name__ == "__main__":

@@ -82,9 +82,14 @@ def load_config(args):
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as fh:
             file_cfg = json.load(fh)
-        if "csv" in file_cfg.get("data", {}):
+        file_data = file_cfg.get("data", {})
+        if "csv" in file_data:
             # A CSV source replaces the default synthetic benchmark.
             cfg["data"] = {}
+        elif "task_count" in (file_data.get("synthetic") or {}):
+            # The default clusters are for the default task count; without
+            # clusters of its own, a file's task count gets SyntheticSpec's.
+            del cfg["data"]["synthetic"]["clusters"]
         cfg = _deep_merge(cfg, file_cfg)
     if getattr(args, "seed", None) is not None:
         cfg["seed"] = args.seed

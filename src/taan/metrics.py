@@ -29,6 +29,7 @@ from taan.apl import BasisGrid, apl_eval_pair
 from taan.moments import GaussianParams, moment_b0_sq, moment_b0b, moment_bb
 
 DEGENERATE_NORM_EPS = 1e-12
+# Float64 elements per Monte-Carlo array (800 KB), whatever one sample spans.
 MC_CHUNK = 100_000
 
 
@@ -250,28 +251,36 @@ def sample_mixture(mixture: GaussianMixture, n, rng):
     return x
 
 
-def _mc_mean_se(draw, n_samples):
+def _mc_mean_se(draw, n_samples, width):
     """Monte-Carlo means and standard errors of per-sample statistics.
 
-    ``draw(n)`` returns one length-n array per statistic; it is called on
-    chunks of at most MC_CHUNK samples, which bounds memory.  The standard
-    error uses the sample variance, over n - 1.  Kept private so that the
+    ``draw(n)`` returns one length-n array per statistic.  One sample spans
+    ``width`` float64 elements in the largest array ``draw`` builds, so it is
+    asked for at most ``MC_CHUNK // width`` samples per call (at least one):
+    ``MC_CHUNK`` bounds the elements per array, not the samples, which keeps
+    memory flat in ``n_samples``.  Per-chunk means and centred sums of
+    squares are merged with the Chan-Golub-LeVeque update, which does not
+    cancel when the spread is small against the mean; the standard error
+    uses the sample variance, over n - 1.  Kept private so that the
     benchmark's tracer, which wraps public functions, charges the sampling
     loop to the caller.
     """
     if n_samples < 2:
         raise ValueError(f"need at least 2 Monte-Carlo samples, got {n_samples!r}")
-    sums = sumsq = 0.0
+    chunk = max(1, MC_CHUNK // width)
+    means = m2 = 0.0
     done = 0
     while done < n_samples:
-        n = min(MC_CHUNK, n_samples - done)
+        n = min(chunk, n_samples - done)
         values = draw(n)
-        sums += np.array([v.sum() for v in values])
-        sumsq += np.array([np.dot(v, v) for v in values])
-        done += n
-    means = sums / n_samples
-    variances = np.maximum((sumsq - n_samples * means**2) / (n_samples - 1), 0.0)
-    return means, np.sqrt(variances / n_samples)
+        chunk_means = np.array([v.mean() for v in values])
+        chunk_m2 = np.array([v.var() for v in values]) * n
+        delta = chunk_means - means
+        total = done + n
+        means = means + delta * (n / total)
+        m2 = m2 + chunk_m2 + delta * delta * (done * n / total)
+        done = total
+    return means, np.sqrt(m2 / (n_samples - 1) / n_samples)
 
 
 def mc_inner_and_distance(c1, c2, grid, mixture, n_samples, rng):
@@ -286,5 +295,5 @@ def mc_inner_and_distance(c1, c2, grid, mixture, n_samples, rng):
         f1, f2, diff = apl_eval_pair(sample_mixture(mixture, n, rng), c1, c2, grid)
         return f1 * f2, diff * diff
 
-    (ip, d2), (ip_se, d2_se) = _mc_mean_se(draw, n_samples)
+    (ip, d2), (ip_se, d2_se) = _mc_mean_se(draw, n_samples, 1)
     return (float(ip), float(ip_se)), (float(d2), float(d2_se))

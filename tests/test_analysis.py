@@ -1,8 +1,12 @@
 """Distance reports, heatmap export, cluster separation and layer-1 bounds."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import taan.analysis
+import taan.metrics
 from taan.analysis import (
     BoundCheckReport,
     LayerDistanceReport,
@@ -203,6 +207,59 @@ def test_l1_bound_right_sides_equal_per_unit_sums():
         report = check_l1_bounds(model, gaussians, 1.5, tasks, mc_samples=100)
         assert abs(report.inner_right - 1.5 * inner) <= 1e-13 * abs(1.5 * inner)
         assert abs(report.dist_right - 1.5 * dist) <= 1e-13 * max(1.5 * dist, 1e-300)
+
+
+def bound_shape_model():
+    """Layer 1 at 8 inputs -> 16 units, M = 16, with spread coordinates."""
+    model = build_model(ArchitectureSpec(8, (16,), 1, task_count=2, basis_count=16), 2)
+    layer = model.layers[0]
+    layer.coords[:] = np.random.default_rng(3).uniform(0.0, 0.5, layer.coords.shape)
+    return model, layer1_unit_gaussians(model)
+
+
+def report_values(report):
+    return np.array([
+        report.inner_left, report.inner_se, report.dist_left, report.dist_se
+    ])
+
+
+def test_l1_bound_report_does_not_depend_on_the_chunk(monkeypatch):
+    model, gaussians = bound_shape_model()
+    reports = []
+    for chunk in (1_000, 100_000):
+        monkeypatch.setattr(taan.metrics, "MC_CHUNK", chunk)
+        reports.append(report_values(
+            check_l1_bounds(model, gaussians, 1.0, (0, 1), mc_samples=200_000, seed=4)
+        ))
+    assert np.all(np.abs(reports[0] - reports[1]) <= 1e-13 * np.abs(reports[1]))
+
+
+def test_l1_bound_chunks_hold_at_most_mc_chunk_elements(monkeypatch):
+    model, gaussians = bound_shape_model()
+    sizes = []
+    apl_eval_pair = taan.analysis.apl_eval_pair
+
+    def recording(a, *args):
+        sizes.append(a.size)
+        return apl_eval_pair(a, *args)
+
+    monkeypatch.setattr(taan.analysis, "apl_eval_pair", recording)
+    check_l1_bounds(model, gaussians, 1.0, (0, 1), mc_samples=300_000, seed=4)
+    assert sum(sizes) == 300_000 * 16
+    assert max(sizes) <= taan.metrics.MC_CHUNK
+
+
+def test_l1_bound_memory_is_flat_in_samples():
+    model, gaussians = bound_shape_model()
+    peaks = []
+    for samples in (10_000, 100_000, 1_000_000):
+        tracemalloc.start()
+        try:
+            check_l1_bounds(model, gaussians, 1.0, (0, 1), mc_samples=samples, seed=4)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) <= 1.5 * min(peaks), peaks
 
 
 def test_bound_report_validation():

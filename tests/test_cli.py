@@ -280,3 +280,18 @@ def test_train_divergence_exits_1_without_checkpoint(tmp_path):
     assert "epoch 0, task 0" in proc.stderr
     assert not list((tmp_path / "run/checkpoints").iterdir())
     assert not (tmp_path / "run/history/history.csv").exists()
+
+
+def test_train_task_count_without_clusters_uses_one_cluster(tmp_path):
+    # The CLI's default clusters are for its default 8 tasks; a file that
+    # sets only task_count gets SyntheticSpec's single cluster.
+    cfg = {
+        "train": {"epochs": 2},
+        "data": {"synthetic": {"task_count": 4, "samples_per_task": 50}},
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    proc = run_cli("train", "--config", str(path), "--out", "run", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    model, _, _ = load_checkpoint(tmp_path / "run/checkpoints/model.npz")
+    assert model.task_count == 4

@@ -7,6 +7,7 @@ import pytest
 
 from taan.apl import BasisGrid
 from taan.metrics import (
+    MC_CHUNK,
     DegenerateFunctionError,
     GaussianMixture,
     GramCache,
@@ -16,6 +17,7 @@ from taan.metrics import (
     distance_sq,
     inner_product,
     layer_grams,
+    _mc_mean_se,
     mc_inner_and_distance,
     norm,
 )
@@ -267,6 +269,38 @@ def test_monte_carlo_agrees_with_closed_form():
         )
         assert abs(ip_mc - inner_product(c1, c2, cache)) <= 4.0 * ip_se
         assert abs(d_mc - distance_sq(c1, c2, cache)) <= 4.0 * d_se
+
+
+def test_mc_standard_error_does_not_cancel_against_the_mean():
+    # A spread of 1e-3 around 1e6: the one-pass sum-of-squares formula
+    # loses every digit of the variance here.
+    n = 1_000_000
+    values = 1e6 + 1e-3 * np.random.default_rng(8).standard_normal(n)
+    done = 0
+
+    def draw(k):
+        nonlocal done
+        done += k
+        return (values[done - k : done],)
+
+    means, ses = _mc_mean_se(draw, n, 1)
+    assert abs(means[0] - values.mean()) <= 1e-15 * 1e6
+    expected = values.std(ddof=1) / math.sqrt(n)
+    assert abs(ses[0] - expected) <= 1e-9 * expected
+
+
+@pytest.mark.parametrize("width", [1, 7, 16, 2 * MC_CHUNK])
+def test_mc_chunks_hold_at_most_mc_chunk_elements(width):
+    asked = []
+
+    def draw(k):
+        asked.append(k)
+        return (np.arange(k, dtype=float),)
+
+    n = 3 * MC_CHUNK + 5 if width < MC_CHUNK else 3
+    _mc_mean_se(draw, n, width)
+    assert sum(asked) == n
+    assert max(asked) == max(1, MC_CHUNK // width)
 
 
 def test_degenerate_cosine_raises():
