@@ -6,7 +6,6 @@ Gaussian moments turn activation similarity into exact inner products and
 distances, which coordinate-matrix regularizers then shape during training.
 """
 
-from taan._backend import BACKEND
 from taan.apl import BasisGrid, apl_eval, apl_eval_batch, apl_grad_coords, apl_grad_x
 from taan.data import (
     CsvSchema,
@@ -61,7 +60,6 @@ from taan.analysis import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND",
     "__version__",
     # activations
     "BasisGrid",

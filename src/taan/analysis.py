@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from taan.apl import apl_eval_pair
+from taan.data import _read_csv, _write_csv
 from taan.metrics import (
     GaussianMixture,
     build_gram,
@@ -74,10 +75,7 @@ def export_heatmap(report: LayerDistanceReport, path, fmt="csv"):
     mean larger distance; an all-zero matrix renders black.
     """
     if fmt == "csv":
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(",".join(report.labels) + "\n")
-            for row in report.matrix.tolist():
-                fh.write(",".join(map(repr, row)) + "\n")
+        _write_csv(path, report.labels, report.matrix.tolist())
         return
     if fmt == "pgm":
         peak = float(report.matrix.max())
@@ -95,20 +93,13 @@ def export_heatmap(report: LayerDistanceReport, path, fmt="csv"):
 
 def load_heatmap_csv(path):
     """Read a heatmap CSV back as (matrix, labels)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [line.strip() for line in fh if line.strip()]
-    if not lines:
-        raise ValueError(f"{path}: empty heatmap file")
-    labels = tuple(lines[0].split(","))
-    matrix = np.array(
-        [[float(cell) for cell in line.split(",")] for line in lines[1:]]
-    )
+    labels, matrix = _read_csv(path)
     if matrix.shape != (len(labels), len(labels)):
         raise ValueError(
             f"{path}: matrix shape {matrix.shape} does not match "
             f"{len(labels)} labels"
         )
-    return matrix, labels
+    return matrix, tuple(labels)
 
 
 def cluster_separation(matrix, clusters):
@@ -243,20 +234,24 @@ def check_l1_bounds(
     )
 
 
+def _bound_rows(report: BoundCheckReport):
+    """(side, mc_mean, stderr, bound, passed) for the inner and dist sides."""
+    return (
+        ("inner", report.inner_left, report.inner_se, report.inner_right,
+         report.inner_pass),
+        ("dist", report.dist_left, report.dist_se, report.dist_right,
+         report.dist_pass),
+    )
+
+
 def bound_report_text(report: BoundCheckReport):
     """Human-readable two-row table for one task pair."""
     header = (
         f"layer-1 bound check, tasks {report.tasks[0]} vs {report.tasks[1]}, "
         f"{report.samples} samples"
     )
-    rows = [
-        ("inner", report.inner_left, report.inner_se, report.inner_right,
-         report.inner_pass),
-        ("dist", report.dist_left, report.dist_se, report.dist_right,
-         report.dist_pass),
-    ]
     lines = [header, f"{'side':<8}{'mc_mean':>16}{'stderr':>14}{'bound':>16}{'ok':>5}"]
-    for name, left, se, right, ok in rows:
+    for name, left, se, right, ok in _bound_rows(report):
         lines.append(
             f"{name:<8}{left:>16.8f}{se:>14.2e}{right:>16.8f}"
             f"{'yes' if ok else 'NO':>5}"
@@ -267,26 +262,9 @@ def bound_report_text(report: BoundCheckReport):
 def bound_report_csv(reports, path):
     """Machine-readable form, one row per (pair, side)."""
     columns = ("task1", "task2", "side", "mc_mean", "stderr", "bound", "passed")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(columns) + "\n")
-        for report in reports:
-            for side, left, se, right, ok in (
-                ("inner", report.inner_left, report.inner_se,
-                 report.inner_right, report.inner_pass),
-                ("dist", report.dist_left, report.dist_se,
-                 report.dist_right, report.dist_pass),
-            ):
-                fh.write(
-                    ",".join(
-                        (
-                            repr(report.tasks[0]),
-                            repr(report.tasks[1]),
-                            side,
-                            repr(float(left)),
-                            repr(float(se)),
-                            repr(float(right)),
-                            "1" if ok else "0",
-                        )
-                    )
-                    + "\n"
-                )
+    rows = (
+        (*report.tasks, side, float(left), float(se), float(right), int(ok))
+        for report in reports
+        for side, left, se, right, ok in _bound_rows(report)
+    )
+    _write_csv(path, columns, rows)

@@ -289,8 +289,19 @@ def _rel_err(a, b):
     return abs(a - b) / max(1.0, abs(a), abs(b))
 
 
-def _fd_scalar(f, eps=1e-5):
-    return (f(eps) - f(-eps)) / (2.0 * eps)
+def _fd_worst(objective, arr, grad, entries):
+    """Worst relative error of grad.flat[i] against the central difference
+    of objective() in arr.flat[i], perturbed in place and then restored."""
+    eps, worst = 1e-5, 0.0
+    for i in entries:
+        old = arr.flat[i]
+        arr.flat[i] = old + eps
+        hi = objective()
+        arr.flat[i] = old - eps
+        lo = objective()
+        arr.flat[i] = old
+        worst = max(worst, _rel_err(grad.flat[i], (hi - lo) / (2.0 * eps)))
+    return worst
 
 
 def _check_apl_gradients(rng):
@@ -302,16 +313,14 @@ def _check_apl_gradients(rng):
         gaps = np.abs(np.append(grid.breakpoints, 0.0) - x)
         if gaps.min() < 1e-3:
             continue
-        fd_x = _fd_scalar(lambda e: apl_eval(x + e, coords, grid))
-        worst = max(worst, _rel_err(apl_grad_x(x, coords, grid), fd_x))
-        gc = apl_grad_coords(x, grid)
-        for i in range(len(grid)):
-            def shifted(e, i=i):
-                c = coords.copy()
-                c[i] += e
-                return apl_eval(x, c, grid)
+        # Entry 0 is x, the rest are the coordinates.
+        point = np.append(x, coords)
+        grad = np.append(apl_grad_x(x, coords, grid), apl_grad_coords(x, grid))
 
-            worst = max(worst, _rel_err(gc[i], _fd_scalar(shifted)))
+        def objective():
+            return apl_eval(point[0], point[1:], grid)
+
+        worst = max(worst, _fd_worst(objective, point, grad, range(point.size)))
     return worst
 
 
@@ -326,16 +335,11 @@ def _check_reg_gradients(rng):
         for kind in ("trace", "cos", "dis"):
             config = RegConfig(kind, 1.0)
             grad = reg_grad(config.kind, alpha, cache)
-            for t in range(alpha.shape[0]):
-                for m in range(alpha.shape[1]):
-                    def shifted(e, t=t, m=m):
-                        a = alpha.copy()
-                        a[t, m] += e
-                        return regularizer_value(config.kind, a, cache)
 
-                    worst = max(
-                        worst, _rel_err(grad[t, m], _fd_scalar(shifted))
-                    )
+            def objective():
+                return regularizer_value(config.kind, alpha, cache)
+
+            worst = max(worst, _fd_worst(objective, alpha, grad, range(alpha.size)))
     return worst
 
 
@@ -351,23 +355,14 @@ def _check_network_gradients(rng):
     projection = rng.standard_normal((3, 2))
     _, trace = forward(model, {0: x})
     grads = param_views(model, backward(model, trace, {0: projection}))
-    params = model_parameters(model)
 
     def objective():
         return float(np.sum(forward(model, {0: x})[0][0] * projection))
 
     worst = 0.0
-    eps = 1e-5
-    for arr, grad in zip(params, grads):
-        flat, gflat = arr.reshape(-1), grad.reshape(-1)
-        for i in rng.choice(flat.size, size=min(4, flat.size), replace=False):
-            old = flat[i]
-            flat[i] = old + eps
-            hi = objective()
-            flat[i] = old - eps
-            lo = objective()
-            flat[i] = old
-            worst = max(worst, _rel_err(gflat[i], (hi - lo) / (2.0 * eps)))
+    for arr, grad in zip(model_parameters(model), grads):
+        entries = rng.choice(arr.size, size=min(4, arr.size), replace=False)
+        worst = max(worst, _fd_worst(objective, arr, grad, entries))
     return worst
 
 

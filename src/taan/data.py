@@ -1,5 +1,6 @@
 """Synthetic multi-task regression data with planted task clusters, plus
-CSV load/save for external tabular task data.
+the one CSV format every taan file uses and its load/save for tabular task
+data.
 
 Targets blend a cluster-level random map with a task-private one,
 y = (1-δ)·g_cluster(x) + δ·h_task(x) + noise·ε, so δ=0 makes tasks in one
@@ -187,25 +188,39 @@ class CsvSchema:
         ]
 
 
-def load_csv(path, schema: CsvSchema, task_id=0, split="train") -> TaskDataset:
-    """Read one task/split file, rejecting malformed or non-finite cells."""
-    expected = schema.header()
-    inputs, targets = [], []
+def _write_csv(path, header, rows):
+    """Write a header line, then one line per row.
+
+    A float cell (np.float64 included) is written as repr(float(v)), the
+    shortest text that reads back bitwise, so identical runs give identical
+    bytes; any other cell is written as str(v).
+    """
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            cells = (repr(float(v)) if isinstance(v, float) else str(v) for v in row)
+            fh.write(",".join(cells) + "\n")
+
+
+def _read_csv(path):
+    """Read a numeric CSV as (header, float64 array with one row per line).
+
+    Blank lines are skipped.  An empty file, a row whose length differs from
+    the header's, a non-number or non-finite cell, and a file with no data
+    rows raise ValueError naming the path and, for a row, its line.
+    """
+    rows = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
             raise ValueError(f"{path}: empty file")
-        if header != expected:
-            raise ValueError(
-                f"{path}: header {header!r} does not match schema {expected!r}"
-            )
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
-            if len(row) != len(expected):
+            if len(row) != len(header):
                 raise ValueError(
-                    f"{path}: line {lineno}: expected {len(expected)} "
+                    f"{path}: line {lineno}: expected {len(header)} "
                     f"columns, got {len(row)}"
                 )
             try:
@@ -213,19 +228,23 @@ def load_csv(path, schema: CsvSchema, task_id=0, split="train") -> TaskDataset:
             except ValueError as exc:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from None
             if not all(math.isfinite(v) for v in values):
-                raise ValueError(
-                    f"{path}: line {lineno}: non-finite value"
-                )
-            inputs.append(values[: schema.n_inputs])
-            targets.append(values[schema.n_inputs :])
-    if not inputs:
+                raise ValueError(f"{path}: line {lineno}: non-finite value")
+            rows.append(values)
+    if not rows:
         raise ValueError(f"{path}: no data rows")
-    return TaskDataset(
-        np.array(inputs, dtype=np.float64),
-        np.array(targets, dtype=np.float64),
-        task_id,
-        split,
-    )
+    return header, np.array(rows, dtype=np.float64)
+
+
+def load_csv(path, schema: CsvSchema, task_id=0, split="train") -> TaskDataset:
+    """Read one task/split file, rejecting malformed or non-finite cells."""
+    header, values = _read_csv(path)
+    expected = schema.header()
+    if header != expected:
+        raise ValueError(
+            f"{path}: header {header!r} does not match schema {expected!r}"
+        )
+    n = schema.n_inputs
+    return TaskDataset(values[:, :n], values[:, n:], task_id, split)
 
 
 def save_csv(dataset: TaskDataset, path):
@@ -234,10 +253,4 @@ def save_csv(dataset: TaskDataset, path):
     if targets.ndim == 1:
         targets = targets[:, None]
     schema = CsvSchema(dataset.inputs.shape[1], targets.shape[1])
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(schema.header()) + "\n")
-        for xrow, yrow in zip(dataset.inputs, targets):
-            cells = [repr(float(v)) for v in xrow] + [
-                repr(float(v)) for v in yrow
-            ]
-            fh.write(",".join(cells) + "\n")
+    _write_csv(path, schema.header(), np.hstack([dataset.inputs, targets]).tolist())

@@ -11,6 +11,7 @@ activation's x- and coordinate-derivatives without searching again.
 import json
 import math
 import os
+import zipfile
 
 import numpy as np
 
@@ -451,57 +452,69 @@ def load_checkpoint(path):
 
     The layers and heads are built from ``meta`` with zero arrays and
     copied into a ``TaanModel``, and then ``params`` is written into it;
-    layers with equal breakpoints share one ``BasisGrid``.
+    layers with equal breakpoints share one ``BasisGrid``.  A file that is
+    not an npz archive, a missing or malformed member, a missing ``meta`` key
+    and ``meta`` values that do not describe a model raise one ValueError
+    naming the path.
     """
-    with np.load(path) as archive:
+    try:
+        with np.load(path) as archive:
+            return _checkpoint_from_archive(archive)
+    except KeyError as exc:
+        raise ValueError(f"checkpoint {path}: meta has no key {exc}") from exc
+    except (AttributeError, TypeError, ValueError, zipfile.BadZipFile) as exc:
+        raise ValueError(f"checkpoint {path}: {exc}") from exc
 
-        def data(key, shape=None):
-            if key not in archive.files:
-                raise ValueError(f"checkpoint {path} has no member {key!r}")
-            arr = archive[key]
-            if shape is not None and arr.shape != shape:
-                raise ValueError(
-                    f"checkpoint {path}: {key} has shape {arr.shape}, "
-                    f"expected {shape}"
-                )
-            return arr
 
-        meta = json.loads(bytes(data("meta")).decode())
-        version = meta.get("format", 1)
-        if version != CHECKPOINT_FORMAT:
+def _checkpoint_from_archive(archive):
+    def data(key, shape=None):
+        if key not in archive.files:
+            raise ValueError(f"no member {key!r}")
+        arr = archive[key]
+        if shape is not None and arr.shape != shape:
+            raise ValueError(f"{key} has shape {arr.shape}, expected {shape}")
+        return arr
+
+    meta = json.loads(bytes(data("meta")).decode())
+    version = meta.get("format", 1)
+    if version != CHECKPOINT_FORMAT:
+        raise ValueError(
+            f"format {version}, not {CHECKPOINT_FORMAT}; format 1, the old "
+            "per-array layout with one member per array, is no longer read"
+        )
+    task_count, widths, counts = (
+        meta["task_count"], meta["widths"], meta["basis_counts"]
+    )
+    if len(widths) != len(counts):
+        raise ValueError(
+            f"meta has {len(widths)} widths but {len(counts)} basis counts"
+        )
+    bps = data("breakpoints", (sum(counts),))
+    layers, grids = [], {}
+    fan_in, start = meta["input_dim"], 0
+    for width, m in zip(widths, counts):
+        row = bps[start : start + m]
+        start += m
+        key = row.tobytes()
+        if key not in grids:
+            grids[key] = BasisGrid(row)
+        linear = LinearLayer(np.zeros((width, fan_in)), np.zeros(width))
+        layers.append(AalLayer(linear, np.zeros((task_count, m)), grids[key]))
+        fan_in = width
+    heads = [
+        LinearLayer(np.zeros((d, fan_in)), np.zeros(d)) for d in meta["output_dims"]
+    ]
+    model = TaanModel(layers, heads, task_count)
+    params = data("params", model.params.shape)
+    if not np.all(np.isfinite(params)):
+        raise ValueError("params has non-finite entries")
+    model.params[:] = params
+    mixture = None
+    if meta["has_mixture"]:
+        mix = data("mixture")
+        if mix.ndim != 2 or mix.shape[0] != 3:
             raise ValueError(
-                f"checkpoint {path} has format {version}, not "
-                f"{CHECKPOINT_FORMAT}; format 1, the old per-array layout "
-                "with one member per array, is no longer read"
+                f"mixture has shape {mix.shape}, expected (3, components)"
             )
-        task_count, counts = meta["task_count"], meta["basis_counts"]
-        bps = data("breakpoints", (sum(counts),))
-        layers, grids = [], {}
-        fan_in, start = meta["input_dim"], 0
-        for width, m in zip(meta["widths"], counts):
-            row = bps[start : start + m]
-            start += m
-            key = row.tobytes()
-            if key not in grids:
-                grids[key] = BasisGrid(row)
-            linear = LinearLayer(np.zeros((width, fan_in)), np.zeros(width))
-            layers.append(AalLayer(linear, np.zeros((task_count, m)), grids[key]))
-            fan_in = width
-        heads = [
-            LinearLayer(np.zeros((d, fan_in)), np.zeros(d)) for d in meta["output_dims"]
-        ]
-        model = TaanModel(layers, heads, task_count)
-        params = data("params", model.params.shape)
-        if not np.all(np.isfinite(params)):
-            raise ValueError(f"checkpoint {path}: params has non-finite entries")
-        model.params[:] = params
-        mixture = None
-        if meta["has_mixture"]:
-            mix = data("mixture")
-            if mix.ndim != 2 or mix.shape[0] != 3:
-                raise ValueError(
-                    f"checkpoint {path}: mixture has shape {mix.shape}, "
-                    "expected (3, components)"
-                )
-            mixture = GaussianMixture(*mix)
+        mixture = GaussianMixture(*mix)
     return model, mixture, meta["seed"]

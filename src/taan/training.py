@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from taan.data import _write_csv
 from taan.metrics import (
     GaussianMixture,
     distance_matrix,
@@ -201,16 +202,7 @@ class History:
         return out
 
     def to_csv(self, path):
-        # repr() keeps the shortest round-trip float text, so identical
-        # runs serialize byte-identically.
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(",".join(self.COLUMNS) + "\n")
-            for row in self.rows:
-                cells = [
-                    repr(float(v)) if isinstance(v, float) else repr(int(v))
-                    for v in row
-                ]
-                fh.write(",".join(cells) + "\n")
+        _write_csv(path, self.COLUMNS, self.rows)
 
 
 def _split_pair(entry):

@@ -73,6 +73,21 @@ def test_heatmap_csv_round_trip(tmp_path):
         export_heatmap(report, tmp_path / "x.bin", fmt="png")
 
 
+def test_heatmap_csv_errors_name_the_line(tmp_path):
+    path = tmp_path / "layer0.csv"
+    for text, match in (
+        ("a,b\n0.0,1.0\n1.0\n", "line 3: expected 2 columns, got 1"),
+        ("a,b\n0.0,x\n1.0,0.0\n", "line 2: could not convert"),
+        ("a,b\n0.0,inf\ninf,0.0\n", "line 2: non-finite"),
+        ("a,b\n0.0,1.0\n", r"shape \(1, 2\) does not match 2 labels"),
+        ("", "empty file"),
+    ):
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=match) as info:
+            load_heatmap_csv(path)
+        assert str(info.value).startswith(f"{path}: ")
+
+
 def test_heatmap_pgm_bytes(tmp_path):
     report = LayerDistanceReport(
         0, np.array([[0.0, 0.5], [0.5, 0.0]]), ("a", "b")

@@ -1,13 +1,16 @@
-"""End-to-end command-line runs in subprocesses."""
+"""End-to-end command-line runs, in subprocesses except where a test spies
+on what the CLI hands its writers."""
 
 import json
 import subprocess
 import sys
 
 import numpy as np
+import pytest
 
+import taan.cli as cli
 from conftest import child_env
-from taan.data import CsvSchema, TaskDataset, load_csv, save_csv
+from taan.data import CsvSchema, TaskDataset, _read_csv, load_csv, save_csv
 from taan.analysis import load_heatmap_csv
 from taan.network import load_checkpoint
 
@@ -295,3 +298,65 @@ def test_train_task_count_without_clusters_uses_one_cluster(tmp_path):
     assert proc.returncode == 0, proc.stderr
     model, _, _ = load_checkpoint(tmp_path / "run/checkpoints/model.npz")
     assert model.task_count == 4
+
+
+def test_every_cli_csv_reads_back_bitwise(tmp_path, monkeypatch):
+    """Each CSV the CLI writes reads back through the one reader with the
+    header and the exact values that were written.  Runs in-process, with
+    spies recording what each writer was given."""
+    written = {"data": [], "history": [], "matrices": [], "bounds": []}
+
+    def spy(name, record):
+        original = getattr(cli, name)
+
+        def wrapper(*args, **kwargs):
+            result = original(*args, **kwargs)
+            record(args, result)
+            return result
+
+        monkeypatch.setattr(cli, name, wrapper)
+
+    spy("save_csv", lambda a, _: written["data"].append(a))
+    spy("train", lambda a, r: written["history"].append(r[1]))
+    spy("export_heatmap", lambda a, _: written["matrices"].append(a))
+    spy("bound_report_csv", lambda a, _: written["bounds"].extend(a[0]))
+    cfg, out = str(write_config(tmp_path)), str(tmp_path / "run")
+    for argv in (("gen-data",), ("train",), ("analyze",)):
+        assert cli.main([*argv, "--config", cfg, "--out", out]) == 0
+    assert cli.main(["check", "bounds", "--out", out]) == 0
+
+    def assert_reads_back(path, header, values):
+        got_header, got = _read_csv(path)
+        assert got_header == list(header)
+        assert got.tobytes() == np.asarray(values, dtype=np.float64).tobytes()
+
+    assert len(written["data"]) == 6
+    for part, path in written["data"]:
+        values = np.hstack([part.inputs, part.targets])
+        assert_reads_back(path, CsvSchema(3, 1).header(), values)
+    (history,) = written["history"]
+    path = tmp_path / "run/history/history.csv"
+    assert_reads_back(path, history.COLUMNS, history.rows)
+    ((report, path, _),) = [a for a in written["matrices"] if a[2] == "csv"]
+    assert_reads_back(path, report.labels, report.matrix)
+    # The side column is text, which the numeric reader refuses by line; the
+    # other columns are compared cell by cell.
+    path = tmp_path / "run/reports/bounds.csv"
+    with pytest.raises(ValueError, match="line 2: could not convert string"):
+        _read_csv(path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "task1,task2,side,mc_mean,stderr,bound,passed"
+    expected = [
+        (*r.tasks, side, left, se, right, float(ok))
+        for r in written["bounds"]
+        for side, left, se, right, ok in (
+            ("inner", r.inner_left, r.inner_se, r.inner_right, r.inner_pass),
+            ("dist", r.dist_left, r.dist_se, r.dist_right, r.dist_pass),
+        )
+    ]
+    assert len(lines) == 1 + len(expected) == 5
+    for line, row in zip(lines[1:], expected):
+        cells = line.split(",")
+        assert cells[2] == row[2]
+        got = np.array([float(c) for c in cells[:2] + cells[3:]])
+        assert got.tobytes() == np.array(row[:2] + row[3:], dtype=np.float64).tobytes()

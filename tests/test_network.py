@@ -479,6 +479,63 @@ def test_checkpoint_bad_params_are_rejected(tmp_path):
         assert str(broken) in str(info.value)
 
 
+def meta_member(meta):
+    return np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+
+
+def edit_meta(**changes):
+    """Member changes that rewrite the one-layer checkpoint's meta."""
+    meta = {
+        "format": 2, "task_count": 3, "input_dim": 4, "widths": [5],
+        "basis_counts": [4], "output_dims": [2, 2, 2], "seed": None,
+        "has_mixture": True,
+    }
+    meta.update(changes)
+    return {"meta": meta_member({k: v for k, v in meta.items() if v != "drop"})}
+
+
+@pytest.mark.parametrize(
+    "members",
+    [
+        # zip() would pair the one basis count with the first width only.
+        edit_meta(widths=[5, 5]),
+        edit_meta(widths="drop"),
+        edit_meta(task_count="drop"),
+        {"meta": np.frombuffer(b"{not json", dtype=np.uint8)},
+        {"meta": np.frombuffer(b"\xff\xfe", dtype=np.uint8)},
+        {"meta": np.frombuffer(b"[2]", dtype=np.uint8)},
+        {"breakpoints": np.array([1.0, 0.5, 0.0, -1.0])},
+        {"breakpoints": np.array([-1.0, np.nan, 0.0, 1.0])},
+        {"mixture": np.array([[0.5, 0.4], [0.0, 0.0], [1.0, 1.0]])},
+        edit_meta(task_count=0),
+        edit_meta(widths=[-5]),
+    ],
+    ids=[
+        "widths_longer_than_basis_counts", "missing_widths", "missing_task_count",
+        "bad_json", "bad_utf8", "meta_not_object", "descending_breakpoints",
+        "nan_breakpoint", "mixture_weights", "zero_tasks", "negative_width",
+    ],
+)
+def test_checkpoint_corrupt_meta_is_one_error_naming_the_path(tmp_path, members):
+    model = small_model(arch=ArchitectureSpec(4, (5,), 2, task_count=3, basis_count=4))
+    path = tmp_path / "model.npz"
+    save_checkpoint(model, path, mixture=GaussianMixture.standard_normal())
+    broken = rewrite_members(path, tmp_path / "broken.npz", **members)
+    with pytest.raises(ValueError) as info:
+        load_checkpoint(broken)
+    assert str(info.value).count(str(broken)) == 1
+
+
+def test_checkpoint_truncated_file_names_the_path(tmp_path):
+    path = tmp_path / "model.npz"
+    save_checkpoint(small_model(), path)
+    data = path.read_bytes()
+    path.write_bytes(data[: len(data) // 2])
+    with pytest.raises(ValueError, match="not a zip file") as info:
+        load_checkpoint(path)
+    assert str(info.value).count(str(path)) == 1
+
+
 def mixed_grid_model():
     rng = np.random.default_rng(4)
     grids = [
