@@ -52,7 +52,7 @@ from taan.network import (
     save_checkpoint,
 )
 from taan.regularizers import RegConfig, reg_grad, regularizer_value
-from taan.training import TrainConfig, train
+from taan.training import TrainConfig, _class_labels, train
 
 # The CLI's own defaults; everything else defaults in TrainConfig,
 # ArchitectureSpec and SyntheticSpec.
@@ -150,13 +150,16 @@ def _output_dim(targets, task, loss):
     if targets.ndim == 2 and (targets.shape[1] > 1 or loss != "cross_entropy"):
         return targets.shape[1]
     labels = targets.reshape(-1)
-    if loss == "cross_entropy" and not np.all(
-        (labels >= 0) & (labels == np.floor(labels))
-    ):
-        raise ValueError(
-            f"task {task}: cross_entropy targets must be non-negative "
-            "integer class labels"
-        )
+    if loss == "cross_entropy":
+        try:
+            labels = _class_labels(labels)
+            if labels.min() < 0:
+                raise ValueError(f"class label {labels.min()} is negative")
+        except ValueError as exc:
+            raise ValueError(
+                f"task {task}: cross_entropy targets must be non-negative "
+                f"integer class labels; {exc}"
+            ) from exc
     return int(np.max(labels)) + 1
 
 

@@ -172,12 +172,12 @@ class TaanModel(_Owned):
 
 class ForwardTrace:
     """Backprop cache of one pass over stacked task batches: the input rows,
-    the row range of each task's batch, and per layer the pre-activations,
-    their table indices, the coordinate tables and the activations."""
+    the batch layout, and per layer the pre-activations, their table
+    indices, the coordinate tables and the activations."""
 
-    def __init__(self, x, spans, pre_activations, indices, tables, activations):
+    def __init__(self, x, batch, pre_activations, indices, tables, activations):
         self.x = x
-        self.spans = spans
+        self.batch = batch
         self.pre_activations = pre_activations
         self.indices = indices
         self.tables = tables
@@ -191,16 +191,58 @@ def _check_task(model, task):
         )
 
 
+class _HeadGroup:
+    """Tasks whose heads share an output dim and whose batches share a row
+    count.  Their batches are adjacent in the stack, so ``rows`` is one
+    slice of it; ``block`` indexes their heads' weights and biases in
+    ``params``, which need not be adjacent."""
+
+    def __init__(self, model, tasks, spans):
+        head, (s, e) = model.heads[tasks[0]], spans[tasks[0]]
+        self.tasks, self.size = np.array(tasks), head.weight.size
+        self.shape = (len(tasks), e - s, head.out_dim)
+        self.rows = slice(s, spans[tasks[-1]][1])
+        n = 3 * len(model.layers)
+        starts = np.array([model.layout[n + 2 * t][1] for t in tasks])
+        self.block = (starts[:, None] + np.arange(self.size + head.out_dim)).ravel()
+
+    def heads(self, params):
+        """The group's head weights (G, out, width) and biases (G, out)."""
+        g, _, out = self.shape
+        block = params[self.block].reshape(g, -1)
+        return block[:, : self.size].reshape(g, out, -1), block[:, self.size :]
+
+
+class BatchLayout:
+    """Layout of a stacked batch, from each task's row count.  Tasks form a
+    head group when their heads have the same output dim, their batches the
+    same row count and ``key`` (the loss kind, in training) gives them the
+    same value.  Batches are stacked group by group in ``stack_order``;
+    ``spans`` holds each task's row range and ``row_task`` the task of
+    every row."""
+
+    def __init__(self, model, sizes, key=lambda task: None):
+        members = {}
+        for t, n in sizes.items():
+            members.setdefault((model.head_dim(t), n, key(t)), []).append(t)
+        self.stack_order = [t for tasks in members.values() for t in tasks]
+        counts = [sizes[t] for t in self.stack_order]
+        ends = np.cumsum(counts).tolist()
+        self.spans = {t: (e - sizes[t], e) for t, e in zip(self.stack_order, ends)}
+        self.row_task = np.repeat(self.stack_order, counts)
+        self.groups = [_HeadGroup(model, ts, self.spans) for ts in members.values()]
+
+
 def forward(model: TaanModel, batches):
     """Run every task's batch through the network in one pass.
 
     ``batches`` maps task id -> inputs of shape (rows, input_dim).  The rows
     are stacked, so each shared layer is one matmul and one interval lookup,
-    and every task's activation is read off one table of all tasks'
-    coordinate rows.  Returns ({task: outputs}, trace); the trace holds
-    everything backward needs.
+    every task's activation is read off one table of all tasks' coordinate
+    rows, and each head group is one batched matmul.  Returns
+    ({task: outputs}, trace); the trace holds everything backward needs.
     """
-    spans, xs, start = {}, [], 0
+    xs = {}
     for task, x in batches.items():
         _check_task(model, task)
         x = np.asarray(x, dtype=np.float64)
@@ -209,13 +251,24 @@ def forward(model: TaanModel, batches):
                 f"task {task} input has shape {x.shape}, expected "
                 f"(batch, {model.input_dim})"
             )
-        spans[task] = (start, start + x.shape[0])
-        start += x.shape[0]
-        xs.append(x)
+        xs[task] = x
     if not xs:
         raise ValueError("forward needs at least one task batch")
-    x = np.concatenate(xs)
-    row_task = np.repeat(list(spans), [e - s for s, e in spans.values()])
+    batch = BatchLayout(model, {t: x.shape[0] for t, x in xs.items()})
+    x = np.concatenate([xs[t] for t in batch.stack_order])
+    outs, trace = stacked_forward(model, x, batch)
+    by_task = {}
+    for group, out in zip(batch.groups, outs):
+        by_task.update(zip(group.tasks, out))
+    return {task: by_task[task] for task in xs}, trace
+
+
+def stacked_forward(model, x, batch):
+    """The pass over stacked rows ``x`` laid out as ``batch``; returns one
+    (G, rows, out) output array per head group, and the trace.  ``train``
+    calls it directly.  It and ``stacked_backward`` are public in this
+    module, though not in ``taan``, so that perfbench's tracer, which wraps
+    public functions, times the training step's pass."""
     h = x
     pre, indices, tables, act = [], [], [], []
     for layer in model.layers:
@@ -226,18 +279,21 @@ def forward(model: TaanModel, batches):
         idx = layer.grid.intervals(flat)
         # Row r's entries live in its task's block of the stacked tables.
         rows = idx.reshape(a.shape)
-        rows += (row_task * (bps.size + 1))[:, None]
+        rows += (batch.row_task * (bps.size + 1))[:, None]
         table = _backend.suffix_tables(layer.coords, bps)
         h = _backend.apl_forward(flat, idx, table, bps).reshape(a.shape)
         pre.append(a)
         indices.append(idx)
         tables.append(table)
         act.append(h)
-    outs = {}
-    for task, (s, e) in spans.items():
-        head = model.heads[task]
-        outs[task] = h[s:e] @ head.weight.T + head.bias
-    return outs, ForwardTrace(x, spans, pre, indices, tables, act)
+    outs = []
+    for group in batch.groups:
+        weight, bias = group.heads(model.params)
+        rows = h[group.rows].reshape(*group.shape[:2], h.shape[1])
+        out = np.matmul(rows, weight.transpose(0, 2, 1))
+        out += bias[:, None, :]
+        outs.append(out)
+    return outs, ForwardTrace(x, batch, pre, indices, tables, act)
 
 
 def _slot(model, flat, i):
@@ -254,25 +310,37 @@ def backward(model: TaanModel, trace: ForwardTrace, output_grads):
     heads of the tasks in the pass; every other task's coordinate row and
     head stays exactly zero.
     """
-    if set(output_grads) != set(trace.spans):
+    if set(output_grads) != set(trace.batch.spans):
         raise ValueError(
             f"output gradients for tasks {sorted(output_grads)}, but the "
-            f"forward pass ran tasks {sorted(trace.spans)}"
+            f"forward pass ran tasks {sorted(trace.batch.spans)}"
         )
-    n_shared = 3 * len(model.layers)
+    for task, (s, e) in trace.batch.spans.items():
+        if np.shape(output_grads[task]) != (e - s, model.head_dim(task)):
+            raise ValueError(
+                f"task {task} output gradient has shape "
+                f"{np.shape(output_grads[task])}, expected "
+                f"({e - s}, {model.head_dim(task)})"
+            )
+    douts = [
+        np.asarray([output_grads[t] for t in group.tasks], dtype=np.float64)
+        for group in trace.batch.groups
+    ]
+    return stacked_backward(model, trace, douts)
+
+
+def stacked_backward(model, trace, douts):
+    """Backward of ``stacked_forward`` from one (G, rows, out) output
+    gradient per head group."""
     grad = np.zeros_like(model.params)
     h_last = trace.activations[-1] if model.layers else trace.x
     dh = np.empty_like(h_last)
-    for task, (s, e) in trace.spans.items():
-        g = np.asarray(output_grads[task], dtype=np.float64)
-        if g.shape != (e - s, model.head_dim(task)):
-            raise ValueError(
-                f"task {task} output gradient has shape {g.shape}, expected "
-                f"({e - s}, {model.head_dim(task)})"
-            )
-        _slot(model, grad, n_shared + 2 * task)[:] = g.T @ h_last[s:e]
-        _slot(model, grad, n_shared + 2 * task + 1)[:] = g.sum(axis=0)
-        dh[s:e] = g @ model.heads[task].weight
+    for group, g in zip(trace.batch.groups, douts):
+        weight, _ = group.heads(model.params)
+        h = h_last[group.rows].reshape(*group.shape[:2], h_last.shape[1])
+        dw = np.matmul(g.transpose(0, 2, 1), h).reshape(len(g), -1)
+        grad[group.block] = np.concatenate([dw, g.sum(axis=1)], axis=1).ravel()
+        dh[group.rows] = np.matmul(g, weight).reshape(-1, dh.shape[1])
     for l in range(len(model.layers) - 1, -1, -1):
         layer = model.layers[l]
         a = trace.pre_activations[l]
@@ -458,6 +526,9 @@ def load_checkpoint(path):
     naming the path.
     """
     try:
+        with open(path, "rb") as fh:  # np.load's own test for a zip archive
+            if fh.read(4) not in (b"PK\x03\x04", b"PK\x05\x06"):
+                raise ValueError("not an npz checkpoint archive")
         with np.load(path) as archive:
             return _checkpoint_from_archive(archive)
     except KeyError as exc:

@@ -1,8 +1,9 @@
 """Multi-task training: bias-corrected Adam over the composite loss.
 
-Each optimization step draws one minibatch per task, runs all of them
-through one fused forward and backward pass, sums the task losses, adds the
-coordinate-matrix regularizer, and applies a single Adam update to the
+Each optimization step gathers one minibatch per task from all tasks'
+stacked training rows at once, runs them through one fused forward and
+backward pass with one loss call per head group, sums the task losses, adds
+the coordinate-matrix regularizer, and applies a single Adam update to the
 model's flat parameter vector.  Everything is driven by one seeded
 generator so a run is fully reproducible.
 """
@@ -19,7 +20,14 @@ from taan.metrics import (
     layer_grams,
     mean_pairwise_distance,
 )
-from taan.network import TaanModel, backward, coord_views, forward
+from taan.network import (
+    BatchLayout,
+    TaanModel,
+    coord_views,
+    forward,
+    stacked_backward,
+    stacked_forward,
+)
 from taan.regularizers import RegConfig, RegKind, reg_grad, regularizer_value
 
 LOSS_KINDS = ("squared_error", "cross_entropy")
@@ -103,15 +111,18 @@ class TrainConfig:
 
 
 def squared_error(pred, target):
-    """0.5·Σ‖residual‖²/N and its gradient; N is the batch size."""
+    """0.5·Σ‖residual‖²/N and its gradient; N is the batch size (axis -2).
+    Leading axes stack tasks' batches, with one loss value each."""
     target = np.asarray(target, dtype=np.float64)
     if target.shape != pred.shape:
         raise ValueError(
             f"target shape {target.shape} does not match output {pred.shape}"
         )
+    if pred.ndim < 2:
+        raise ValueError(f"prediction of shape {pred.shape} must be at least 2-D")
     r = pred - target
-    n = pred.shape[0]
-    return 0.5 * float(np.sum(r * r)) / n, r / n
+    n = pred.shape[-2]
+    return 0.5 * np.sum(r * r, axis=(-2, -1)) / n, r / n
 
 
 def _class_labels(target):
@@ -127,7 +138,7 @@ def _class_labels(target):
 
 def _as_onehot(target, n_classes):
     target = np.asarray(target)
-    if target.ndim == 2 and target.shape[1] == n_classes:
+    if target.ndim >= 2 and target.shape[-1] == n_classes:
         return np.asarray(target, dtype=np.float64)
     labels = _class_labels(target)
     if labels.min() < 0 or labels.max() >= n_classes:
@@ -138,16 +149,17 @@ def _as_onehot(target, n_classes):
 
 
 def cross_entropy(pred, target):
-    """Mean softmax cross-entropy; target is int labels or one-hot rows."""
-    onehot = _as_onehot(target, pred.shape[1])
-    if onehot.shape[0] != pred.shape[0]:
+    """Mean softmax cross-entropy; target is int labels or one-hot rows.
+    Leading axes stack tasks' batches, with one loss value each."""
+    onehot = _as_onehot(target, pred.shape[-1])
+    if onehot.shape != pred.shape:
         raise ValueError("target batch size does not match output")
-    z = pred - pred.max(axis=1, keepdims=True)
+    z = pred - pred.max(axis=-1, keepdims=True)
     expz = np.exp(z)
-    total = expz.sum(axis=1, keepdims=True)
+    total = expz.sum(axis=-1, keepdims=True)
     logp = z - np.log(total)
-    n = pred.shape[0]
-    loss = -float(np.sum(onehot * logp)) / n
+    n = pred.shape[-2]
+    loss = -np.sum(onehot * logp, axis=(-2, -1)) / n
     return loss, (expz / total - onehot) / n
 
 
@@ -234,13 +246,9 @@ def train(model: TaanModel, datasets, config: TrainConfig):
         raise ValueError(
             f"got {len(config.loss)} loss kinds for {model.task_count} tasks"
         )
-    for t in range(model.task_count):
-        if config.loss_kind(t) == "cross_entropy" and model.head_dim(t) < 2:
-            raise ValueError(
-                f"task {t}: cross_entropy needs at least 2 output classes, "
-                f"but its head has {model.head_dim(t)} output"
-            )
     train_x, train_y, val_x, val_y = [], [], {}, {}
+    loss_kind = config.loss_kind
+    width = max(model.head_dim(t) for t in range(model.task_count))
     for t, (tr, va) in enumerate(pairs):
         x, y = _data_arrays(tr)
         if x.shape[0] == 0:
@@ -250,8 +258,22 @@ def train(model: TaanModel, datasets, config: TrainConfig):
                 f"task {t} inputs have shape {x.shape}, expected "
                 f"(n, {model.input_dim})"
             )
+        # Targets as float64 (n, head dim), one-hot under cross-entropy,
+        # zero-padded to the widest head so that all tasks' targets stack.
+        dim = model.head_dim(t)
+        if loss_kind(t) == "cross_entropy" and dim < 2:
+            raise ValueError(
+                f"task {t}: cross_entropy needs at least 2 output classes, "
+                f"but its head has {dim} output"
+            )
+        try:
+            onehot = _as_onehot(y, dim) if loss_kind(t) == "cross_entropy" else y
+            if onehot.shape != (x.shape[0], dim):
+                raise ValueError(f"targets have shape {y.shape}, expected (n, {dim})")
+        except ValueError as exc:
+            raise ValueError(f"task {t}: {exc}") from exc
         train_x.append(x)
-        train_y.append(y)
+        train_y.append(np.pad(onehot, [(0, 0), (0, width - dim)]).astype(np.float64))
         if va is not None and np.asarray(va.inputs).shape[0] > 0:
             val_x[t], val_y[t] = _data_arrays(va)
     rng = np.random.default_rng(config.seed)
@@ -262,28 +284,35 @@ def train(model: TaanModel, datasets, config: TrainConfig):
         [layer.grid for layer in model.layers], GaussianMixture.standard_normal()
     )
     reg_on = config.reg.kind is not RegKind.NONE
-    steps = max(
-        int(math.ceil(x.shape[0] / config.batch_size)) for x in train_x
-    )
+    # All tasks' rows stacked once; each step is one gather from each stack.
+    sizes = [x.shape[0] for x in train_x]
+    offsets = np.cumsum([0] + sizes[:-1])
+    stacked_x, stacked_y = np.concatenate(train_x), np.concatenate(train_y)
+    n, tasks = config.batch_size, model.task_count
+    steps = max(int(math.ceil(size / n)) for size in sizes)
+    batch = BatchLayout(model, dict.fromkeys(range(tasks), n), loss_kind)
+    draw = np.arange(steps * n).reshape(steps, 1, n)
     history = History()
     for epoch in range(config.epochs):
-        perms = [rng.permutation(x.shape[0]) for x in train_x]
-        epoch_loss = np.zeros(model.task_count)
-        for step in range(steps):
-            take = np.arange(
-                step * config.batch_size, (step + 1) * config.batch_size
-            )
-            rows = [np.take(perm, take, mode="wrap") for perm in perms]
-            outs, trace = forward(
-                model, {t: x[r] for t, (x, r) in enumerate(zip(train_x, rows))}
-            )
-            douts = {}
-            for t, out in outs.items():
-                loss, douts[t] = loss_and_grad(
-                    config.loss_kind(t), out, train_y[t][rows[t]]
-                )
-                epoch_loss[t] += loss
-            total = backward(model, trace, douts)
+        # Each task's epoch wraps its permutation; row s of the order holds
+        # step s's rows of every task, stacked in the layout's task order.
+        draws = [
+            np.take(rng.permutation(size), draw, mode="wrap") + start
+            for size, start in zip(sizes, offsets)
+        ]
+        order = np.concatenate([draws[t] for t in batch.stack_order], axis=1)
+        order = order.reshape(steps, -1)
+        epoch_loss = np.zeros(tasks)
+        for rows in order:
+            outs, trace = stacked_forward(model, stacked_x.take(rows, axis=0), batch)
+            y = stacked_y.take(rows, axis=0)
+            douts = []
+            for group, out in zip(batch.groups, outs):
+                target = y[group.rows, : out.shape[2]].reshape(out.shape)
+                loss, dout = loss_and_grad(loss_kind(group.tasks[0]), out, target)
+                epoch_loss[group.tasks] += loss
+                douts.append(dout)
+            total = stacked_backward(model, trace, douts)
             if reg_on and config.reg.coefficient > 0:
                 coord_grads = coord_views(model, total)
                 for l, layer in enumerate(model.layers):
@@ -309,7 +338,10 @@ def train(model: TaanModel, datasets, config: TrainConfig):
         ]
         metrics = {}
         if val_x:
-            outs, _ = forward(model, val_x)
+            # Drop the trace at once: it holds every validation row's
+            # pre-activations, and would otherwise live through the next
+            # epoch's steps and raise the peak memory.
+            outs = forward(model, val_x)[0]
             for t, out in outs.items():
                 kind = config.loss_kind(t)
                 metrics[t] = _score(

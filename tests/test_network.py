@@ -536,6 +536,17 @@ def test_checkpoint_truncated_file_names_the_path(tmp_path):
     assert str(info.value).count(str(path)) == 1
 
 
+def test_checkpoint_non_npz_file_names_the_path(tmp_path):
+    # np.load would read an 11-byte text file as pickled data and advise
+    # loading it unsafely.
+    path = tmp_path / "bad.npz"
+    path.write_text("hello world")
+    with pytest.raises(ValueError, match="not an npz checkpoint archive") as info:
+        load_checkpoint(path)
+    assert str(info.value).count(str(path)) == 1
+    assert "allow_pickle" not in str(info.value)
+
+
 def mixed_grid_model():
     rng = np.random.default_rng(4)
     grids = [

@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 from taan.data import SyntheticSpec, TaskDataset, generate
-from taan.metrics import GaussianMixture, build_gram
+from taan.metrics import (
+    GaussianMixture,
+    build_gram,
+    distance_matrix,
+    layer_grams,
+    mean_pairwise_distance,
+)
 from taan.network import (
     ArchitectureSpec,
     LinearLayer,
@@ -24,10 +30,12 @@ from taan.training import (
     adam_step,
     cross_entropy,
     evaluate,
+    loss_and_grad,
     map_at_k,
     squared_error,
     train,
 )
+from test_network import reference_pass, small_model
 
 
 def test_adam_zero_gradient_is_identity():
@@ -106,6 +114,12 @@ def test_squared_error_value_and_grad():
     assert np.allclose(grad, pred / 2.0)
     with pytest.raises(ValueError):
         squared_error(pred, np.zeros(2))
+
+
+
+def test_squared_error_rejects_a_1d_prediction():
+    with pytest.raises(ValueError, match=r"prediction of shape \(3,\)"):
+        squared_error(np.zeros(3), np.zeros(3))
 
 
 def test_cross_entropy_value_and_grad():
@@ -261,6 +275,90 @@ def test_fused_validation_matches_evaluate_for_unequal_sizes():
     assert history.rows[0][3] == evaluate(model, datasets[0][1], 0, "mse")
 
 
+def reference_train(model, datasets, config):
+    """The per-task step: each task draws its rows with np.take on its own
+    permutation, runs through reference_pass on its own, and gets its own
+    loss call; then one Adam update.  Returns the history rows."""
+    rng = np.random.default_rng(config.seed)
+    state = AdamState.for_params(
+        model.params, config.learning_rate, config.beta1, config.beta2, config.epsilon
+    )
+    grids = [layer.grid for layer in model.layers]
+    caches = layer_grams(grids, GaussianMixture.standard_normal())
+    n = config.batch_size
+    steps = max(-(-len(tr.inputs) // n) for tr, _ in datasets)
+
+    def outputs(batches):
+        zeros = {t: np.zeros((len(x), model.head_dim(t))) for t, x in batches.items()}
+        return reference_pass(model, batches, zeros)[0]
+
+    rows = []
+    for epoch in range(config.epochs):
+        perms = [rng.permutation(len(tr.inputs)) for tr, _ in datasets]
+        epoch_loss = np.zeros(model.task_count)
+        for step in range(steps):
+            take = np.arange(step * n, (step + 1) * n)
+            picks = [np.take(perm, take, mode="wrap") for perm in perms]
+            batches = {t: datasets[t][0].inputs[r] for t, r in enumerate(picks)}
+            douts = {}
+            for t, out in outputs(batches).items():
+                target = datasets[t][0].targets[picks[t]]
+                loss, douts[t] = loss_and_grad(config.loss_kind(t), out, target)
+                epoch_loss[t] += loss
+            grads = reference_pass(model, batches, douts)[1]
+            adam_step(model.params, np.concatenate([g.ravel() for g in grads]), state)
+        val = outputs({t: va.inputs for t, (_, va) in enumerate(datasets)})
+        dists = [
+            mean_pairwise_distance(distance_matrix(layer.coords, cache))
+            for layer, cache in zip(model.layers, caches)
+        ]
+        for t, (_, va) in enumerate(datasets):
+            if config.loss_kind(t) == "squared_error":
+                metric = float(np.mean((val[t] - va.targets) ** 2))
+            else:
+                metric = float(np.mean(np.argmax(val[t], axis=1) == va.targets))
+            for l, dist in enumerate(dists):
+                rows.append((epoch, t, epoch_loss[t] / steps, metric, 0.0, l, dist))
+    return rows
+
+
+def test_grouped_step_matches_per_task_loop():
+    # Head dims (1, 2, 1, 2) under mixed losses make three head groups:
+    # tasks 0 and 2 (not adjacent in the layout), task 1 (cross-entropy)
+    # and task 3 (squared error).  The uneven training sizes wrap rows.
+    rng = np.random.default_rng(21)
+    dims = (1, 2, 1, 2)
+    losses = ("squared_error", "cross_entropy", "squared_error", "squared_error")
+    arch = ArchitectureSpec(4, (6, 5), dims, task_count=4, basis_count=5)
+
+    def split(t, n, name):
+        x = rng.standard_normal((n, 4))
+        if losses[t] == "cross_entropy":
+            return TaskDataset(x, rng.integers(0, dims[t], n), t, name)
+        return TaskDataset(x, rng.standard_normal((n, dims[t])), t, name)
+
+    datasets = [
+        (split(t, n, "train"), split(t, 9, "val"))
+        for t, n in enumerate((70, 13, 64, 1))
+    ]
+    config = TrainConfig(
+        epochs=3, batch_size=16, learning_rate=3e-3, seed=4, loss=losses
+    )
+    model, ref_model = small_model(seed=8, arch=arch), small_model(seed=8, arch=arch)
+    _, history = train(model, datasets, config)
+    ref_rows = reference_train(ref_model, datasets, config)
+    assert len(history.rows) == len(ref_rows) == 3 * 4 * 2
+    worst = np.max(np.abs(model.params - ref_model.params))
+    worst /= np.max(np.abs(ref_model.params))
+    for mine, ref in zip(zip(*history.rows), zip(*ref_rows)):
+        mine, ref = np.array(mine), np.array(ref)
+        if np.any(ref != 0.0):
+            worst = max(worst, np.max(np.abs(mine - ref)) / np.max(np.abs(ref)))
+        else:
+            assert np.array_equal(mine, ref)
+    assert worst <= 1e-13
+
+
 def test_zero_coefficient_matches_no_regularizer():
     results = []
     for reg in (RegConfig(RegKind.DISTANCE, 0.0), RegConfig(RegKind.NONE, 0.0)):
@@ -325,6 +423,25 @@ def test_train_input_validation():
     )
     with pytest.raises(ValueError):
         train(model, [datasets[0], wrong_width], TrainConfig(epochs=1))
+
+
+def test_unusable_targets_name_their_task_before_the_first_step():
+    model, datasets = regression_setup()
+    before = model.params.copy()
+    inputs = datasets[1].train.inputs
+    wide = SimpleNamespace(inputs=inputs, targets=np.zeros((len(inputs), 2)))
+    pairs = [(datasets[0].train, None), (wide, None)]
+    with pytest.raises(ValueError, match=r"task 1: targets have shape \(\d+, 2\)"):
+        train(model, pairs, TrainConfig(epochs=1))
+    arch = ArchitectureSpec(4, (8,), 2, task_count=2, basis_count=4)
+    classes = build_model(arch, 0)
+    pairs = [
+        (SimpleNamespace(inputs=inputs, targets=np.full(len(inputs), k)), None)
+        for k in (1, 2)
+    ]
+    with pytest.raises(ValueError, match=r"task 1: labels outside \[0, 2\)"):
+        train(classes, pairs, TrainConfig(epochs=1, loss="cross_entropy"))
+    assert np.array_equal(model.params, before)
 
 
 def test_per_task_loss_count_must_match_tasks():
