@@ -105,17 +105,14 @@ def load_heatmap_csv(path):
 def cluster_separation(matrix, clusters):
     """Mean distance over same-cluster pairs vs different-cluster pairs."""
     matrix = np.asarray(matrix, dtype=np.float64)
-    clusters = tuple(clusters)
+    clusters = np.asarray(tuple(clusters))
     t = matrix.shape[0]
     if len(clusters) != t:
         raise ValueError(f"need {t} cluster ids, got {len(clusters)}")
-    within, between = [], []
-    for i in range(t):
-        for j in range(i + 1, t):
-            (within if clusters[i] == clusters[j] else between).append(
-                matrix[i, j]
-            )
-    if not within or not between:
+    i, j = np.triu_indices(t, k=1)
+    same = clusters[i] == clusters[j]
+    within, between = matrix[i[same], j[same]], matrix[i[~same], j[~same]]
+    if not within.size or not between.size:
         raise ValueError("need at least one within- and one between-cluster pair")
     return float(np.mean(within)), float(np.mean(between))
 

@@ -268,14 +268,14 @@ def check_moments():
         (-2.0, 3.0),
         (0.0, 1.0),
     )
+    pairs = [("relu_sq",)]
+    pairs += [("relu_hinge", b) for b in hinges]
+    pairs += [("hinge_hinge", bi, bj) for bi, bj in hinge_pairs]
     worst = 0.0
     count = 0
     for mu in mus:
         for sigma in sigmas:
             g = GaussianParams(mu, sigma)
-            pairs = [("relu_sq",)]
-            pairs += [("relu_hinge", b) for b in hinges]
-            pairs += [("hinge_hinge", bi, bj) for bi, bj in hinge_pairs]
             for pair in pairs:
                 err = abs(_closed_moment(pair, g) - oracle_moment(pair, g))
                 worst = max(worst, err)

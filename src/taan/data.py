@@ -109,8 +109,7 @@ class SyntheticSpec:
             raise ValueError("split fractions must lie in (0, 1)")
         if self.train_fraction + self.val_fraction >= 1:
             raise ValueError("train and val fractions must leave a test split")
-        n_train, n_val, n_test = self.split_sizes()
-        if min(n_train, n_val, n_test) < 1:
+        if min(self.split_sizes()) < 1:
             raise ValueError("every split needs at least one sample")
 
     def split_sizes(self):
@@ -148,17 +147,15 @@ def generate(spec: SyntheticSpec):
         _random_map(rng, spec.input_dim, spec.output_dim)
         for _ in range(spec.task_count)
     ]
-    shared_x = None
+    shape = (spec.samples_per_task, spec.input_dim)
     if spec.shared_inputs:
-        shared_x = rng.standard_normal((spec.samples_per_task, spec.input_dim))
+        x = rng.standard_normal(shape)
     delta = spec.relatedness
     n_train, n_val, _ = spec.split_sizes()
     out = []
     for t in range(spec.task_count):
-        if shared_x is None:
-            x = rng.standard_normal((spec.samples_per_task, spec.input_dim))
-        else:
-            x = shared_x
+        if not spec.shared_inputs:
+            x = rng.standard_normal(shape)
         y = (1.0 - delta) * _apply_map(cluster_maps[spec.clusters[t]], x)
         y += delta * _apply_map(task_maps[t], x)
         y += spec.noise * rng.standard_normal(y.shape)

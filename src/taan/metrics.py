@@ -55,11 +55,7 @@ class GaussianMixture:
         s = np.asarray(self.sigmas, dtype=np.float64)
         if not (w.shape == m.shape == s.shape) or w.ndim != 1 or w.size < 1:
             raise ValueError("weights, means, sigmas must be equal-length 1-D")
-        if not (
-            np.all(np.isfinite(w))
-            and np.all(np.isfinite(m))
-            and np.all(np.isfinite(s))
-        ):
+        if not np.all(np.isfinite([w, m, s])):
             raise ValueError("mixture parameters must be finite")
         if np.any(w < 0.0):
             raise ValueError("mixture weights must be nonnegative")
@@ -79,12 +75,8 @@ class GaussianMixture:
     @classmethod
     def from_components(cls, components):
         """Build from an iterable of (weight, mean, sigma) triples."""
-        comps = [(float(p), float(m), float(s)) for p, m, s in components]
-        return cls(
-            np.array([c[0] for c in comps]),
-            np.array([c[1] for c in comps]),
-            np.array([c[2] for c in comps]),
-        )
+        rows = [(float(p), float(m), float(s)) for p, m, s in components]
+        return cls(*np.array(rows).reshape(-1, 3).T.copy())
 
     def components(self):
         return [

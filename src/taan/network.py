@@ -138,13 +138,10 @@ class TaanModel(_Owned):
         for t, x in enumerate(heads):
             names += [f"heads[{t}].weight", f"heads[{t}].bias"]
             arrays += [x.weight, x.bias]
-        self.params = params = np.concatenate([arr.ravel() for arr in arrays])
-        self.layout, v, start = [], [], 0
-        for name, arr in zip(names, arrays):
-            self.layout.append((name, start, arr.shape))
-            v.append(params[start : start + arr.size].reshape(arr.shape))
-            start += arr.size
-        self._arrays = tuple(v)
+        self.params = np.concatenate([arr.ravel() for arr in arrays])
+        starts = np.cumsum([0] + [arr.size for arr in arrays]).tolist()
+        self.layout = [(n, i, a.shape) for n, i, a in zip(names, starts, arrays)]
+        self._arrays = v = tuple(param_views(self, self.params))
         own, n = [], 3 * len(layers)
         for l, x in enumerate(layers):
             w, b, c = v[3 * l : 3 * l + 3]

@@ -143,9 +143,7 @@ def _as_onehot(target, n_classes):
     labels = _class_labels(target)
     if labels.min() < 0 or labels.max() >= n_classes:
         raise ValueError(f"labels outside [0, {n_classes})")
-    onehot = np.zeros((labels.shape[0], n_classes))
-    onehot[np.arange(labels.shape[0]), labels] = 1.0
-    return onehot
+    return np.eye(n_classes)[labels]
 
 
 def cross_entropy(pred, target):
@@ -164,6 +162,7 @@ def cross_entropy(pred, target):
 
 
 _LOSS_FNS = {"squared_error": squared_error, "cross_entropy": cross_entropy}
+_VAL_METRICS = {"squared_error": "mse", "cross_entropy": "accuracy"}
 
 
 def loss_and_grad(kind, pred, target):
@@ -203,15 +202,11 @@ class History:
 
     def final_mean_distances(self):
         """layer_id -> mean pairwise distance at the last recorded epoch."""
-        if not self.rows:
-            return {}
-        last = max(self.column("epoch"))
-        out = {}
-        for row in self.rows:
-            record = dict(zip(self.COLUMNS, row))
-            if record["epoch"] == last:
-                out[record["layer_id"]] = record["mean_pairwise_distance"]
-        return out
+        epochs, layers, dists = (
+            self.column(c) for c in ("epoch", "layer_id", "mean_pairwise_distance")
+        )
+        last = max(epochs, default=None)
+        return {l: d for e, l, d in zip(epochs, layers, dists) if e == last}
 
     def to_csv(self, path):
         _write_csv(path, self.COLUMNS, self.rows)
@@ -224,10 +219,31 @@ def _split_pair(entry):
     return train, val
 
 
-def _data_arrays(dataset):
-    inputs = np.asarray(dataset.inputs, dtype=np.float64)
-    targets = np.asarray(dataset.targets)
-    return inputs, targets
+def _task_arrays(model, task, kind, split):
+    """One split of a task as float64 inputs (n, input dim) and targets
+    (n, head dim), one-hot under cross_entropy; an error names the task."""
+    x = np.asarray(split.inputs, dtype=np.float64)
+    y = np.asarray(split.targets)
+    dim = model.head_dim(task)
+    try:
+        if x.ndim != 2 or x.shape[1] != model.input_dim:
+            raise ValueError(
+                f"inputs have shape {x.shape}, expected (n, {model.input_dim})"
+            )
+        if kind == "squared_error":
+            target = y.astype(np.float64, copy=False)
+        elif dim < 2:
+            raise ValueError(
+                "cross_entropy needs at least 2 output classes, "
+                f"but its head has {dim} output"
+            )
+        else:
+            target = _as_onehot(y, dim)
+        if target.shape != (x.shape[0], dim):
+            raise ValueError(f"targets have shape {y.shape}, expected (n, {dim})")
+    except ValueError as exc:
+        raise ValueError(f"task {task}: {exc}") from exc
+    return x, target
 
 
 def train(model: TaanModel, datasets, config: TrainConfig):
@@ -250,32 +266,14 @@ def train(model: TaanModel, datasets, config: TrainConfig):
     loss_kind = config.loss_kind
     width = max(model.head_dim(t) for t in range(model.task_count))
     for t, (tr, va) in enumerate(pairs):
-        x, y = _data_arrays(tr)
-        if x.shape[0] == 0:
+        if np.asarray(tr.inputs).shape[0] == 0:
             raise ValueError(f"task {t} has an empty training split")
-        if x.ndim != 2 or x.shape[1] != model.input_dim:
-            raise ValueError(
-                f"task {t} inputs have shape {x.shape}, expected "
-                f"(n, {model.input_dim})"
-            )
-        # Targets as float64 (n, head dim), one-hot under cross-entropy,
-        # zero-padded to the widest head so that all tasks' targets stack.
-        dim = model.head_dim(t)
-        if loss_kind(t) == "cross_entropy" and dim < 2:
-            raise ValueError(
-                f"task {t}: cross_entropy needs at least 2 output classes, "
-                f"but its head has {dim} output"
-            )
-        try:
-            onehot = _as_onehot(y, dim) if loss_kind(t) == "cross_entropy" else y
-            if onehot.shape != (x.shape[0], dim):
-                raise ValueError(f"targets have shape {y.shape}, expected (n, {dim})")
-        except ValueError as exc:
-            raise ValueError(f"task {t}: {exc}") from exc
+        x, y = _task_arrays(model, t, loss_kind(t), tr)
         train_x.append(x)
-        train_y.append(np.pad(onehot, [(0, 0), (0, width - dim)]).astype(np.float64))
+        # Zero-padded to the widest head so that all tasks' targets stack.
+        train_y.append(np.pad(y, [(0, 0), (0, width - y.shape[1])]))
         if va is not None and np.asarray(va.inputs).shape[0] > 0:
-            val_x[t], val_y[t] = _data_arrays(va)
+            val_x[t], val_y[t] = _task_arrays(model, t, loss_kind(t), va)
     rng = np.random.default_rng(config.seed)
     state = AdamState.for_params(
         model.params, config.learning_rate, config.beta1, config.beta2, config.epsilon
@@ -283,7 +281,7 @@ def train(model: TaanModel, datasets, config: TrainConfig):
     caches = layer_grams(
         [layer.grid for layer in model.layers], GaussianMixture.standard_normal()
     )
-    reg_on = config.reg.kind is not RegKind.NONE
+    reg_on = config.reg.kind is not RegKind.NONE and config.reg.coefficient > 0
     # All tasks' rows stacked once; each step is one gather from each stack.
     sizes = [x.shape[0] for x in train_x]
     offsets = np.cumsum([0] + sizes[:-1])
@@ -313,7 +311,7 @@ def train(model: TaanModel, datasets, config: TrainConfig):
                 epoch_loss[group.tasks] += loss
                 douts.append(dout)
             total = stacked_backward(model, trace, douts)
-            if reg_on and config.reg.coefficient > 0:
+            if reg_on:
                 coord_grads = coord_views(model, total)
                 for l, layer in enumerate(model.layers):
                     coord_grads[l] += config.reg.coefficient * reg_grad(
@@ -326,12 +324,10 @@ def train(model: TaanModel, datasets, config: TrainConfig):
                 f"training diverged: epoch {epoch}, task {bad[0]} has loss "
                 f"{epoch_loss[bad[0]]:g}"
             )
-        reg_value = 0.0
-        if reg_on:
-            reg_value = sum(
-                regularizer_value(config.reg.kind, layer.coords, caches[l])
-                for l, layer in enumerate(model.layers)
-            )
+        reg_value = sum(
+            regularizer_value(config.reg.kind, layer.coords, caches[l])
+            for l, layer in enumerate(model.layers)
+        )
         mean_dists = [
             mean_pairwise_distance(distance_matrix(layer.coords, caches[l]))
             for l, layer in enumerate(model.layers)
@@ -343,10 +339,7 @@ def train(model: TaanModel, datasets, config: TrainConfig):
             # epoch's steps and raise the peak memory.
             outs = forward(model, val_x)[0]
             for t, out in outs.items():
-                kind = config.loss_kind(t)
-                metrics[t] = _score(
-                    out, val_y[t], "mse" if kind == "squared_error" else "accuracy"
-                )
+                metrics[t] = _score(out, val_y[t], _VAL_METRICS[loss_kind(t)])
         for t in range(model.task_count):
             metric = metrics.get(t, math.nan)
             for l in range(len(model.layers)):
@@ -394,29 +387,23 @@ def map_at_k(scores, relevance, k=10):
 
 def evaluate(model: TaanModel, dataset, task, metric, k=10):
     """Score one task's dataset: metric is mse, accuracy or map_at_k."""
-    inputs, targets = _data_arrays(dataset)
+    inputs = np.asarray(dataset.inputs, dtype=np.float64)
     if inputs.shape[0] == 0:
         raise ValueError("cannot evaluate an empty dataset")
     outs, _ = forward(model, {task: inputs})
-    return _score(outs[task], targets, metric, k)
+    return _score(outs[task], dataset.targets, metric, k)
 
 
 def _score(out, targets, metric, k=10):
-    if metric == "mse":
-        targets = np.asarray(targets, dtype=np.float64)
-        if targets.shape != out.shape:
-            raise ValueError(
-                f"target shape {targets.shape} does not match {out.shape}"
-            )
-        return float(np.mean((out - targets) ** 2))
-    if metric == "accuracy":
-        predicted = np.argmax(out, axis=1)
-        labels = np.asarray(targets)
-        if labels.ndim == 2 and labels.shape[1] == out.shape[1]:
-            labels = np.argmax(labels, axis=1)
-        else:
-            labels = _class_labels(labels)
-        return float(np.mean(predicted == labels))
     if metric == "map_at_k":
         return map_at_k(out, targets, k)
-    raise ValueError(f"unknown metric {metric!r}")
+    if metric == "accuracy":
+        targets = _as_onehot(targets, out.shape[1])
+    elif metric != "mse":
+        raise ValueError(f"unknown metric {metric!r}")
+    targets = np.asarray(targets, dtype=np.float64)
+    if targets.shape != out.shape:
+        raise ValueError(f"target shape {targets.shape} does not match {out.shape}")
+    if metric == "mse":
+        return float(np.mean((out - targets) ** 2))
+    return float(np.mean(np.argmax(out, axis=1) == np.argmax(targets, axis=1)))

@@ -236,6 +236,20 @@ def test_train_rejects_unusable_class_labels(tmp_path):
     assert "task 0" in proc.stderr and "integer class labels" in proc.stderr
 
 
+def test_train_rejects_out_of_range_validation_labels(tmp_path, capsys):
+    cfg = write_class_csvs(tmp_path, [0, 1, 2] * 20)
+    path = tmp_path / "val.csv"
+    val = load_csv(path, CsvSchema(2, 1), 0, "val")
+    targets = val.targets.copy()
+    targets[7] = 5.0
+    save_csv(TaskDataset(val.inputs, targets, 0, "val"), path)
+    out = str(tmp_path / "run")
+    assert cli.main(["train", "--config", str(cfg), "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert "task 0: labels outside [0, 3)" in err
+    assert not (tmp_path / "run/history/history.csv").exists()
+
+
 def test_train_csv_only_config_uses_the_csv(tmp_path):
     # The default config's synthetic block must not shadow a CSV source.
     path = write_class_csvs(tmp_path, [0, 1, 2] * 20)

@@ -441,7 +441,35 @@ def test_unusable_targets_name_their_task_before_the_first_step():
     ]
     with pytest.raises(ValueError, match=r"task 1: labels outside \[0, 2\)"):
         train(classes, pairs, TrainConfig(epochs=1, loss="cross_entropy"))
+    # Validation splits go through the same checks, before the first step.
+    val = datasets[1].val
+    wide_val = SimpleNamespace(inputs=val.inputs, targets=np.zeros((len(val), 2)))
+    narrow_val = SimpleNamespace(inputs=val.inputs[:, :3], targets=val.targets)
+    for bad, match in (
+        (wide_val, r"targets have shape \(\d+, 2\), expected \(n, 1\)"),
+        (narrow_val, r"inputs have shape \(\d+, 3\), expected \(n, 4\)"),
+    ):
+        pairs = [(datasets[0].train, None), (datasets[1].train, bad)]
+        with pytest.raises(ValueError, match="task 1: " + match):
+            train(model, pairs, TrainConfig(epochs=1))
     assert np.array_equal(model.params, before)
+
+
+def test_out_of_range_validation_labels_fail_before_the_first_step():
+    arch = ArchitectureSpec(4, (8,), 3, task_count=2, basis_count=4)
+    model = build_model(arch, 0)
+    before = model.params.copy()
+    inputs = regression_setup()[1][0].train.inputs
+    labelled = SimpleNamespace(inputs=inputs, targets=np.arange(len(inputs)) % 3)
+    for label in (7, -1):
+        labels = np.array([0, 1, 2, label, 0])
+        val = SimpleNamespace(inputs=inputs[:5], targets=labels)
+        pairs = [(labelled, None), (labelled, val)]
+        with pytest.raises(ValueError, match=r"task 1: labels outside \[0, 3\)"):
+            train(model, pairs, TrainConfig(epochs=1, loss="cross_entropy"))
+        assert np.array_equal(model.params, before)
+        with pytest.raises(ValueError, match=r"labels outside \[0, 3\)"):
+            evaluate(model, val, 1, "accuracy")
 
 
 def test_per_task_loss_count_must_match_tasks():
