@@ -185,10 +185,7 @@ def check_l1_bounds(
     at 8 → 16), and memory does not grow with ``mc_samples``."""
     if not (math.isfinite(c1) and c1 > 0):
         raise ValueError(f"envelope constant must be positive, got {c1!r}")
-    t1, t2 = tasks
-    for t in (t1, t2):
-        if not 0 <= t < model.task_count:
-            raise ValueError(f"task id {t} outside [0, {model.task_count})")
+    t1, t2 = (model._task(t) for t in tasks)
     layer = model.layers[0]
     n_units = len(unit_gaussians)
     if n_units != layer.linear.out_dim:
@@ -220,7 +217,7 @@ def check_l1_bounds(
     width = max(layer.linear.in_dim, layer.linear.out_dim)
     means, ses = _mc_mean_se(draw, mc_samples, width)
     return BoundCheckReport(
-        (int(t1), int(t2)),
+        (t1, t2),
         float(means[0]),
         float(ses[0]),
         float(inner_right),

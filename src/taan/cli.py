@@ -52,7 +52,7 @@ from taan.network import (
     save_checkpoint,
 )
 from taan.regularizers import RegConfig, reg_grad, regularizer_value
-from taan.training import TrainConfig, _class_labels, train
+from taan.training import TrainConfig, _head_dims, train
 
 # The CLI's own defaults; everything else defaults in TrainConfig,
 # ArchitectureSpec and SyntheticSpec.
@@ -144,34 +144,12 @@ def _load_datasets(cfg):
     return out
 
 
-def _output_dim(targets, task, loss):
-    """One output per target column; for a single column of class labels
-    under cross-entropy, one output per class."""
-    if targets.ndim == 2 and (targets.shape[1] > 1 or loss != "cross_entropy"):
-        return targets.shape[1]
-    labels = targets.reshape(-1)
-    if loss == "cross_entropy":
-        try:
-            labels = _class_labels(labels)
-            if labels.min() < 0:
-                raise ValueError(f"class label {labels.min()} is negative")
-        except ValueError as exc:
-            raise ValueError(
-                f"task {task}: cross_entropy targets must be non-negative "
-                f"integer class labels; {exc}"
-            ) from exc
-    return int(np.max(labels)) + 1
-
-
 def _architecture(cfg, datasets, config):
     arch_cfg = dict(cfg["arch"])
     first = datasets[0].train
     arch_cfg.setdefault("input_dim", first.inputs.shape[1])
     if "output_dim" not in arch_cfg:
-        arch_cfg["output_dim"] = tuple(
-            _output_dim(split.train.targets, t, config.loss_kind(t))
-            for t, split in enumerate(datasets)
-        )
+        arch_cfg["output_dim"] = _head_dims(datasets, config)
     arch_cfg["task_count"] = len(datasets)
     return ArchitectureSpec(**arch_cfg)
 
@@ -216,10 +194,12 @@ def cmd_train(args):
     history.to_csv(history_path)
     print(f"wrote {ckpt}")
     print(f"wrote {history_path}")
-    if history.rows:
-        losses = history.column("train_loss")[-model.task_count :]
+    epochs, losses = history.column("epoch"), history.column("train_loss")
+    if epochs:
+        # One row per task and layer: the last epoch's mean is over tasks.
+        last = [loss for e, loss in zip(epochs, losses) if e == epochs[-1]]
         print(
-            f"final epoch mean train loss: {float(np.mean(losses)):.6f} "
+            f"final epoch mean train loss: {float(np.mean(last)):.6f} "
             f"({model.task_count} tasks, {config.epochs} epochs)"
         )
     return 0

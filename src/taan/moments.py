@@ -33,7 +33,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import ndtr
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -167,6 +166,9 @@ def oracle_moment(pair, g: GaussianParams, tol=1e-10):
         -0.5 * ((x - mu) * inv_sigma) ** 2
     )
     split = sorted({p for p in hinges if lo < p < hi})
+    # Imported here: only this oracle needs it, and it slows `import taan`.
+    from scipy.integrate import quad
+
     value, abserr = quad(
         lambda x: integrand(x) * density(x),
         lo,

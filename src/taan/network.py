@@ -163,8 +163,16 @@ class TaanModel(_Owned):
             return self.layers[0].linear.in_dim
         return self.heads[0].in_dim
 
+    def _task(self, task):
+        """The task id as an int; any other value raises ValueError naming it."""
+        if not (isinstance(task, (int, np.integer)) and 0 <= task < self.task_count):
+            raise ValueError(
+                f"unknown task id {task!r} for a {self.task_count}-task model"
+            )
+        return int(task)
+
     def head_dim(self, task):
-        return self.heads[task].out_dim
+        return self.heads[self._task(task)].out_dim
 
 
 class ForwardTrace:
@@ -179,13 +187,6 @@ class ForwardTrace:
         self.indices = indices
         self.tables = tables
         self.activations = activations
-
-
-def _check_task(model, task):
-    if not (isinstance(task, (int, np.integer)) and 0 <= task < model.task_count):
-        raise ValueError(
-            f"unknown task id {task!r} for a {model.task_count}-task model"
-        )
 
 
 class _HeadGroup:
@@ -241,7 +242,6 @@ def forward(model: TaanModel, batches):
     """
     xs = {}
     for task, x in batches.items():
-        _check_task(model, task)
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != model.input_dim:
             raise ValueError(

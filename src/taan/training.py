@@ -110,6 +110,16 @@ class TrainConfig:
         return self.loss[task]
 
 
+def _loss_kinds(config, task_count):
+    """The loss kind of each of task_count tasks; a per-task tuple of
+    another length raises ValueError."""
+    if not isinstance(config.loss, str) and len(config.loss) != task_count:
+        raise ValueError(
+            f"got {len(config.loss)} loss kinds for {task_count} tasks"
+        )
+    return tuple(config.loss_kind(t) for t in range(task_count))
+
+
 def squared_error(pred, target):
     """0.5·Σ‖residual‖²/N and its gradient; N is the batch size (axis -2).
     Leading axes stack tasks' batches, with one loss value each."""
@@ -125,25 +135,35 @@ def squared_error(pred, target):
     return 0.5 * np.sum(r * r, axis=(-2, -1)) / n, r / n
 
 
-def _class_labels(target):
-    """Class labels as a 1-D int64 array; a label that is not a whole
-    number raises ValueError naming it."""
-    labels = np.asarray(target).reshape(-1)
+def _class_labels(target, n_classes=None):
+    """Class labels as int64, by one set of rules: rows as wide as
+    ``n_classes`` must be one-hot (0s and a single 1) and read as the column
+    of their 1; anything else is flattened to labels, whole numbers in
+    [0, n_classes) (>= 0 when it is None).  ValueError names a bad row or label."""
+    target = np.asarray(target)
+    if n_classes is not None and target.ndim >= 2 and target.shape[-1] == n_classes:
+        ok = np.all((target == 0) | (target == 1), axis=-1)
+        ok &= target.sum(axis=-1) == 1
+        if not ok.all():
+            row = target[~ok][0].tolist()
+            raise ValueError(f"target row {row} is not one-hot (0s and a single 1)")
+        return target.argmax(axis=-1)
+    labels = target.reshape(-1)
     if labels.dtype.kind == "f":
         bad = ~(np.isfinite(labels) & (labels == np.trunc(labels)))
         if bad.any():
             raise ValueError(f"class label {float(labels[bad][0])!r} is not an integer")
-    return labels.astype(np.int64)
+    labels = labels.astype(np.int64)
+    high = labels.max(initial=-1) + 1 if n_classes is None else n_classes
+    if labels.min(initial=0) < 0 or labels.max(initial=-1) >= high:
+        raise ValueError(f"labels outside [0, {high})")
+    return labels
 
 
 def _as_onehot(target, n_classes):
-    target = np.asarray(target)
-    if target.ndim >= 2 and target.shape[-1] == n_classes:
-        return np.asarray(target, dtype=np.float64)
-    labels = _class_labels(target)
-    if labels.min() < 0 or labels.max() >= n_classes:
-        raise ValueError(f"labels outside [0, {n_classes})")
-    return np.eye(n_classes)[labels]
+    """float64 one-hot rows of width n_classes from labels or one-hot rows
+    (``_class_labels``'s rules)."""
+    return np.eye(n_classes)[_class_labels(target, n_classes)]
 
 
 def cross_entropy(pred, target):
@@ -246,6 +266,26 @@ def _task_arrays(model, task, kind, split):
     return x, target
 
 
+def _head_dims(datasets, config):
+    """Each task's head dim from its training targets, the inverse of
+    ``_task_arrays``: one output per target column, but one per class for a
+    single column of class labels under cross_entropy."""
+    dims = []
+    for t, kind in enumerate(_loss_kinds(config, len(datasets))):
+        y = np.asarray(_split_pair(datasets[t])[0].targets)
+        if kind == "squared_error" or (y.ndim == 2 and y.shape[1] > 1):
+            dims.append(y.shape[1] if y.ndim == 2 else 1)
+            continue
+        try:
+            dims.append(int(_class_labels(y).max(initial=-1)) + 1)
+        except ValueError as exc:
+            raise ValueError(
+                f"task {t}: cross_entropy targets must be non-negative "
+                f"integer class labels; {exc}"
+            ) from exc
+    return tuple(dims)
+
+
 def train(model: TaanModel, datasets, config: TrainConfig):
     """Optimize the model in place; returns (model, History).
 
@@ -258,22 +298,18 @@ def train(model: TaanModel, datasets, config: TrainConfig):
         raise ValueError(
             f"got {len(pairs)} datasets for {model.task_count} tasks"
         )
-    if not isinstance(config.loss, str) and len(config.loss) != model.task_count:
-        raise ValueError(
-            f"got {len(config.loss)} loss kinds for {model.task_count} tasks"
-        )
+    kinds = _loss_kinds(config, model.task_count)
     train_x, train_y, val_x, val_y = [], [], {}, {}
-    loss_kind = config.loss_kind
     width = max(model.head_dim(t) for t in range(model.task_count))
     for t, (tr, va) in enumerate(pairs):
         if np.asarray(tr.inputs).shape[0] == 0:
             raise ValueError(f"task {t} has an empty training split")
-        x, y = _task_arrays(model, t, loss_kind(t), tr)
+        x, y = _task_arrays(model, t, kinds[t], tr)
         train_x.append(x)
         # Zero-padded to the widest head so that all tasks' targets stack.
         train_y.append(np.pad(y, [(0, 0), (0, width - y.shape[1])]))
         if va is not None and np.asarray(va.inputs).shape[0] > 0:
-            val_x[t], val_y[t] = _task_arrays(model, t, loss_kind(t), va)
+            val_x[t], val_y[t] = _task_arrays(model, t, kinds[t], va)
     rng = np.random.default_rng(config.seed)
     state = AdamState.for_params(
         model.params, config.learning_rate, config.beta1, config.beta2, config.epsilon
@@ -288,7 +324,7 @@ def train(model: TaanModel, datasets, config: TrainConfig):
     stacked_x, stacked_y = np.concatenate(train_x), np.concatenate(train_y)
     n, tasks = config.batch_size, model.task_count
     steps = max(int(math.ceil(size / n)) for size in sizes)
-    batch = BatchLayout(model, dict.fromkeys(range(tasks), n), loss_kind)
+    batch = BatchLayout(model, dict.fromkeys(range(tasks), n), kinds.__getitem__)
     draw = np.arange(steps * n).reshape(steps, 1, n)
     history = History()
     for epoch in range(config.epochs):
@@ -307,7 +343,7 @@ def train(model: TaanModel, datasets, config: TrainConfig):
             douts = []
             for group, out in zip(batch.groups, outs):
                 target = y[group.rows, : out.shape[2]].reshape(out.shape)
-                loss, dout = loss_and_grad(loss_kind(group.tasks[0]), out, target)
+                loss, dout = loss_and_grad(kinds[group.tasks[0]], out, target)
                 epoch_loss[group.tasks] += loss
                 douts.append(dout)
             total = stacked_backward(model, trace, douts)
@@ -339,7 +375,7 @@ def train(model: TaanModel, datasets, config: TrainConfig):
             # epoch's steps and raise the peak memory.
             outs = forward(model, val_x)[0]
             for t, out in outs.items():
-                metrics[t] = _score(out, val_y[t], _VAL_METRICS[loss_kind(t)])
+                metrics[t] = _score(out, val_y[t], _VAL_METRICS[kinds[t]])
         for t in range(model.task_count):
             metric = metrics.get(t, math.nan)
             for l in range(len(model.layers)):

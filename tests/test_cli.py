@@ -234,6 +234,10 @@ def test_train_rejects_unusable_class_labels(tmp_path):
     proc = run_cli("train", "--config", str(cfg), "--out", "frac", cwd=tmp_path)
     assert proc.returncode == 1
     assert "task 0" in proc.stderr and "integer class labels" in proc.stderr
+    cfg = write_class_csvs(tmp_path, [-1, 0, 1] * 10)
+    proc = run_cli("train", "--config", str(cfg), "--out", "neg", cwd=tmp_path)
+    assert proc.returncode == 1
+    assert "task 0" in proc.stderr and "non-negative integer" in proc.stderr
 
 
 def test_train_rejects_out_of_range_validation_labels(tmp_path, capsys):
@@ -248,6 +252,64 @@ def test_train_rejects_out_of_range_validation_labels(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "task 0: labels outside [0, 3)" in err
     assert not (tmp_path / "run/history/history.csv").exists()
+
+
+def test_train_csv_one_hot_rows_match_labels_and_must_be_one_hot(tmp_path, capsys):
+    # A CSV task whose n_targets equals its class count holds one-hot rows:
+    # valid rows train exactly like the label column they encode.
+    path = write_class_csvs(tmp_path, [0, 1, 2] * 20)
+    runs = {}
+    assert cli.main(["train", "--config", str(path), "--out", str(tmp_path / "a")]) == 0
+    cfg = json.loads(path.read_text(encoding="utf-8"))
+    cfg["data"]["csv"]["schema"]["n_targets"] = 3
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    for split in ("train", "val"):
+        part = load_csv(tmp_path / f"{split}.csv", CsvSchema(2, 1), 0, split)
+        onehot = np.eye(3)[part.targets[:, 0].astype(int)]
+        save_csv(TaskDataset(part.inputs, onehot, 0, split), tmp_path / f"{split}.csv")
+    assert cli.main(["train", "--config", str(path), "--out", str(tmp_path / "b")]) == 0
+    for run in ("a", "b"):
+        runs[run] = (tmp_path / run / "history/history.csv").read_bytes()
+    assert runs["a"] == runs["b"]
+    capsys.readouterr()
+    train = load_csv(tmp_path / "train.csv", CsvSchema(2, 3), 0, "train")
+    rows = train.targets.copy()
+    rows[3] = [5, -1, 0]
+    save_csv(TaskDataset(train.inputs, rows, 0, "train"), tmp_path / "train.csv")
+    assert cli.main(["train", "--config", str(path), "--out", str(tmp_path / "c")]) == 1
+    err = capsys.readouterr().err
+    assert "task 0: target row [5.0, -1.0, 0.0] is not one-hot" in err
+    assert not (tmp_path / "c/history/history.csv").exists()
+
+
+def test_train_loss_count_must_match_task_count(tmp_path, capsys):
+    # With and without an explicit output_dim, the head dims are not
+    # inferred from a loss list of the wrong length.
+    for overrides in ({}, {"arch.output_dim": 1}):
+        overrides["train.loss"] = ["squared_error"]
+        cfg = write_config(tmp_path, overrides)
+        argv = ["train", "--config", str(cfg), "--out", str(tmp_path / "run")]
+        assert cli.main(argv) == 1
+        assert "error: got 1 loss kinds for 2 tasks" in capsys.readouterr().err
+
+
+def test_train_summary_is_the_mean_over_the_last_epoch(tmp_path, capsys):
+    overrides = {
+        "arch.hidden_widths": [6, 5],
+        "data.synthetic.task_count": 3,
+        "data.synthetic.clusters": [0, 0, 1],
+    }
+    cfg, out = write_config(tmp_path, overrides), tmp_path / "run"
+    assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+    line = capsys.readouterr().out.strip().split("\n")[-1]
+    header, rows = _read_csv(out / "history/history.csv")
+    history = dict(zip(header, rows.T))
+    last = history["epoch"] == history["epoch"].max()
+    # Two rows (one per layer) per task; the line averages over the tasks.
+    losses = [history["train_loss"][last & (history["task_id"] == t)] for t in range(3)]
+    assert all(v.size == 2 and v[0] == v[1] for v in losses)
+    mean = np.mean([v[0] for v in losses])
+    assert line == f"final epoch mean train loss: {mean:.6f} (3 tasks, 2 epochs)"
 
 
 def test_train_csv_only_config_uses_the_csv(tmp_path):

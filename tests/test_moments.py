@@ -1,10 +1,13 @@
 """Closed-form Gaussian moments vs independent numerical integration."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from conftest import child_env
 from taan.moments import (
     GaussianParams,
     QuadratureError,
@@ -144,3 +147,14 @@ def test_oracle_rejects_unachievable_tolerance():
 def test_oracle_rejects_unknown_descriptor():
     with pytest.raises(ValueError):
         oracle_moment(("bogus",), STD)
+
+
+def test_import_leaves_the_quadrature_module_unloaded():
+    # Only oracle_moment integrates numerically; `import taan` stays light.
+    code = "import sys, taan; print('scipy.integrate' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env=child_env(), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -608,6 +608,9 @@ def test_validation_errors():
     rng = np.random.default_rng(15)
     with pytest.raises(ValueError):
         forward(model, {99: rng.standard_normal((2, ARCH.input_dim))})
+    for bad in (-1, ARCH.task_count):
+        with pytest.raises(ValueError, match=f"unknown task id {bad} "):
+            model.head_dim(bad)
     with pytest.raises(ValueError):
         forward(model, {0: rng.standard_normal((2, ARCH.input_dim + 1))})
     with pytest.raises(ValueError):

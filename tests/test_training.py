@@ -472,6 +472,36 @@ def test_out_of_range_validation_labels_fail_before_the_first_step():
             evaluate(model, val, 1, "accuracy")
 
 
+def test_target_rows_must_be_one_hot():
+    # Rows of the head's width are one-hot rows: 0s and a single 1.
+    for row in ([5.0, 0.0, 0.0], [-1.0, 2.0, 0.0], [0.5, 0.5, 0.0], [1.0, 1.0, 0.0]):
+        with pytest.raises(ValueError, match=r"is not one-hot"):
+            cross_entropy(np.zeros((1, 3)), [row])
+    stacked = np.eye(3)[[[0, 1], [2, 2]]]
+    stacked[1, 0] = [0.0, 0.0, 0.0]
+    with pytest.raises(ValueError, match=r"target row \[0\.0, 0\.0, 0\.0\]"):
+        cross_entropy(np.zeros((2, 2, 3)), stacked)
+    model = identity_model(4)
+    bad = SimpleNamespace(inputs=MAP_SCORES, targets=np.eye(4)[[0, 1, 2]])
+    bad.targets[1] = [5, -1, 0, 0]
+    with pytest.raises(ValueError, match=r"target row \[5\.0, -1\.0, 0\.0, 0\.0\]"):
+        evaluate(model, bad, 0, "accuracy")
+    arch = ArchitectureSpec(4, (8,), 3, task_count=2, basis_count=4)
+    classes = build_model(arch, 0)
+    before = classes.params.copy()
+    inputs = regression_setup()[1][0].train.inputs
+    onehot = np.eye(3)[np.arange(len(inputs)) % 3]
+    rows = onehot.copy()
+    rows[4] = [5, -1, 0]
+    pairs = [
+        (SimpleNamespace(inputs=inputs, targets=onehot), None),
+        (SimpleNamespace(inputs=inputs, targets=rows), None),
+    ]
+    with pytest.raises(ValueError, match=r"task 1: target row \[5\.0, -1\.0, 0\.0\]"):
+        train(classes, pairs, TrainConfig(epochs=1, loss="cross_entropy"))
+    assert np.array_equal(classes.params, before)
+
+
 def test_per_task_loss_count_must_match_tasks():
     model, datasets = regression_setup()
     for kinds in (("squared_error",), ("squared_error",) * 3):
