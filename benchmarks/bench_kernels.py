@@ -2,12 +2,18 @@
 
 Run as ``python3 benchmarks/bench_kernels.py``.  Times the three kernel
 passes over a grid of (elements, basis size) on an evenly spaced grid, and
-reports the best of ``REPEATS`` runs in nanoseconds per element:
+reports the best of ``REPEATS`` runs in nanoseconds per element, each next
+to the minor page faults per call (``resource.getrusage``), that is, pages
+the allocator returned to the system and a call touched again:
 
 * ``intervals``: the even-grid interval lookup, next to the binary search
   (``searchsorted``) it replaces on even grids;
 * ``apl_forward``: the value pass over the suffix tables;
 * ``apl_backward``: dF/dx and the coordinate gradient;
+
+called as a training step calls them: the lookup and the value pass write
+into arrays allocated once per size (``out`` and ``scratch``), the backward
+pass allocates its results;
 
 the Gram cache build (``metrics.build_gram``) in milliseconds, at the
 acceptance shape (M = 16, standard normal) and the geometry shape (M = 64,
@@ -21,6 +27,7 @@ samples per second over ``MC_SAMPLES`` samples, of
 peak memory ``tracemalloc`` traces during one more call.
 """
 
+import resource
 import statistics
 import tempfile
 import time
@@ -61,8 +68,27 @@ def best_s(fn, *args):
     return min(times_s(fn, args))
 
 
-def best_ns_per_elem(fn, n, *args):
-    return best_s(fn, *args) * 1e9 / n
+def minor_faults():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def ns_and_faults(fn, n, *args):
+    """Best ns per element of ``REPEATS`` calls after a warm-up call, and
+    the minor page faults per call over them."""
+    fn(*args)
+    before = minor_faults()
+    times = []
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        fn(*args)
+        times.append(time.perf_counter() - t0)
+    return min(times) * 1e9 / n, (minor_faults() - before) / REPEATS
+
+
+def buffers(n):
+    """The step's per-pass arrays for n elements: interval indices, values,
+    and the float and bool scratch."""
+    return np.empty(n, np.intp), np.empty(n), np.empty(n), np.empty(n, bool)
 
 
 def peak_mb(fn, *args):
@@ -76,32 +102,47 @@ def peak_mb(fn, *args):
 
 def main():
     rng = np.random.default_rng(0)
-    header = f"{'n':>9} {'M':>4} {'searchsorted':>13} {'intervals':>10}"
-    print("interval lookup, ns/element")
+    header = (
+        f"{'n':>9} {'M':>4} {'searchsorted':>13} {'faults':>7}"
+        f" {'intervals':>10} {'faults':>7}"
+    )
+    print("interval lookup, ns/element and minor page faults per call")
     print(header)
     print("-" * len(header))
     for n, m in INTERVAL_SIZES:
         x = rng.standard_normal(n) * 1.5
         bps = np.linspace(-2.0, 2.0, m)
         lookup = _backend.even_lookup(bps)
-        binary = best_ns_per_elem(_backend.intervals, n, x, bps)
-        even = best_ns_per_elem(_backend.intervals, n, x, bps, lookup)
-        print(f"{n:>9} {m:>4} {binary:>13.1f} {even:>10.1f}")
+        k, _, fl, bl = buffers(n)
+        binary = ns_and_faults(_backend.intervals, n, x, bps, None, k)
+        even = ns_and_faults(_backend.intervals, n, x, bps, lookup, k, (fl, bl))
+        print(
+            f"{n:>9} {m:>4} {binary[0]:>13.1f} {binary[1]:>7.1f}"
+            f" {even[0]:>10.1f} {even[1]:>7.1f}"
+        )
     print()
-    header = f"{'n':>9} {'M':>4} {'forward':>10} {'backward':>10}"
-    print("value and gradient passes, ns/element")
+    header = (
+        f"{'n':>9} {'M':>4} {'forward':>10} {'faults':>7}"
+        f" {'backward':>10} {'faults':>7}"
+    )
+    print("value and gradient passes, ns/element and minor page faults per call")
     print(header)
     print("-" * len(header))
     for n in SIZES:
         x = rng.standard_normal(n)
         gout = rng.standard_normal(n)
+        k, value, fl, bl = buffers(n)
         for m in BASIS:
             bps = np.linspace(-2.0, 2.0, m)
             tables = _backend.suffix_tables(rng.uniform(-1.0, 1.0, m), bps)
-            k = _backend.intervals(x, bps, _backend.even_lookup(bps))
-            fwd = best_ns_per_elem(_backend.apl_forward, n, x, k, tables, bps)
-            bwd = best_ns_per_elem(_backend.apl_backward, n, x, k, tables, bps, gout)
-            print(f"{n:>9} {m:>4} {fwd:>10.1f} {bwd:>10.1f}")
+            _backend.intervals(x, bps, _backend.even_lookup(bps), k, (fl, bl))
+            fwd_args = (x, k, tables, bps, value, fl)
+            fwd = ns_and_faults(_backend.apl_forward, n, *fwd_args)
+            bwd = ns_and_faults(_backend.apl_backward, n, x, k, tables, bps, gout)
+            print(
+                f"{n:>9} {m:>4} {fwd[0]:>10.1f} {fwd[1]:>7.1f}"
+                f" {bwd[0]:>10.1f} {bwd[1]:>7.1f}"
+            )
     print()
     header = f"{'M':>4} {'K':>3} {'build_gram ms':>14}"
     print("Gram cache build")

@@ -21,7 +21,9 @@ task, and the backward pass reuses the forward pass's search:
 Because k counts the breakpoints equal to x, a hinge is inactive at
 x = bps[i] for both value and gradient; the relu slope is the right
 derivative at 0, also at x = -0.0.  Inputs are 1-D float64 arrays; bps has
-length M >= 1 and is strictly increasing.
+length M >= 1 and is strictly increasing.  The forward passes write into
+optional ``out`` and ``scratch`` arrays shaped like x (``intervals`` takes
+a float and a bool scratch) and allocate what is not given.
 """
 
 import numpy as np
@@ -29,16 +31,19 @@ import numpy as np
 BACKEND = "numpy"
 
 
-def _even_guess(x, shift, scale, m):
+def _even_guess(x, shift, scale, m, out=None, scratch=None):
     # (x - bps[0]) * (M - 1) / (bps[-1] - bps[0]) + 1/2 as x * scale + shift,
     # clipped to [0, M] and truncated (= floored, being >= 0).  Every step is
     # monotone in x, which even_lookup's exactness check relies on; fmin
     # runs before fmax so that NaN lands on M, where searchsorted sorts it.
-    t = x * scale
+    t = np.multiply(x, scale, out=scratch)
     t += shift
     np.fmin(t, m, out=t)
     np.fmax(t, 0.0, out=t)
-    return t.astype(np.intp)
+    if out is None:
+        return t.astype(np.intp)
+    np.copyto(out, t, casting="unsafe")  # the same truncating cast
+    return out
 
 
 def even_lookup(bps):
@@ -68,15 +73,19 @@ def even_lookup(bps):
     return shift, scale, np.append(bps, np.nan)
 
 
-def intervals(x, bps, lookup=None):
+def intervals(x, bps, lookup=None, out=None, scratch=(None, None)):
     """k = #{i : bps[i] <= x} for each element, exactly
     ``searchsorted(bps, x, side="right")``; ``lookup`` is ``even_lookup(bps)``."""
     if lookup is None:
-        return np.searchsorted(bps, x, side="right")
+        if out is None:
+            return np.searchsorted(bps, x, side="right")
+        out[:] = np.searchsorted(bps, x, side="right")
+        return out
     shift, scale, upper = lookup
+    fl, bl = scratch
     with np.errstate(over="ignore"):  # |x| near the float maximum
-        k = _even_guess(x, shift, scale, bps.shape[0])
-    k += x >= np.take(upper, k)
+        k = _even_guess(x, shift, scale, bps.shape[0], out, fl)
+    k += np.greater_equal(x, np.take(upper, k, out=fl, mode="clip"), out=bl)
     return k
 
 
@@ -91,21 +100,23 @@ def suffix_tables(coords, bps):
     return np.cumsum(tables[:, :, ::-1], axis=2)[:, :, ::-1].reshape(2, -1)
 
 
-def hinge_sum(x, idx, tables, bps):
+def hinge_sum(x, idx, tables, bps, out=None, scratch=None):
     """sum_i coords[i] * max(0, bps[i] - x) read off the tables at idx."""
     # Clipping x at the last breakpoint changes no finite value (B[M] = 0
     # past it) and keeps x = +inf from turning 0 * inf into NaN.  The
     # passes reuse their buffers: at network sizes, allocating temporaries
-    # costs more than the arithmetic.
-    out = np.take(tables[1], idx)
-    out *= np.minimum(x, bps[-1])
-    return np.subtract(np.take(tables[0], idx), out, out=out)
+    # costs more than the arithmetic.  The indices are in range by
+    # construction; take's default mode="raise" would copy into ``out``.
+    out = np.take(tables[1], idx, out=out, mode="clip")
+    out *= np.minimum(x, bps[-1], out=scratch)
+    hinge = np.take(tables[0], idx, out=scratch, mode="clip")
+    return np.subtract(hinge, out, out=out)
 
 
-def apl_forward(x, idx, tables, bps):
+def apl_forward(x, idx, tables, bps, out=None, scratch=None):
     """F(x[j]) with the coordinate row whose tables hold entry idx[j]."""
-    out = hinge_sum(x, idx, tables, bps)
-    out += np.maximum(x, 0.0)
+    out = hinge_sum(x, idx, tables, bps, out, scratch)
+    out += np.maximum(x, 0.0, out=scratch)
     return out
 
 

@@ -49,9 +49,10 @@ class BasisGrid:
     def __len__(self):
         return self.breakpoints.size
 
-    def intervals(self, x):
-        """Interval index #{i : b_i <= x} of each element of a 1-D array."""
-        return _backend.intervals(x, self.breakpoints, self.lookup)
+    def intervals(self, x, out=None, scratch=(None, None)):
+        """Interval index #{i : b_i <= x} of each element of a 1-D array;
+        ``out`` and ``scratch`` as in ``_backend.intervals``."""
+        return _backend.intervals(x, self.breakpoints, self.lookup, out, scratch)
 
 
 def _as_coords(coords, grid):

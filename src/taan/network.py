@@ -217,7 +217,9 @@ class BatchLayout:
     same row count and ``key`` (the loss kind, in training) gives them the
     same value.  Batches are stacked group by group in ``stack_order``;
     ``spans`` holds each task's row range and ``row_task`` the task of
-    every row."""
+    every row.  ``stacked_forward`` writes into ``buffers``, each layer's
+    (pre-activations, flat interval indices, activations), and ``scratch``,
+    so a layout's next pass overwrites its last trace."""
 
     def __init__(self, model, sizes, key=lambda task: None):
         members = {}
@@ -229,6 +231,13 @@ class BatchLayout:
         self.spans = {t: (e - sizes[t], e) for t, e in zip(self.stack_order, ends)}
         self.row_task = np.repeat(self.stack_order, counts)
         self.groups = [_HeadGroup(model, ts, self.spans) for ts in members.values()]
+        n, widths = len(self.row_task), [l.linear.out_dim for l in model.layers]
+        self.buffers = [
+            (np.empty((n, w)), np.empty(n * w, np.intp), np.empty((n, w)))
+            for w in widths
+        ]
+        size = n * max(widths, default=0)
+        self.scratch = np.empty(size), np.empty(size, bool)
 
 
 def forward(model: TaanModel, batches):
@@ -262,23 +271,26 @@ def forward(model: TaanModel, batches):
 
 def stacked_forward(model, x, batch):
     """The pass over stacked rows ``x`` laid out as ``batch``; returns one
-    (G, rows, out) output array per head group, and the trace.  ``train``
-    calls it directly.  It and ``stacked_backward`` are public in this
-    module, though not in ``taan``, so that perfbench's tracer, which wraps
-    public functions, times the training step's pass."""
+    (G, rows, out) output array per head group, and the trace over
+    ``batch.buffers``.  ``train`` calls it directly.  It and
+    ``stacked_backward`` are public in this module, though not in ``taan``,
+    so that perfbench's tracer, which wraps public functions, times the
+    training step's pass."""
     h = x
     pre, indices, tables, act = [], [], [], []
-    for layer in model.layers:
+    for layer, (a, idx, h_out) in zip(model.layers, batch.buffers):
         bps = layer.grid.breakpoints
-        a = h @ layer.linear.weight.T
+        np.matmul(h, layer.linear.weight.T, out=a)
         a += layer.linear.bias
         flat = a.ravel()
-        idx = layer.grid.intervals(flat)
+        work = [s[: flat.size] for s in batch.scratch]
+        layer.grid.intervals(flat, idx, work)
         # Row r's entries live in its task's block of the stacked tables.
         rows = idx.reshape(a.shape)
         rows += (batch.row_task * (bps.size + 1))[:, None]
         table = _backend.suffix_tables(layer.coords, bps)
-        h = _backend.apl_forward(flat, idx, table, bps).reshape(a.shape)
+        _backend.apl_forward(flat, idx, table, bps, h_out.ravel(), work[0])
+        h = h_out
         pre.append(a)
         indices.append(idx)
         tables.append(table)

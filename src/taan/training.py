@@ -172,6 +172,11 @@ def cross_entropy(pred, target):
     onehot = _as_onehot(target, pred.shape[-1])
     if onehot.shape != pred.shape:
         raise ValueError("target batch size does not match output")
+    return _softmax_cross_entropy(pred, onehot)
+
+
+def _softmax_cross_entropy(pred, onehot):
+    """``cross_entropy`` on one-hot float rows shaped like pred, unchecked."""
     z = pred - pred.max(axis=-1, keepdims=True)
     expz = np.exp(z)
     total = expz.sum(axis=-1, keepdims=True)
@@ -182,7 +187,7 @@ def cross_entropy(pred, target):
 
 
 _LOSS_FNS = {"squared_error": squared_error, "cross_entropy": cross_entropy}
-_VAL_METRICS = {"squared_error": "mse", "cross_entropy": "accuracy"}
+_STEP_LOSS_FNS = {**_LOSS_FNS, "cross_entropy": _softmax_cross_entropy}
 
 
 def loss_and_grad(kind, pred, target):
@@ -196,6 +201,7 @@ class History:
     is the raw regularizer summed over layers at the epoch's end (before the
     coefficient); mean_pairwise_distance averages the layer's squared
     functional distance over distinct task pairs (0 for single-task models).
+    Heads-only models get one row per (epoch, task): layer_id -1, distance NaN.
     """
 
     COLUMNS = (
@@ -326,6 +332,13 @@ def train(model: TaanModel, datasets, config: TrainConfig):
     steps = max(int(math.ceil(size / n)) for size in sizes)
     batch = BatchLayout(model, dict.fromkeys(range(tasks), n), kinds.__getitem__)
     draw = np.arange(steps * n).reshape(steps, 1, n)
+    losses = [_STEP_LOSS_FNS[kinds[group.tasks[0]]] for group in batch.groups]
+    if val_x:
+        val_batch = BatchLayout(
+            model, {t: x.shape[0] for t, x in val_x.items()}, kinds.__getitem__
+        )
+        val_stack = np.concatenate([val_x[t] for t in val_batch.stack_order])
+        val_targets = [np.stack([val_y[t] for t in g.tasks]) for g in val_batch.groups]
     history = History()
     for epoch in range(config.epochs):
         # Each task's epoch wraps its permutation; row s of the order holds
@@ -341,9 +354,9 @@ def train(model: TaanModel, datasets, config: TrainConfig):
             outs, trace = stacked_forward(model, stacked_x.take(rows, axis=0), batch)
             y = stacked_y.take(rows, axis=0)
             douts = []
-            for group, out in zip(batch.groups, outs):
+            for group, loss_fn, out in zip(batch.groups, losses, outs):
                 target = y[group.rows, : out.shape[2]].reshape(out.shape)
-                loss, dout = loss_and_grad(kinds[group.tasks[0]], out, target)
+                loss, dout = loss_fn(out, target)
                 epoch_loss[group.tasks] += loss
                 douts.append(dout)
             total = stacked_backward(model, trace, douts)
@@ -370,15 +383,16 @@ def train(model: TaanModel, datasets, config: TrainConfig):
         ]
         metrics = {}
         if val_x:
-            # Drop the trace at once: it holds every validation row's
-            # pre-activations, and would otherwise live through the next
-            # epoch's steps and raise the peak memory.
-            outs = forward(model, val_x)[0]
-            for t, out in outs.items():
-                metrics[t] = _score(out, val_y[t], _VAL_METRICS[kinds[t]])
+            outs = stacked_forward(model, val_stack, val_batch)[0]
+            for group, out, y in zip(val_batch.groups, outs, val_targets):
+                if kinds[group.tasks[0]] == "squared_error":  # = _score's, bitwise
+                    scores = np.mean((out - y) ** 2, axis=(1, 2)).tolist()
+                else:
+                    scores = [_score(o, t, "accuracy") for o, t in zip(out, y)]
+                metrics.update(zip(group.tasks.tolist(), scores))
         for t in range(model.task_count):
             metric = metrics.get(t, math.nan)
-            for l in range(len(model.layers)):
+            for l, dist in list(enumerate(mean_dists)) or [(-1, math.nan)]:
                 history.append(
                     epoch=epoch,
                     task_id=t,
@@ -386,7 +400,7 @@ def train(model: TaanModel, datasets, config: TrainConfig):
                     val_metric=metric,
                     reg_value=float(reg_value),
                     layer_id=l,
-                    mean_pairwise_distance=mean_dists[l],
+                    mean_pairwise_distance=dist,
                 )
     return model, history
 

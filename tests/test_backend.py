@@ -219,3 +219,54 @@ def test_stacked_tables_match_each_row():
             assert np.allclose(gx[sel], ref_gx, rtol=0.0, atol=1e-13)
             assert np.allclose(gc[t], ref_gc, rtol=0.0, atol=1e-12)
         assert np.array_equal(gc[3], np.zeros(m))
+
+
+def parity_inputs(bps, rng):
+    """Random draws plus every breakpoint, its neighbours, +-0.0, +-inf and
+    NaN, shuffled so the special values are not all in one place."""
+    return rng.permutation(interval_inputs(bps, rng, 500))
+
+
+def buffered_passes(x, bps, lookup, tables, out):
+    """intervals, hinge_sum and apl_forward writing into the arrays of
+    ``out`` (intp k, float value, float scratch, bool scratch)."""
+    k, value, fl, bl = out
+    k_out = _backend.intervals(x, bps, lookup, k, (fl, bl))
+    assert k_out is k
+    idx = k + bps.size + 1  # row 1's block of the stacked tables
+    h = _backend.hinge_sum(x, idx, tables, bps, value, fl).copy()
+    f = _backend.apl_forward(x, idx, tables, bps, value, fl)
+    assert f is value
+    return k.copy(), h, f.copy()
+
+
+def allocating_passes(x, bps, lookup, tables):
+    k = _backend.intervals(x, bps, lookup)
+    idx = k + bps.size + 1
+    return k, _backend.hinge_sum(x, idx, tables, bps), _backend.apl_forward(
+        x, idx, tables, bps
+    )
+
+
+def test_buffered_kernels_equal_allocating_ones_bitwise():
+    # Both lookups (even grid, and searchsorted for M = 1 and an irregular
+    # grid), each twice through the same buffers with different inputs, so
+    # a value left over from the first call would show in the second.
+    rng = np.random.default_rng(24)
+    grids = [np.linspace(-2.0, 2.0, 16), np.array([0.5])]
+    grids.append(np.sort(rng.uniform(-3.0, 3.0, 9)))
+    for bps in grids:
+        lookup = _backend.even_lookup(bps)
+        assert (lookup is None) == (bps.size != 16)
+        tables = _backend.suffix_tables(rng.uniform(-1.0, 1.0, (2, bps.size)), bps)
+        n = interval_inputs(bps, rng, 500).size
+        out = (np.empty(n, np.intp), np.empty(n), np.empty(n), np.empty(n, bool))
+        for _ in range(2):
+            x = parity_inputs(bps, rng)
+            ref = allocating_passes(x, bps, lookup, tables)
+            got = buffered_passes(x, bps, lookup, tables, out)
+            assert np.array_equal(ref[0], got[0])
+            assert np.array_equal(ref[0], np.searchsorted(bps, x, side="right"))
+            for a, b in zip(ref[1:], got[1:]):
+                # Bitwise, NaN in the same places and -0.0 kept as -0.0.
+                assert a.tobytes() == b.tobytes()

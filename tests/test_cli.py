@@ -312,6 +312,24 @@ def test_train_summary_is_the_mean_over_the_last_epoch(tmp_path, capsys):
     assert line == f"final epoch mean train loss: {mean:.6f} (3 tasks, 2 epochs)"
 
 
+def test_train_heads_only_model_writes_history_and_summary(tmp_path, capsys):
+    cfg, out = write_config(tmp_path, {"arch.hidden_widths": []}), tmp_path / "run"
+    assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+    line = capsys.readouterr().out.strip().split("\n")[-1]
+    # history.csv holds NaN cells, which the numeric CSV reader rejects.
+    header, *lines = (out / "history/history.csv").read_text().splitlines()
+    rows = [dict(zip(header.split(","), l.split(","))) for l in lines]
+    assert [(r["epoch"], r["task_id"]) for r in rows] == [
+        (e, t) for e in "01" for t in "01"
+    ]
+    assert {(r["layer_id"], r["mean_pairwise_distance"]) for r in rows} == {
+        ("-1", "nan")
+    }
+    last = [float(r["train_loss"]) for r in rows if r["epoch"] == "1"]
+    mean = np.mean(last)
+    assert line == f"final epoch mean train loss: {mean:.6f} (2 tasks, 2 epochs)"
+
+
 def test_train_csv_only_config_uses_the_csv(tmp_path):
     # The default config's synthetic block must not shadow a CSV source.
     path = write_class_csvs(tmp_path, [0, 1, 2] * 20)

@@ -4,6 +4,7 @@ finite differences, sharing reductions, checkpoint round-trips."""
 import copy
 import json
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from taan.training import loss_and_grad
 from taan.network import (
     AalLayer,
     ArchitectureSpec,
+    BatchLayout,
     LinearLayer,
     TaanModel,
     backward,
@@ -23,6 +25,7 @@ from taan.network import (
     model_parameters,
     param_views,
     save_checkpoint,
+    stacked_forward,
     tie_heads,
     to_hard_sharing,
 )
@@ -220,6 +223,68 @@ def test_fused_step_with_unequal_heads_mixed_losses_and_batch_sizes():
         3: rng.integers(0, 4, 1),
     }
     assert fused_against_reference(model, batches, losses, targets) <= 1e-13
+
+
+def trace_arrays(trace):
+    return [*trace.pre_activations, *trace.indices, *trace.activations]
+
+
+def test_a_layouts_passes_share_its_buffers():
+    # Two passes over one layout write into the same arrays, and the second
+    # pass's values are those of a fresh forward over its own inputs.
+    rng = np.random.default_rng(18)
+    model = small_model(seed=7)
+    sizes = {2: 6, 0: 6, 1: 3}
+    layout = BatchLayout(model, sizes)
+    traces, outs = [], []
+    for _ in range(2):
+        batches = {t: rng.standard_normal((n, 4)) for t, n in sizes.items()}
+        x = np.concatenate([batches[t] for t in layout.stack_order])
+        out, trace = stacked_forward(model, x, layout)
+        traces.append(trace)
+        outs.append(out)
+    for a, b in zip(trace_arrays(traces[0]), trace_arrays(traces[1])):
+        assert np.shares_memory(a, b)
+    fresh_outs, fresh = forward(model, batches)
+    for a, b in zip(trace_arrays(fresh), trace_arrays(traces[1])):
+        assert np.array_equal(a, b)
+    for group, out in zip(layout.groups, outs[1]):
+        for t, o in zip(group.tasks, out):
+            assert np.array_equal(o, fresh_outs[t])
+
+
+def test_forward_calls_return_unaliased_traces():
+    rng = np.random.default_rng(19)
+    model = small_model(seed=8)
+    batches = {t: rng.standard_normal((5, 4)) for t in range(3)}
+    outs, first = forward(model, batches)
+    kept = [a.copy() for a in trace_arrays(first)]
+    forward(model, {t: x + 1.0 for t, x in batches.items()})
+    second = forward(model, batches)[1]
+    for a, b, c in zip(trace_arrays(first), trace_arrays(second), kept):
+        assert not np.shares_memory(a, b)
+        assert np.array_equal(a, c)
+
+
+def test_a_layouts_later_passes_allocate_no_layer_sized_block():
+    # The acceptance config's step (8 tasks x 64 rows, width 32, M = 16) and
+    # its validation pass (8 tasks x 200 rows).  After the first pass on a
+    # layout, a pass allocates nothing as large as one layer's array.
+    rng = np.random.default_rng(20)
+    arch = ArchitectureSpec(8, (32,), 1, task_count=8, basis_count=16)
+    model = small_model(seed=9, arch=arch)
+    for rows in (64, 200):
+        layout = BatchLayout(model, dict.fromkeys(range(8), rows))
+        x = rng.standard_normal((8 * rows, 8))
+        stacked_forward(model, x, layout)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            stacked_forward(model, x, layout)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - start < 8 * rows * 32 * 8, (rows, peak - start)
 
 
 def test_rebound_arrays_fail_loudly():

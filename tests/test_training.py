@@ -407,6 +407,23 @@ def test_missing_validation_records_nan():
     assert all(math.isnan(v) for v in history.column("val_metric"))
 
 
+def test_heads_only_model_records_one_row_per_epoch_and_task():
+    _, datasets = regression_setup()
+    model = build_model(ArchitectureSpec(4, (), 1, task_count=2), 0)
+    _, history = train(model, datasets, TrainConfig(epochs=3, seed=1))
+    rows = [dict(zip(History.COLUMNS, r)) for r in history.rows]
+    assert [(r["epoch"], r["task_id"]) for r in rows] == [
+        (e, t) for e in range(3) for t in range(2)
+    ]
+    assert all(r["layer_id"] == -1 for r in rows)
+    assert all(math.isnan(r["mean_pairwise_distance"]) for r in rows)
+    assert all(math.isfinite(r["train_loss"]) for r in rows)
+    for r in rows[-2:]:
+        t = r["task_id"]
+        assert r["val_metric"] == evaluate(model, datasets[t].val, t, "mse")
+    assert set(history.final_mean_distances()) == {-1}
+
+
 def test_train_input_validation():
     model, datasets = regression_setup()
     with pytest.raises(ValueError):
