@@ -13,7 +13,8 @@ the allocator returned to the system and a call touched again:
 
 called as a training step calls them: the lookup and the value pass write
 into arrays allocated once per size (``out`` and ``scratch``), the backward
-pass allocates its results;
+pass allocates its results (so does the binary search, which the step does
+not call on even grids);
 
 the Gram cache build (``metrics.build_gram``) in milliseconds, at the
 acceptance shape (M = 16, standard normal) and the geometry shape (M = 64,
@@ -54,35 +55,31 @@ MODEL_REPEATS = 101
 MC_SAMPLES = 1_000_000
 
 
+def minor_faults():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 def times_s(fn, args, repeats=REPEATS):
+    """Times of ``repeats`` calls after a warm-up call, and the minor page
+    faults per call over them."""
     fn(*args)  # warm-up
+    before = minor_faults()
     times = []
     for _ in range(repeats):
         t0 = time.perf_counter()
         fn(*args)
         times.append(time.perf_counter() - t0)
-    return times
+    return times, (minor_faults() - before) / repeats
 
 
 def best_s(fn, *args):
-    return min(times_s(fn, args))
-
-
-def minor_faults():
-    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    return min(times_s(fn, args)[0])
 
 
 def ns_and_faults(fn, n, *args):
-    """Best ns per element of ``REPEATS`` calls after a warm-up call, and
-    the minor page faults per call over them."""
-    fn(*args)
-    before = minor_faults()
-    times = []
-    for _ in range(REPEATS):
-        t0 = time.perf_counter()
-        fn(*args)
-        times.append(time.perf_counter() - t0)
-    return min(times) * 1e9 / n, (minor_faults() - before) / REPEATS
+    """Best ns per element of ``REPEATS`` calls, and minor faults per call."""
+    times, faults = times_s(fn, args)
+    return min(times) * 1e9 / n, faults
 
 
 def buffers(n):
@@ -114,7 +111,7 @@ def main():
         bps = np.linspace(-2.0, 2.0, m)
         lookup = _backend.even_lookup(bps)
         k, _, fl, bl = buffers(n)
-        binary = ns_and_faults(_backend.intervals, n, x, bps, None, k)
+        binary = ns_and_faults(_backend.intervals, n, x, bps)
         even = ns_and_faults(_backend.intervals, n, x, bps, lookup, k, (fl, bl))
         print(
             f"{n:>9} {m:>4} {binary[0]:>13.1f} {binary[1]:>7.1f}"
@@ -172,7 +169,8 @@ def main():
         load_ms = best_s(load_checkpoint, path) * 1e3
     print(f"{'save_checkpoint':>16} {save_ms:>8.3f}")
     print(f"{'load_checkpoint':>16} {load_ms:>8.3f}")
-    build_ms = statistics.median(times_s(build_model, (arch, 0), MODEL_REPEATS)) * 1e3
+    build_times = times_s(build_model, (arch, 0), MODEL_REPEATS)[0]
+    build_ms = statistics.median(build_times) * 1e3
     print(f"{'build_model':>16} {build_ms:>8.3f}  (median)")
     print()
     header = f"{'call':>22} {'samples/s':>11} {'peak MB':>8}"

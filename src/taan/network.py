@@ -278,7 +278,7 @@ def stacked_forward(model, x, batch):
     training step's pass."""
     h = x
     pre, indices, tables, act = [], [], [], []
-    for layer, (a, idx, h_out) in zip(model.layers, batch.buffers):
+    for layer, (a, idx, h_out) in zip(model.layers, batch.buffers, strict=True):
         bps = layer.grid.breakpoints
         np.matmul(h, layer.linear.weight.T, out=a)
         a += layer.linear.bias

@@ -385,10 +385,9 @@ def train(model: TaanModel, datasets, config: TrainConfig):
         if val_x:
             outs = stacked_forward(model, val_stack, val_batch)[0]
             for group, out, y in zip(val_batch.groups, outs, val_targets):
-                if kinds[group.tasks[0]] == "squared_error":  # = _score's, bitwise
-                    scores = np.mean((out - y) ** 2, axis=(1, 2)).tolist()
-                else:
-                    scores = [_score(o, t, "accuracy") for o, t in zip(out, y)]
+                kind = kinds[group.tasks[0]]
+                metric = "mse" if kind == "squared_error" else "accuracy"
+                scores = [_score(o, t, metric) for o, t in zip(out, y)]
                 metrics.update(zip(group.tasks.tolist(), scores))
         for t in range(model.task_count):
             metric = metrics.get(t, math.nan)

@@ -253,6 +253,15 @@ def test_a_layouts_passes_share_its_buffers():
             assert np.array_equal(o, fresh_outs[t])
 
 
+def test_a_layout_for_another_depth_is_rejected():
+    # One layer fewer, with the width the heads expect: only the depth differs.
+    model = small_model(arch=ArchitectureSpec(4, (5, 5), 2, task_count=3))
+    shallow = build_model(ArchitectureSpec(4, (5,), 2, task_count=3), 0)
+    layout = BatchLayout(shallow, {0: 2})
+    with pytest.raises(ValueError):
+        stacked_forward(model, np.zeros((2, 4)), layout)
+
+
 def test_forward_calls_return_unaliased_traces():
     rng = np.random.default_rng(19)
     model = small_model(seed=8)
