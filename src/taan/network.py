@@ -171,22 +171,19 @@ class TaanModel(_Owned):
             )
         return int(task)
 
+    def _inputs(self, task, x):
+        """x as float64 rows of width input_dim; any other shape raises
+        ValueError naming the task."""
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim != 2 or x.shape[1] != self.input_dim:
+            raise ValueError(
+                f"task {task}: inputs have shape {x.shape}, expected "
+                f"(n, {self.input_dim})"
+            )
+        return x
+
     def head_dim(self, task):
         return self.heads[self._task(task)].out_dim
-
-
-class ForwardTrace:
-    """Backprop cache of one pass over stacked task batches: the input rows,
-    the batch layout, and per layer the pre-activations, their table
-    indices, the coordinate tables and the activations."""
-
-    def __init__(self, x, batch, pre_activations, indices, tables, activations):
-        self.x = x
-        self.batch = batch
-        self.pre_activations = pre_activations
-        self.indices = indices
-        self.tables = tables
-        self.activations = activations
 
 
 class _HeadGroup:
@@ -212,14 +209,16 @@ class _HeadGroup:
 
 
 class BatchLayout:
-    """Layout of a stacked batch, from each task's row count.  Tasks form a
-    head group when their heads have the same output dim, their batches the
-    same row count and ``key`` (the loss kind, in training) gives them the
-    same value.  Batches are stacked group by group in ``stack_order``;
-    ``spans`` holds each task's row range and ``row_task`` the task of
-    every row.  ``stacked_forward`` writes into ``buffers``, each layer's
-    (pre-activations, flat interval indices, activations), and ``scratch``,
-    so a layout's next pass overwrites its last trace."""
+    """Layout of a stacked batch, from each task's row count, and the arrays
+    of its pass.  Tasks form a head group when their heads have the same
+    output dim, their batches the same row count and ``key`` (the loss kind,
+    in training) gives them the same value.  Batches are stacked group by
+    group in ``stack_order``; ``spans`` holds each task's row range and
+    ``row_task`` the task of every row.  The layout is its pass's trace:
+    ``stacked_forward`` reads the stacked inputs ``x`` and writes each
+    layer's ``buffers`` (pre-activations, flat interval indices,
+    activations), its coordinate ``tables`` and ``scratch``, so a layout's
+    next pass overwrites its last trace."""
 
     def __init__(self, model, sizes, key=lambda task: None):
         members = {}
@@ -232,9 +231,13 @@ class BatchLayout:
         self.row_task = np.repeat(self.stack_order, counts)
         self.groups = [_HeadGroup(model, ts, self.spans) for ts in members.values()]
         n, widths = len(self.row_task), [l.linear.out_dim for l in model.layers]
+        self.x = np.empty((n, model.input_dim))
         self.buffers = [
             (np.empty((n, w)), np.empty(n * w, np.intp), np.empty((n, w)))
             for w in widths
+        ]
+        self.tables = [
+            np.empty((2, model.task_count * (len(l.grid) + 1))) for l in model.layers
         ]
         size = n * max(widths, default=0)
         self.scratch = np.empty(size), np.empty(size, bool)
@@ -247,38 +250,30 @@ def forward(model: TaanModel, batches):
     are stacked, so each shared layer is one matmul and one interval lookup,
     every task's activation is read off one table of all tasks' coordinate
     rows, and each head group is one batched matmul.  Returns
-    ({task: outputs}, trace); the trace holds everything backward needs.
+    ({task: outputs}, trace): the trace is the pass's own ``BatchLayout``,
+    which holds everything backward needs and no later pass reuses.
     """
-    xs = {}
-    for task, x in batches.items():
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != model.input_dim:
-            raise ValueError(
-                f"task {task} input has shape {x.shape}, expected "
-                f"(batch, {model.input_dim})"
-            )
-        xs[task] = x
+    xs = {task: model._inputs(task, x) for task, x in batches.items()}
     if not xs:
         raise ValueError("forward needs at least one task batch")
     batch = BatchLayout(model, {t: x.shape[0] for t, x in xs.items()})
-    x = np.concatenate([xs[t] for t in batch.stack_order])
-    outs, trace = stacked_forward(model, x, batch)
+    np.concatenate([xs[t] for t in batch.stack_order], out=batch.x)
     by_task = {}
-    for group, out in zip(batch.groups, outs):
+    for group, out in zip(batch.groups, stacked_forward(model, batch)):
         by_task.update(zip(group.tasks, out))
-    return {task: by_task[task] for task in xs}, trace
+    return {task: by_task[task] for task in xs}, batch
 
 
-def stacked_forward(model, x, batch):
-    """The pass over stacked rows ``x`` laid out as ``batch``; returns one
-    (G, rows, out) output array per head group, and the trace over
-    ``batch.buffers``.  ``train`` calls it directly.  It and
-    ``stacked_backward`` are public in this module, though not in ``taan``,
-    so that perfbench's tracer, which wraps public functions, times the
-    training step's pass."""
-    h = x
-    pre, indices, tables, act = [], [], [], []
-    for layer, (a, idx, h_out) in zip(model.layers, batch.buffers, strict=True):
+def stacked_forward(model, batch):
+    """The pass over the stacked rows ``batch.x``; returns one (G, rows,
+    out) output array per head group and leaves the trace in ``batch``.
+    ``train`` calls it directly.  It and ``stacked_backward`` are public in
+    this module, though not in ``taan``, so that perfbench's tracer, which
+    wraps public functions, times the training step's pass."""
+    h = batch.x
+    for layer, (a, idx, h_out), table in zip(
+        model.layers, batch.buffers, batch.tables, strict=True
+    ):
         bps = layer.grid.breakpoints
         np.matmul(h, layer.linear.weight.T, out=a)
         a += layer.linear.bias
@@ -288,13 +283,9 @@ def stacked_forward(model, x, batch):
         # Row r's entries live in its task's block of the stacked tables.
         rows = idx.reshape(a.shape)
         rows += (batch.row_task * (bps.size + 1))[:, None]
-        table = _backend.suffix_tables(layer.coords, bps)
+        table[...] = _backend.suffix_tables(layer.coords, bps)
         _backend.apl_forward(flat, idx, table, bps, h_out.ravel(), work[0])
         h = h_out
-        pre.append(a)
-        indices.append(idx)
-        tables.append(table)
-        act.append(h)
     outs = []
     for group in batch.groups:
         weight, bias = group.heads(model.params)
@@ -302,7 +293,7 @@ def stacked_forward(model, x, batch):
         out = np.matmul(rows, weight.transpose(0, 2, 1))
         out += bias[:, None, :]
         outs.append(out)
-    return outs, ForwardTrace(x, batch, pre, indices, tables, act)
+    return outs
 
 
 def _slot(model, flat, i):
@@ -310,7 +301,7 @@ def _slot(model, flat, i):
     return flat[start : start + math.prod(shape)].reshape(shape)
 
 
-def backward(model: TaanModel, trace: ForwardTrace, output_grads):
+def backward(model: TaanModel, trace: BatchLayout, output_grads):
     """Chain each task's output gradient back to the parameters.
 
     ``output_grads`` maps every task of the forward pass to the gradient of
@@ -319,12 +310,12 @@ def backward(model: TaanModel, trace: ForwardTrace, output_grads):
     heads of the tasks in the pass; every other task's coordinate row and
     head stays exactly zero.
     """
-    if set(output_grads) != set(trace.batch.spans):
+    if set(output_grads) != set(trace.spans):
         raise ValueError(
             f"output gradients for tasks {sorted(output_grads)}, but the "
-            f"forward pass ran tasks {sorted(trace.batch.spans)}"
+            f"forward pass ran tasks {sorted(trace.spans)}"
         )
-    for task, (s, e) in trace.batch.spans.items():
+    for task, (s, e) in trace.spans.items():
         if np.shape(output_grads[task]) != (e - s, model.head_dim(task)):
             raise ValueError(
                 f"task {task} output gradient has shape "
@@ -333,36 +324,30 @@ def backward(model: TaanModel, trace: ForwardTrace, output_grads):
             )
     douts = [
         np.asarray([output_grads[t] for t in group.tasks], dtype=np.float64)
-        for group in trace.batch.groups
+        for group in trace.groups
     ]
     return stacked_backward(model, trace, douts)
 
 
-def stacked_backward(model, trace, douts):
-    """Backward of ``stacked_forward`` from one (G, rows, out) output
-    gradient per head group."""
+def stacked_backward(model, batch, douts):
+    """Backward of ``stacked_forward`` over the trace in ``batch``, from one
+    (G, rows, out) output gradient per head group."""
     grad = np.zeros_like(model.params)
-    h_last = trace.activations[-1] if model.layers else trace.x
-    dh = np.empty_like(h_last)
-    for group, g in zip(trace.batch.groups, douts):
+    hs = [batch.x] + [h for _, _, h in batch.buffers]
+    dh = np.empty_like(hs[-1])
+    for group, g in zip(batch.groups, douts):
         weight, _ = group.heads(model.params)
-        h = h_last[group.rows].reshape(*group.shape[:2], h_last.shape[1])
+        h = hs[-1][group.rows].reshape(*group.shape[:2], dh.shape[1])
         dw = np.matmul(g.transpose(0, 2, 1), h).reshape(len(g), -1)
         grad[group.block] = np.concatenate([dw, g.sum(axis=1)], axis=1).ravel()
         dh[group.rows] = np.matmul(g, weight).reshape(-1, dh.shape[1])
     for l in range(len(model.layers) - 1, -1, -1):
-        layer = model.layers[l]
-        a = trace.pre_activations[l]
+        layer, (a, idx, _) = model.layers[l], batch.buffers[l]
         gx, gcoords = _backend.apl_backward(
-            a.ravel(),
-            trace.indices[l],
-            trace.tables[l],
-            layer.grid.breakpoints,
-            dh.ravel(),
+            a.ravel(), idx, batch.tables[l], layer.grid.breakpoints, dh.ravel()
         )
         da = gx.reshape(a.shape)
-        h_prev = trace.activations[l - 1] if l > 0 else trace.x
-        _slot(model, grad, 3 * l)[:] = da.T @ h_prev
+        _slot(model, grad, 3 * l)[:] = da.T @ hs[l]
         _slot(model, grad, 3 * l + 1)[:] = da.sum(axis=0)
         _slot(model, grad, 3 * l + 2)[:] = gcoords
         if l > 0:

@@ -186,12 +186,11 @@ def _softmax_cross_entropy(pred, onehot):
     return loss, (expz / total - onehot) / n
 
 
-_LOSS_FNS = {"squared_error": squared_error, "cross_entropy": cross_entropy}
-_STEP_LOSS_FNS = {**_LOSS_FNS, "cross_entropy": _softmax_cross_entropy}
-
-
-def loss_and_grad(kind, pred, target):
-    return _LOSS_FNS[kind](pred, target)
+# The step's targets are checked once, so it skips cross_entropy's checks.
+_STEP_LOSS_FNS = {
+    "squared_error": squared_error,
+    "cross_entropy": _softmax_cross_entropy,
+}
 
 
 class History:
@@ -248,14 +247,10 @@ def _split_pair(entry):
 def _task_arrays(model, task, kind, split):
     """One split of a task as float64 inputs (n, input dim) and targets
     (n, head dim), one-hot under cross_entropy; an error names the task."""
-    x = np.asarray(split.inputs, dtype=np.float64)
+    x = model._inputs(task, split.inputs)
     y = np.asarray(split.targets)
     dim = model.head_dim(task)
     try:
-        if x.ndim != 2 or x.shape[1] != model.input_dim:
-            raise ValueError(
-                f"inputs have shape {x.shape}, expected (n, {model.input_dim})"
-            )
         if kind == "squared_error":
             target = y.astype(np.float64, copy=False)
         elif dim < 2:
@@ -337,7 +332,7 @@ def train(model: TaanModel, datasets, config: TrainConfig):
         val_batch = BatchLayout(
             model, {t: x.shape[0] for t, x in val_x.items()}, kinds.__getitem__
         )
-        val_stack = np.concatenate([val_x[t] for t in val_batch.stack_order])
+        np.concatenate([val_x[t] for t in val_batch.stack_order], out=val_batch.x)
         val_targets = [np.stack([val_y[t] for t in g.tasks]) for g in val_batch.groups]
     history = History()
     for epoch in range(config.epochs):
@@ -351,7 +346,9 @@ def train(model: TaanModel, datasets, config: TrainConfig):
         order = order.reshape(steps, -1)
         epoch_loss = np.zeros(tasks)
         for rows in order:
-            outs, trace = stacked_forward(model, stacked_x.take(rows, axis=0), batch)
+            # mode="clip" writes into batch.x; the default would buffer it.
+            stacked_x.take(rows, axis=0, mode="clip", out=batch.x)
+            outs = stacked_forward(model, batch)
             y = stacked_y.take(rows, axis=0)
             douts = []
             for group, loss_fn, out in zip(batch.groups, losses, outs):
@@ -359,7 +356,7 @@ def train(model: TaanModel, datasets, config: TrainConfig):
                 loss, dout = loss_fn(out, target)
                 epoch_loss[group.tasks] += loss
                 douts.append(dout)
-            total = stacked_backward(model, trace, douts)
+            total = stacked_backward(model, batch, douts)
             if reg_on:
                 coord_grads = coord_views(model, total)
                 for l, layer in enumerate(model.layers):
@@ -383,7 +380,7 @@ def train(model: TaanModel, datasets, config: TrainConfig):
         ]
         metrics = {}
         if val_x:
-            outs = stacked_forward(model, val_stack, val_batch)[0]
+            outs = stacked_forward(model, val_batch)
             for group, out, y in zip(val_batch.groups, outs, val_targets):
                 kind = kinds[group.tasks[0]]
                 metric = "mse" if kind == "squared_error" else "accuracy"

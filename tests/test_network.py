@@ -11,7 +11,7 @@ import pytest
 
 from taan.apl import BasisGrid, apl_eval
 from taan.metrics import GaussianMixture
-from taan.training import loss_and_grad
+from taan.training import cross_entropy, squared_error
 from taan.network import (
     AalLayer,
     ArchitectureSpec,
@@ -31,6 +31,7 @@ from taan.network import (
 )
 
 ARCH = ArchitectureSpec(4, (5, 3), 2, task_count=3, basis_count=4)
+LOSS_FNS = {"squared_error": squared_error, "cross_entropy": cross_entropy}
 
 
 def small_model(seed=0, arch=ARCH):
@@ -66,8 +67,8 @@ def test_forward_matches_scalar_loop():
         out = outs[task]
         assert out.shape == (7, 2)
         assert np.allclose(out, loop_forward(model, task, x), atol=1e-12)
-        assert len(trace.pre_activations) == len(model.layers)
-        assert trace.activations[0].shape == (7, 5)
+        assert len(trace.buffers) == len(model.layers)
+        assert trace.buffers[0][2].shape == (7, 5)
 
 
 def test_tasks_differ_through_coordinates_only():
@@ -174,9 +175,7 @@ def reference_pass(model, batches, output_grads):
 
 def fused_against_reference(model, batches, losses, targets):
     outs, trace = forward(model, batches)
-    douts = {
-        t: loss_and_grad(losses[t], outs[t], targets[t])[1] for t in batches
-    }
+    douts = {t: LOSS_FNS[losses[t]](outs[t], targets[t])[1] for t in batches}
     ref_outs, ref_grads = reference_pass(model, batches, douts)
     grads = param_views(model, backward(model, trace, douts))
     worst = 0.0
@@ -226,7 +225,7 @@ def test_fused_step_with_unequal_heads_mixed_losses_and_batch_sizes():
 
 
 def trace_arrays(trace):
-    return [*trace.pre_activations, *trace.indices, *trace.activations]
+    return [trace.x, *trace.tables, *(a for arrays in trace.buffers for a in arrays)]
 
 
 def test_a_layouts_passes_share_its_buffers():
@@ -239,14 +238,13 @@ def test_a_layouts_passes_share_its_buffers():
     traces, outs = [], []
     for _ in range(2):
         batches = {t: rng.standard_normal((n, 4)) for t, n in sizes.items()}
-        x = np.concatenate([batches[t] for t in layout.stack_order])
-        out, trace = stacked_forward(model, x, layout)
-        traces.append(trace)
-        outs.append(out)
-    for a, b in zip(trace_arrays(traces[0]), trace_arrays(traces[1])):
+        np.concatenate([batches[t] for t in layout.stack_order], out=layout.x)
+        outs.append(stacked_forward(model, layout))
+        traces.append(trace_arrays(layout))
+    for a, b in zip(*traces):
         assert np.shares_memory(a, b)
     fresh_outs, fresh = forward(model, batches)
-    for a, b in zip(trace_arrays(fresh), trace_arrays(traces[1])):
+    for a, b in zip(trace_arrays(fresh), traces[1]):
         assert np.array_equal(a, b)
     for group, out in zip(layout.groups, outs[1]):
         for t, o in zip(group.tasks, out):
@@ -259,7 +257,7 @@ def test_a_layout_for_another_depth_is_rejected():
     shallow = build_model(ArchitectureSpec(4, (5,), 2, task_count=3), 0)
     layout = BatchLayout(shallow, {0: 2})
     with pytest.raises(ValueError):
-        stacked_forward(model, np.zeros((2, 4)), layout)
+        stacked_forward(model, layout)
 
 
 def test_forward_calls_return_unaliased_traces():
@@ -267,12 +265,15 @@ def test_forward_calls_return_unaliased_traces():
     model = small_model(seed=8)
     batches = {t: rng.standard_normal((5, 4)) for t in range(3)}
     outs, first = forward(model, batches)
+    douts = {t: rng.standard_normal(out.shape) for t, out in outs.items()}
+    grad = backward(model, first, douts)
     kept = [a.copy() for a in trace_arrays(first)]
     forward(model, {t: x + 1.0 for t, x in batches.items()})
     second = forward(model, batches)[1]
     for a, b, c in zip(trace_arrays(first), trace_arrays(second), kept):
         assert not np.shares_memory(a, b)
         assert np.array_equal(a, c)
+    assert np.array_equal(backward(model, first, douts), grad)
 
 
 def test_a_layouts_later_passes_allocate_no_layer_sized_block():
@@ -284,12 +285,12 @@ def test_a_layouts_later_passes_allocate_no_layer_sized_block():
     model = small_model(seed=9, arch=arch)
     for rows in (64, 200):
         layout = BatchLayout(model, dict.fromkeys(range(8), rows))
-        x = rng.standard_normal((8 * rows, 8))
-        stacked_forward(model, x, layout)
+        layout.x[:] = rng.standard_normal((8 * rows, 8))
+        stacked_forward(model, layout)
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            stacked_forward(model, x, layout)
+            stacked_forward(model, layout)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
