@@ -64,9 +64,6 @@ DEFAULT_CONFIG = {
     "data": {"synthetic": {"clusters": [0, 0, 0, 0, 1, 1, 1, 1]}},
 }
 
-OUT_SUBDIRS = ("checkpoints", "history", "matrices", "reports", "data")
-
-
 def _deep_merge(base, override):
     merged = dict(base)
     for key, value in override.items():
@@ -102,9 +99,10 @@ def load_config(args):
     return cfg
 
 
-def _outdirs(out):
-    root = Path(out)
-    dirs = {name: root / name for name in OUT_SUBDIRS}
+def _outdirs(out, *names):
+    """The named subdirectories of ``out``, created; each command names
+    only the ones it writes."""
+    dirs = {name: Path(out) / name for name in names}
     for path in dirs.values():
         path.mkdir(parents=True, exist_ok=True)
     return dirs
@@ -167,7 +165,7 @@ def _train_config(cfg):
 
 def cmd_gen_data(args):
     cfg = load_config(args)
-    dirs = _outdirs(cfg["out"])
+    dirs = _outdirs(cfg["out"], "data")
     spec = _synthetic_spec(cfg)
     datasets = generate(spec)
     for split in datasets:
@@ -180,7 +178,7 @@ def cmd_gen_data(args):
 
 def cmd_train(args):
     cfg = load_config(args)
-    dirs = _outdirs(cfg["out"])
+    dirs = _outdirs(cfg["out"], "checkpoints", "history")
     datasets = _load_datasets(cfg)
     config = _train_config(cfg)
     arch = _architecture(cfg, datasets, config)
@@ -207,8 +205,8 @@ def cmd_train(args):
 
 def cmd_analyze(args):
     cfg = load_config(args)
-    dirs = _outdirs(cfg["out"])
-    ckpt = args.checkpoint or dirs["checkpoints"] / "model.npz"
+    dirs = _outdirs(cfg["out"], "matrices", "reports")
+    ckpt = args.checkpoint or Path(cfg["out"]) / "checkpoints" / "model.npz"
     model, mixture, _seed = load_checkpoint(ckpt)
     reports = layer_distances(model, mixture=mixture)
     lines = []
@@ -387,8 +385,7 @@ def check_bounds(seed, out=None):
         print(bound_report_text(report))
         ok = ok and report.passed
     if out is not None:
-        dirs = _outdirs(out)
-        path = dirs["reports"] / "bounds.csv"
+        path = _outdirs(out, "reports")["reports"] / "bounds.csv"
         bound_report_csv(reports, path)
         print(f"wrote {path}")
     print(f"bounds: {'pass' if ok else 'FAIL'}")
@@ -449,8 +446,13 @@ def build_parser():
     return parser
 
 
+# Built once per process: an in-process caller of ``main`` pays only for
+# the parse.
+PARSER = build_parser()
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = PARSER.parse_args(argv)
     try:
         return args.func(args)
     except Exception as exc:

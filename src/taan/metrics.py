@@ -26,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from taan.apl import BasisGrid, apl_eval_pair
-from taan.moments import GaussianParams, moment_b0_sq, moment_b0b, moment_bb
+from taan.moments import GaussianParams, moment_b0_sq, moment_b0b, std_normal_cdf
+from taan.moments import _moment_bb, _std_normal_pdf
 
 DEGENERATE_NORM_EPS = 1e-12
 # Float64 elements per Monte-Carlo array (800 KB), whatever one sample spans.
@@ -118,15 +119,23 @@ class GramCache:
 def build_gram(grid: BasisGrid, mixture: GaussianMixture) -> GramCache:
     """The moment cache for one (grid, mixture) pair: per mixture component,
     one broadcast of the closed forms over the breakpoints and one over the
-    (M, M) breakpoint grid."""
+    (M, M) breakpoint grid.  The breakpoints increase strictly, so entry
+    (i, j) of the hinge moments sits at min(b_i, b_j) = b_min(i, j): Phi and
+    phi are evaluated on the M breakpoints and gathered, which equals
+    ``moment_bb`` over the grid bit for bit."""
     b = grid.breakpoints
+    k = np.arange(b.size)
+    lo = np.minimum(k[:, None], k[None, :])
+    prod, total, bt = b[:, None] * b, b[:, None] + b, b[lo]
     s = 0.0
     v = np.zeros(b.size)
     g = np.zeros((b.size, b.size))
     for pi, comp in mixture.components():
         s += pi * moment_b0_sq(comp)
         v += pi * moment_b0b(b, comp)
-        g += pi * moment_bb(b[:, None], b[None, :], comp)
+        c = (b - comp.mu) / comp.sigma
+        cdf, pdf = std_normal_cdf(c)[lo], _std_normal_pdf(c)[lo]
+        g += pi * _moment_bb(prod, total, bt, cdf, pdf, comp)
     return GramCache(s, v, g)
 
 

@@ -21,7 +21,9 @@ bt = min(bi, bj) and c = (bt - mu)/sigma:
 vanishes there, and the b > 0 branch is continuous at b = 0.)
 
 The breakpoint arguments broadcast like numpy arrays, so ``build_gram`` in
-``taan.metrics`` evaluates each moment over a whole grid in one call.
+``taan.metrics`` evaluates each moment over a whole grid in one call; for
+the hinge pairs it calls ``moment_bb``'s closed form, ``_moment_bb``, with
+Phi and phi taken on the M breakpoints of its sorted grid.
 
 ``oracle_moment`` evaluates the same integrals by adaptive Gauss-Kronrod
 quadrature with the interval split at the hinge locations, so the integrand
@@ -97,10 +99,18 @@ def moment_bb(bi, bj, g: GaussianParams):
     bj = _check_breakpoint("bj", bj)
     bt = np.minimum(bi, bj)
     c = (bt - g.mu) / g.sigma
-    quadratic = g.mu * g.mu + g.sigma * g.sigma + bi * bj - (bi + bj) * g.mu
-    return quadratic * std_normal_cdf(c) + (
-        bi + bj - g.mu - bt
-    ) * g.sigma * _std_normal_pdf(c)
+    cdf, pdf = std_normal_cdf(c), _std_normal_pdf(c)
+    return _moment_bb(bi * bj, bi + bj, bt, cdf, pdf, g)
+
+
+def _moment_bb(prod, total, bt, cdf, pdf, g: GaussianParams):
+    """``moment_bb``'s closed form from prod = bi bj, total = bi + bj,
+    bt = min(bi, bj) and Phi and phi at c = (bt - mu)/sigma.  On a sorted
+    grid c takes one value per breakpoint, so ``build_gram`` evaluates Phi
+    and phi on those and gathers them, and forms prod and total once for
+    all mixture components."""
+    quadratic = g.mu * g.mu + g.sigma * g.sigma + prod - total * g.mu
+    return quadratic * cdf + (total - g.mu - bt) * g.sigma * pdf
 
 
 def moment_b0b(b, g: GaussianParams):

@@ -108,8 +108,9 @@ class TaanModel(_Owned):
     """Shared layers plus per-task heads.
 
     Construction copies the given arrays into one float64 vector ``params``
-    and records the layout: (name, offset, shape) of each slot, packed as
-    each layer's weight, bias and coords, then each head's weight and bias.
+    (``load_checkpoint`` binds its loaded vector instead) and records the
+    layout: (name, offset, shape) of each slot, packed as each layer's
+    weight, bias and coords, then each head's weight and bias.
     ``layers`` and ``heads`` are the model's own objects over views of
     ``params``; the caller's objects are only read.  The arrays are
     writable, but neither they, the objects nor ``params`` can be rebound:
@@ -129,24 +130,37 @@ class TaanModel(_Owned):
         for head in heads:
             if width is not None and head.in_dim != width:
                 raise ValueError("head input width must match the last layer")
-        self.task_count = task_count
-        names, arrays = [], []
-        for l, x in enumerate(layers):
+        arrays = []
+        for x in layers:
+            arrays += [x.linear.weight, x.linear.bias, x.coords]
+        for x in heads:
+            arrays += [x.weight, x.bias]
+        params = np.concatenate([a.ravel() for a in arrays])
+        shapes, grids = [a.shape for a in arrays], [x.grid for x in layers]
+        self._bind(params, shapes, grids, task_count)
+
+    def _bind(self, params, shapes, grids, task_count):
+        """Take ``params`` (float64, contiguous, owning its data; not copied)
+        as this model's vector, laid out as ``shapes``: each layer's weight,
+        bias and coords (layer l on ``grids[l]``), then each head's weight
+        and bias."""
+        n = 3 * len(grids)
+        names = []
+        for l in range(len(grids)):
             names += [f"layers[{l}].linear.{a}" for a in ("weight", "bias")]
             names.append(f"layers[{l}].coords")
-            arrays += [x.linear.weight, x.linear.bias, x.coords]
-        for t, x in enumerate(heads):
+        for t in range(task_count):
             names += [f"heads[{t}].weight", f"heads[{t}].bias"]
-            arrays += [x.weight, x.bias]
-        self.params = np.concatenate([arr.ravel() for arr in arrays])
-        starts = np.cumsum([0] + [arr.size for arr in arrays]).tolist()
-        self.layout = [(n, i, a.shape) for n, i, a in zip(names, starts, arrays)]
-        self._arrays = v = tuple(param_views(self, self.params))
-        own, n = [], 3 * len(layers)
-        for l, x in enumerate(layers):
+        self.task_count = task_count
+        self.params = params
+        starts = np.cumsum([0] + [math.prod(s) for s in shapes]).tolist()
+        self.layout = list(zip(names, starts, shapes))
+        self._arrays = v = tuple(param_views(self, params))
+        own = []
+        for l, grid in enumerate(grids):
             w, b, c = v[3 * l : 3 * l + 3]
             p = f"layers[{l}]."
-            own.append(_OwnedAal(p, _OwnedLinear(p + "linear.", w, b), c, x.grid))
+            own.append(_OwnedAal(p, _OwnedLinear(p + "linear.", w, b), c, grid))
         self.layers = _Fixed(own, names[0:n:3])
         pairs = enumerate(zip(v[n::2], v[n + 1 :: 2]))
         own = [_OwnedLinear(f"heads[{t}].", w, b) for t, (w, b) in pairs]
@@ -512,12 +526,12 @@ def save_checkpoint(model: TaanModel, path, mixture=None, seed=None):
 def load_checkpoint(path):
     """Inverse of save_checkpoint; returns (model, mixture, seed).
 
-    The layers and heads are built from ``meta`` with zero arrays and
-    copied into a ``TaanModel``, and then ``params`` is written into it;
-    layers with equal breakpoints share one ``BasisGrid``.  A file that is
-    not an npz archive, a missing or malformed member, a missing ``meta`` key
-    and ``meta`` values that do not describe a model raise one ValueError
-    naming the path.
+    The slot shapes come from ``meta``; ``params`` is checked once, for
+    shape and finiteness, and becomes the model's own vector, with the
+    layers and heads bound over views of it.  Layers with equal breakpoints
+    share one ``BasisGrid``.  A file that is not an npz archive, a missing
+    or malformed member, a missing ``meta`` key and ``meta`` values that do
+    not describe a model raise one ValueError naming the path.
     """
     try:
         with open(path, "rb") as fh:  # np.load's own test for a zip archive
@@ -554,26 +568,33 @@ def _checkpoint_from_archive(archive):
         raise ValueError(
             f"meta has {len(widths)} widths but {len(counts)} basis counts"
         )
+    output_dims = meta["output_dims"]
+    if len(output_dims) != task_count:
+        raise ValueError(
+            f"meta has {len(output_dims)} output dims for {task_count} tasks"
+        )
     bps = data("breakpoints", (sum(counts),))
-    layers, grids = [], {}
+    shapes, grids, by_row = [], [], {}
     fan_in, start = meta["input_dim"], 0
     for width, m in zip(widths, counts):
         row = bps[start : start + m]
         start += m
         key = row.tobytes()
-        if key not in grids:
-            grids[key] = BasisGrid(row)
-        linear = LinearLayer(np.zeros((width, fan_in)), np.zeros(width))
-        layers.append(AalLayer(linear, np.zeros((task_count, m)), grids[key]))
+        if key not in by_row:
+            by_row[key] = BasisGrid(row)
+        grids.append(by_row[key])
+        shapes += [(width, fan_in), (width,), (task_count, m)]
         fan_in = width
-    heads = [
-        LinearLayer(np.zeros((d, fan_in)), np.zeros(d)) for d in meta["output_dims"]
-    ]
-    model = TaanModel(layers, heads, task_count)
-    params = data("params", model.params.shape)
+    for d in output_dims:
+        shapes += [(d, fan_in), (d,)]
+    if not all(isinstance(n, int) and n >= 0 for shape in shapes for n in shape):
+        raise ValueError("meta sizes must be non-negative integers")
+    params = data("params", (sum(math.prod(shape) for shape in shapes),))
     if not np.all(np.isfinite(params)):
         raise ValueError("params has non-finite entries")
-    model.params[:] = params
+    model = TaanModel.__new__(TaanModel)
+    # A copy: the archive's array is a view, and a model owns its vector.
+    model._bind(np.array(params, dtype=np.float64), shapes, grids, task_count)
     mixture = None
     if meta["has_mixture"]:
         mix = data("mixture")

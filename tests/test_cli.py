@@ -12,7 +12,12 @@ import taan.cli as cli
 from conftest import child_env
 from taan.data import CsvSchema, TaskDataset, _read_csv, load_csv, save_csv
 from taan.analysis import load_heatmap_csv
-from taan.network import load_checkpoint
+from taan.network import (
+    ArchitectureSpec,
+    build_model,
+    load_checkpoint,
+    save_checkpoint,
+)
 
 SMALL_CONFIG = {
     "seed": 3,
@@ -177,10 +182,34 @@ def test_bad_config_fails_cleanly(tmp_path):
     assert "relatedness" in proc.stderr
 
 
-def test_missing_subcommand_is_a_usage_error(tmp_path):
+def test_missing_subcommand_is_a_usage_error(tmp_path, capsys):
     proc = run_cli(cwd=tmp_path)
     assert proc.returncode == 2
     assert "usage" in proc.stderr.lower()
+    # In-process, the one parser that main keeps survives the usage error.
+    with pytest.raises(SystemExit) as info:
+        cli.main([])
+    assert info.value.code == 2
+    assert "usage" in capsys.readouterr().err.lower()
+    out = tmp_path / "after"
+    cfg = write_config(tmp_path)
+    assert cli.main(["gen-data", "--config", str(cfg), "--out", str(out)]) == 0
+    assert len(list((out / "data").glob("task*_*.csv"))) == 6
+
+
+def test_commands_create_only_the_directories_they_write(tmp_path):
+    ckpt = tmp_path / "model.npz"
+    arch = ArchitectureSpec(3, (4,), 1, task_count=2, basis_count=4)
+    save_checkpoint(build_model(arch, 0), ckpt)
+    runs = {
+        "analyze": (["analyze", "--checkpoint", str(ckpt)], {"matrices", "reports"}),
+        "gen": (["gen-data", "--config", str(write_config(tmp_path))], {"data"}),
+        "bounds": (["check", "bounds", "--seed", "1"], {"reports"}),
+    }
+    for name, (argv, expected) in runs.items():
+        out = tmp_path / name
+        assert cli.main([*argv, "--out", str(out)]) == 0
+        assert {p.name for p in out.iterdir()} == expected, name
 
 
 def write_class_csvs(tmp_path, labels):

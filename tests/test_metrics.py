@@ -86,6 +86,17 @@ def reference_gram(breakpoints, mixture):
     return s, v, g
 
 
+def broadcast_gram(b, mixture):
+    """The per-component broadcast of the public moment functions over the
+    grid, summed in build_gram's order."""
+    s, v, g = 0.0, np.zeros(b.size), np.zeros((b.size, b.size))
+    for pi, comp in mixture.components():
+        s += pi * moment_b0_sq(comp)
+        v += pi * moment_b0b(b, comp)
+        g += pi * moment_bb(b[:, None], b[None, :], comp)
+    return s, v, g
+
+
 def assert_matches_reference(grid, mixture):
     cache = build_gram(grid, mixture)
     s, v, g = reference_gram(grid.breakpoints, mixture)
@@ -94,6 +105,12 @@ def assert_matches_reference(grid, mixture):
     assert np.abs(cache.relu_hinge - v).max() <= 1e-13 * scale
     assert np.abs(cache.hinge_hinge - g).max() <= 1e-13 * scale
     assert np.array_equal(cache.hinge_hinge, cache.hinge_hinge.T)
+    # Bit for bit the broadcast closed forms, though Phi and phi are
+    # evaluated on the M breakpoints only.
+    s, v, g = broadcast_gram(grid.breakpoints, mixture)
+    assert cache.relu_relu == s
+    assert cache.relu_hinge.tobytes() == v.tobytes()
+    assert cache.hinge_hinge.tobytes() == g.tobytes()
     return cache
 
 

@@ -297,10 +297,18 @@ def test_a_layouts_later_passes_allocate_no_layer_sized_block():
         assert peak - start < 8 * rows * 32 * 8, (rows, peak - start)
 
 
-def test_rebound_arrays_fail_loudly():
+def loaded_small_model(tmp_path):
+    save_checkpoint(small_model(), tmp_path / "m.npz")
+    return load_checkpoint(tmp_path / "m.npz")[0]
+
+
+@pytest.mark.parametrize(
+    "make", [lambda _: small_model(), loaded_small_model], ids=["built", "loaded"]
+)
+def test_rebound_arrays_fail_loudly(tmp_path, make):
     # The model's arrays are views of model.params; rebinding one would leave
     # a slot that nothing reads, so the assignment itself is refused.
-    model = small_model()
+    model = make(tmp_path)
     with pytest.raises(ValueError, match=r"heads\[1\]\.weight"):
         model.heads[1] = model.heads[0]
     with pytest.raises(ValueError, match=r"layers\[1\]\.coords"):
