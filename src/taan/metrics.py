@@ -125,7 +125,7 @@ def build_gram(grid: BasisGrid, mixture: GaussianMixture) -> GramCache:
     ``moment_bb`` over the grid bit for bit."""
     b = grid.breakpoints
     k = np.arange(b.size)
-    lo = np.minimum(k[:, None], k[None, :])
+    lo = np.minimum.outer(k, k)
     prod, total, bt = b[:, None] * b, b[:, None] + b, b[lo]
     s = 0.0
     v = np.zeros(b.size)
