@@ -1,6 +1,7 @@
 """Throughput of the activation kernels.
 
-Run as ``python3 benchmarks/bench_kernels.py``.  Times the three kernel
+Run as ``python3 benchmarks/bench_kernels.py`` from a checkout; the
+package is imported from the checkout's ``src/``.  Times the three kernel
 passes over a grid of (elements, basis size) on an evenly spaced grid, and
 reports the best of ``REPEATS`` runs in nanoseconds per element, each next
 to the minor page faults per call (``resource.getrusage``), that is, pages
@@ -30,10 +31,13 @@ peak memory ``tracemalloc`` traces during one more call.
 
 import resource
 import statistics
+import sys
 import tempfile
 import time
 import tracemalloc
 from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np
 

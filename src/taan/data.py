@@ -186,17 +186,13 @@ class CsvSchema:
 
 
 def _write_csv(path, header, rows):
-    """Write a header line, then one line per row.
-
-    A float cell (np.float64 included) is written as repr(float(v)), the
-    shortest text that reads back bitwise, so identical runs give identical
-    bytes; any other cell is written as str(v).
-    """
+    """Write a header line, then one line per row, each cell as str(v): for
+    a float, the shortest text that reads back bitwise, so identical runs
+    give identical bytes."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            cells = (repr(float(v)) if isinstance(v, float) else str(v) for v in row)
-            fh.write(",".join(cells) + "\n")
+            fh.write(",".join(map(str, row)) + "\n")
 
 
 def _read_csv(path):

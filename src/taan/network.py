@@ -49,11 +49,11 @@ class _Fixed(tuple):
 
     def __new__(cls, items, slots):
         self = super().__new__(cls, items)
-        self.slots = slots
+        self.slots = slots  # each item's first slot in the model's layout
         return self
 
     def __setitem__(self, i, value):
-        raise _rebind_error(self.slots[i])
+        raise _rebind_error(self.slots[i][0])
 
 
 class LinearLayer:
@@ -89,10 +89,6 @@ class AalLayer:
         self.grid = grid
         self.coords = validate_coordinates(coords, grid)
 
-    @property
-    def task_count(self):
-        return self.coords.shape[0]
-
 
 class _OwnedLinear(_Owned, LinearLayer):
     def __init__(self, name, weight, bias):  # views of params: validated already
@@ -104,67 +100,70 @@ class _OwnedAal(_Owned, AalLayer):
         self.__dict__.update(_name=name, linear=linear, coords=coords, grid=grid)
 
 
+def _layout(input_dim, widths, basis_counts, output_dims):
+    """The slot table of a model with these sizes: (name, offset, shape) of
+    every array in ``params``, packed as each layer's weight, bias and
+    coords (a row per task), then each head's weight and bias; and the
+    length of ``params``."""
+    slots, fan_in = [], input_dim
+    for l, (width, m) in enumerate(zip(widths, basis_counts)):
+        p = f"layers[{l}]."
+        slots += [(p + "linear.weight", (width, fan_in)), (p + "linear.bias", (width,))]
+        slots.append((p + "coords", (len(output_dims), m)))
+        fan_in = width
+    for t, d in enumerate(output_dims):
+        slots += [(f"heads[{t}].weight", (d, fan_in)), (f"heads[{t}].bias", (d,))]
+    *starts, size = np.cumsum([0] + [math.prod(s) for _, s in slots]).tolist()
+    return [(name, start, s) for (name, s), start in zip(slots, starts)], size
+
+
 class TaanModel(_Owned):
     """Shared layers plus per-task heads.
 
-    Construction copies the given arrays into one float64 vector ``params``
-    (``load_checkpoint`` binds its loaded vector instead) and records the
-    layout: (name, offset, shape) of each slot, packed as each layer's
-    weight, bias and coords, then each head's weight and bias.
-    ``layers`` and ``heads`` are the model's own objects over views of
-    ``params``; the caller's objects are only read.  The arrays are
-    writable, but neither they, the objects nor ``params`` can be rebound:
-    that raises ``ValueError`` naming the slot.
+    Construction checks each given array against its slot in the table
+    ``_layout`` builds from their sizes (a mis-shaped one raises ValueError
+    naming the slot and both shapes), then copies them into one float64
+    vector ``params`` laid out as that table, ``layout``; ``load_checkpoint``
+    binds its loaded vector instead.  ``layers`` and ``heads`` are the
+    model's own objects over views of ``params``; the caller's objects are
+    only read.  The arrays are writable, but neither they, the objects nor
+    ``params`` can be rebound: that raises ``ValueError`` naming the slot.
     """
 
     def __init__(self, layers, heads, task_count):
-        if len(heads) != task_count:
-            raise ValueError(f"expected {task_count} heads, got {len(heads)}")
-        width = None
-        for layer in layers:
-            if layer.task_count != task_count:
-                raise ValueError("coordinate rows must match the task count")
-            if width is not None and layer.linear.in_dim != width:
-                raise ValueError("layer widths do not chain")
-            width = layer.linear.out_dim
-        for head in heads:
-            if width is not None and head.in_dim != width:
-                raise ValueError("head input width must match the last layer")
-        arrays = []
-        for x in layers:
-            arrays += [x.linear.weight, x.linear.bias, x.coords]
-        for x in heads:
-            arrays += [x.weight, x.bias]
+        if len(heads) != task_count or task_count < 1:
+            need = f"expected {task_count} heads (one per task, at least one)"
+            raise ValueError(f"{need}, got {len(heads)}")
+        layout, _ = _layout(
+            layers[0].linear.in_dim if layers else heads[0].in_dim,
+            [x.linear.out_dim for x in layers],
+            [len(x.grid) for x in layers],
+            [x.out_dim for x in heads],
+        )
+        arrays = [a for x in layers for a in (x.linear.weight, x.linear.bias, x.coords)]
+        arrays += [a for x in heads for a in (x.weight, x.bias)]
+        for a, (name, _, shape) in zip(arrays, layout):
+            if a.shape != shape:
+                raise ValueError(f"{name} has shape {a.shape}, expected {shape}")
         params = np.concatenate([a.ravel() for a in arrays])
-        shapes, grids = [a.shape for a in arrays], [x.grid for x in layers]
-        self._bind(params, shapes, grids, task_count)
+        self._bind(params, layout, [x.grid for x in layers])
 
-    def _bind(self, params, shapes, grids, task_count):
+    def _bind(self, params, layout, grids):
         """Take ``params`` (float64, contiguous, owning its data; not copied)
-        as this model's vector, laid out as ``shapes``: each layer's weight,
-        bias and coords (layer l on ``grids[l]``), then each head's weight
-        and bias."""
+        as this model's vector, laid out as ``layout`` (from ``_layout``),
+        with layer l on ``grids[l]``."""
         n = 3 * len(grids)
-        names = []
-        for l in range(len(grids)):
-            names += [f"layers[{l}].linear.{a}" for a in ("weight", "bias")]
-            names.append(f"layers[{l}].coords")
-        for t in range(task_count):
-            names += [f"heads[{t}].weight", f"heads[{t}].bias"]
-        self.task_count = task_count
-        self.params = params
-        starts = np.cumsum([0] + [math.prod(s) for s in shapes]).tolist()
-        self.layout = list(zip(names, starts, shapes))
+        self.params, self.layout = params, layout
         self._arrays = v = tuple(param_views(self, params))
         own = []
-        for l, grid in enumerate(grids):
-            w, b, c = v[3 * l : 3 * l + 3]
+        for l, (grid, w, b, c) in enumerate(zip(grids, *[iter(v[:n])] * 3)):
             p = f"layers[{l}]."
             own.append(_OwnedAal(p, _OwnedLinear(p + "linear.", w, b), c, grid))
-        self.layers = _Fixed(own, names[0:n:3])
+        self.layers = _Fixed(own, layout[0:n:3])
         pairs = enumerate(zip(v[n::2], v[n + 1 :: 2]))
         own = [_OwnedLinear(f"heads[{t}].", w, b) for t, (w, b) in pairs]
-        self.heads = _Fixed(own, names[n::2])
+        self.heads = _Fixed(own, layout[n::2])
+        self.task_count = len(own)
 
     def __reduce__(self):
         # Copies and pickles are rebuilt by the constructor, so their arrays
@@ -173,9 +172,7 @@ class TaanModel(_Owned):
 
     @property
     def input_dim(self):
-        if self.layers:
-            return self.layers[0].linear.in_dim
-        return self.heads[0].in_dim
+        return self.layout[0][2][1]  # the first weight is (out, input_dim)
 
     def _task(self, task):
         """The task id as an int; any other value raises ValueError naming it."""
@@ -211,8 +208,7 @@ class _HeadGroup:
         self.tasks, self.size = np.array(tasks), head.weight.size
         self.shape = (len(tasks), e - s, head.out_dim)
         self.rows = slice(s, spans[tasks[-1]][1])
-        n = 3 * len(model.layers)
-        starts = np.array([model.layout[n + 2 * t][1] for t in tasks])
+        starts = np.array([model.heads.slots[t][1] for t in tasks])
         self.block = (starts[:, None] + np.arange(self.size + head.out_dim)).ravel()
 
     def heads(self, params):
@@ -285,19 +281,20 @@ def stacked_forward(model, batch):
     this module, though not in ``taan``, so that perfbench's tracer, which
     wraps public functions, times the training step's pass."""
     h = batch.x
-    for layer, (a, idx, h_out), table in zip(
-        model.layers, batch.buffers, batch.tables, strict=True
+    views = _layer_views(model, model.params)
+    for layer, (w, b, c), (a, idx, h_out), table in zip(
+        model.layers, views, batch.buffers, batch.tables, strict=True
     ):
         bps = layer.grid.breakpoints
-        np.matmul(h, layer.linear.weight.T, out=a)
-        a += layer.linear.bias
+        np.matmul(h, w.T, out=a)
+        a += b
         flat = a.ravel()
         work = [s[: flat.size] for s in batch.scratch]
         layer.grid.intervals(flat, idx, work)
         # Row r's entries live in its task's block of the stacked tables.
         rows = idx.reshape(a.shape)
         rows += (batch.row_task * (bps.size + 1))[:, None]
-        table[...] = _backend.suffix_tables(layer.coords, bps)
+        table[...] = _backend.suffix_tables(c, bps)
         _backend.apl_forward(flat, idx, table, bps, h_out.ravel(), work[0])
         h = h_out
     outs = []
@@ -308,11 +305,6 @@ def stacked_forward(model, batch):
         out += bias[:, None, :]
         outs.append(out)
     return outs
-
-
-def _slot(model, flat, i):
-    _, start, shape = model.layout[i]
-    return flat[start : start + math.prod(shape)].reshape(shape)
 
 
 def backward(model: TaanModel, trace: BatchLayout, output_grads):
@@ -355,17 +347,19 @@ def stacked_backward(model, batch, douts):
         dw = np.matmul(g.transpose(0, 2, 1), h).reshape(len(g), -1)
         grad[group.block] = np.concatenate([dw, g.sum(axis=1)], axis=1).ravel()
         dh[group.rows] = np.matmul(g, weight).reshape(-1, dh.shape[1])
-    for l in range(len(model.layers) - 1, -1, -1):
-        layer, (a, idx, _) = model.layers[l], batch.buffers[l]
+    views = zip(_layer_views(model, model.params), _layer_views(model, grad))
+    steps = list(zip(model.layers, views, batch.buffers, batch.tables, hs))
+    for l in range(len(steps) - 1, -1, -1):
+        layer, ((w, _, _), (gw, gb, gc)), (a, idx, _), table, h = steps[l]
         gx, gcoords = _backend.apl_backward(
-            a.ravel(), idx, batch.tables[l], layer.grid.breakpoints, dh.ravel()
+            a.ravel(), idx, table, layer.grid.breakpoints, dh.ravel()
         )
         da = gx.reshape(a.shape)
-        _slot(model, grad, 3 * l)[:] = da.T @ hs[l]
-        _slot(model, grad, 3 * l + 1)[:] = da.sum(axis=0)
-        _slot(model, grad, 3 * l + 2)[:] = gcoords
+        gw[:] = da.T @ h
+        gb[:] = da.sum(axis=0)
+        gc[:] = gcoords
         if l > 0:
-            dh = da @ layer.linear.weight
+            dh = da @ w
     return grad
 
 
@@ -412,22 +406,20 @@ def build_model(arch: ArchitectureSpec, seed) -> TaanModel:
     asymmetry for tasks to diverge)."""
     rng = np.random.default_rng(seed)
     grid = BasisGrid.even(arch.basis_count, *arch.basis_range)
-    layers = []
-    fan_in = arch.input_dim
-    for width in arch.hidden_widths:
-        limit = np.sqrt(6.0 / fan_in)
-        weight = rng.uniform(-limit, limit, size=(width, fan_in))
-        coords = rng.uniform(
-            -COORD_INIT_SCALE, COORD_INIT_SCALE, size=(arch.task_count, len(grid))
-        )
-        layers.append(AalLayer(LinearLayer(weight, np.zeros(width)), coords, grid))
-        fan_in = width
-    heads = []
-    for out_dim in arch.output_dims:
-        limit = np.sqrt(6.0 / fan_in)
-        weight = rng.uniform(-limit, limit, size=(out_dim, fan_in))
-        heads.append(LinearLayer(weight, np.zeros(out_dim)))
-    return TaanModel(layers, heads, arch.task_count)
+    depth = len(arch.hidden_widths)
+    layout, size = _layout(
+        arch.input_dim, arch.hidden_widths, [len(grid)] * depth, arch.output_dims
+    )
+    model = TaanModel.__new__(TaanModel)
+    model._bind(np.zeros(size), layout, [grid] * depth)
+    # Draws follow the layout: each layer's weight then coords, then heads.
+    for (name, _, shape), arr in zip(layout, model_parameters(model)):
+        if name.endswith("weight"):
+            limit = np.sqrt(6.0 / shape[1])
+            arr[:] = rng.uniform(-limit, limit, size=shape)
+        elif name.endswith("coords"):
+            arr[:] = rng.uniform(-COORD_INIT_SCALE, COORD_INIT_SCALE, size=shape)
+    return model
 
 
 def _shared_coords(coords):
@@ -462,12 +454,26 @@ def param_views(model: TaanModel, flat):
         raise ValueError(
             f"flat vector has shape {flat.shape}, expected {model.params.shape}"
         )
-    return [_slot(model, flat, i) for i in range(len(model.layout))]
+    return _views(flat, model.layout)
+
+
+def _views(flat, slots):
+    """Views of ``flat`` shaped as the given slots of a model's layout."""
+    return [flat[s : s + math.prod(shape)].reshape(shape) for _, s, shape in slots]
+
+
+def _layer_views(model, flat):
+    """Each layer's (weight, bias, coords) views of a flat vector laid out
+    like ``model.params``."""
+    n = 3 * len(model.layers)
+    if flat is model.params:  # made through the table at binding, kept
+        return zip(*[iter(model._arrays[:n])] * 3)
+    return zip(*[iter(_views(flat, model.layout[:n]))] * 3)
 
 
 def coord_views(model: TaanModel, flat):
     """Each layer's coordinate-matrix view of a flat vector in the layout."""
-    return [_slot(model, flat, 3 * l + 2) for l in range(len(model.layers))]
+    return [c for _, _, c in _layer_views(model, flat)]
 
 
 def model_parameters(model: TaanModel):
@@ -526,12 +532,13 @@ def save_checkpoint(model: TaanModel, path, mixture=None, seed=None):
 def load_checkpoint(path):
     """Inverse of save_checkpoint; returns (model, mixture, seed).
 
-    The slot shapes come from ``meta``; ``params`` is checked once, for
-    shape and finiteness, and becomes the model's own vector, with the
-    layers and heads bound over views of it.  Layers with equal breakpoints
-    share one ``BasisGrid``.  A file that is not an npz archive, a missing
-    or malformed member, a missing ``meta`` key and ``meta`` values that do
-    not describe a model raise one ValueError naming the path.
+    ``_layout`` builds the slot table from the sizes in ``meta``; ``params``
+    is checked once, for shape and finiteness, and becomes the model's own
+    vector, with the layers and heads bound over views of it.  Layers with
+    equal breakpoints share one ``BasisGrid``.  A file that is not an npz
+    archive, a missing or malformed member, a missing ``meta`` key and
+    ``meta`` values that do not describe a model raise one ValueError
+    naming the path.
     """
     try:
         with open(path, "rb") as fh:  # np.load's own test for a zip archive
@@ -573,28 +580,25 @@ def _checkpoint_from_archive(archive):
         raise ValueError(
             f"meta has {len(output_dims)} output dims for {task_count} tasks"
         )
+    sizes = [task_count, meta["input_dim"], *widths, *counts, *output_dims]
+    if not all(isinstance(n, int) and n >= 0 for n in sizes):
+        raise ValueError("meta sizes must be non-negative integers")
     bps = data("breakpoints", (sum(counts),))
-    shapes, grids, by_row = [], [], {}
-    fan_in, start = meta["input_dim"], 0
-    for width, m in zip(widths, counts):
+    grids, by_row, start = [], {}, 0
+    for m in counts:
         row = bps[start : start + m]
         start += m
         key = row.tobytes()
         if key not in by_row:
             by_row[key] = BasisGrid(row)
         grids.append(by_row[key])
-        shapes += [(width, fan_in), (width,), (task_count, m)]
-        fan_in = width
-    for d in output_dims:
-        shapes += [(d, fan_in), (d,)]
-    if not all(isinstance(n, int) and n >= 0 for shape in shapes for n in shape):
-        raise ValueError("meta sizes must be non-negative integers")
-    params = data("params", (sum(math.prod(shape) for shape in shapes),))
+    layout, size = _layout(meta["input_dim"], widths, counts, output_dims)
+    params = data("params", (size,))
     if not np.all(np.isfinite(params)):
         raise ValueError("params has non-finite entries")
     model = TaanModel.__new__(TaanModel)
     # A copy: the archive's array is a view, and a model owns its vector.
-    model._bind(np.array(params, dtype=np.float64), shapes, grids, task_count)
+    model._bind(np.array(params, dtype=np.float64), layout, grids)
     mixture = None
     if meta["has_mixture"]:
         mix = data("mixture")

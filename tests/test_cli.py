@@ -11,7 +11,7 @@ import pytest
 import taan.cli as cli
 from conftest import child_env
 from taan.data import CsvSchema, TaskDataset, _read_csv, load_csv, save_csv
-from taan.analysis import load_heatmap_csv
+from taan.analysis import check_l1_bounds, load_heatmap_csv
 from taan.network import (
     ArchitectureSpec,
     build_model,
@@ -170,6 +170,29 @@ def test_check_bounds_passes_and_writes_csv(tmp_path):
     assert "bounds: pass" in proc.stdout
     text = (tmp_path / "bc/reports/bounds.csv").read_text(encoding="utf-8")
     assert text.startswith("task1,task2,side,")
+
+
+def test_check_bounds_seed_415_fails_by_sampling_noise_only(monkeypatch, capsys):
+    """At c1 = 1 the Monte-Carlo sides estimate the bounds exactly, so the
+    one-sided 3-SE test fails about 0.13% of live sides by chance; seed 415
+    is one such FAIL.  Its failing side is within 5 SE of the closed form,
+    so the FAIL is sampling noise, not a wrong closed form."""
+    reports = []
+
+    def record(*args, **kwargs):
+        reports.append(check_l1_bounds(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(cli, "check_l1_bounds", record)
+    assert cli.check_bounds(415) == 1
+    assert "bounds: FAIL" in capsys.readouterr().out
+    sides = [
+        (r.inner_left, r.inner_se, r.inner_right, r.inner_pass) for r in reports
+    ] + [(r.dist_left, r.dist_se, r.dist_right, r.dist_pass) for r in reports]
+    failing = [side for side in sides if not side[3]]
+    assert len(failing) == 1
+    for left, se, right, _ in failing:
+        assert abs(left - right) <= 5.0 * se
 
 
 def test_bad_config_fails_cleanly(tmp_path):

@@ -9,6 +9,7 @@ from taan.data import (
     SyntheticSpec,
     TaskDataset,
     generate,
+    _write_csv,
     load_csv,
     save_csv,
 )
@@ -157,6 +158,25 @@ def test_csv_round_trip_bitwise(tmp_path):
     second = tmp_path / "again.csv"
     save_csv(again, second)
     assert path.read_bytes() == second.read_bytes()
+
+
+def test_csv_cells_are_written_by_one_rule(tmp_path):
+    # str(v) gives the bytes of the older rule, repr(float(v)) for floats
+    # and str(v) otherwise, for Python and numpy floats and ints alike.
+    rng = np.random.default_rng(11)
+    edge = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -2.5e-310, 1e16, 1e-7]
+    edge += [2.2250738585072014e-308, np.finfo(float).max, 0.1, 1 / 3]
+    bits = rng.integers(0, 2**64, 400, dtype=np.uint64).view(np.float64)
+    floats = [*edge, *bits.tolist()]
+    rows = [[v, np.float64(v)] for v in floats]
+    rows += [[7, np.int64(-3)], [np.float32(0.1), 2**70]]
+    path = tmp_path / "cells.csv"
+    _write_csv(path, ["a", "b"], rows)
+    old = ["a,b"] + [
+        ",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row)
+        for row in rows
+    ]
+    assert path.read_bytes() == ("\n".join(old) + "\n").encode("utf-8")
 
 
 def test_csv_fixture_and_header():

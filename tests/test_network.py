@@ -4,6 +4,7 @@ finite differences, sharing reductions, checkpoint round-trips."""
 import copy
 import json
 import pickle
+import re
 import tracemalloc
 
 import numpy as np
@@ -327,6 +328,38 @@ def test_rebound_arrays_fail_loudly(tmp_path, make):
     assert model.layers[1].coords is coords
     assert np.array_equal(param_views(model, model.params)[5], before + 1.0)
     assert_packed(model)
+
+
+def mis_shaped(case):
+    """small_model's layers and heads (widths (5, 3), 3 tasks, M = 4, heads
+    (2, 3)) with one array of the wrong shape."""
+    model = small_model()
+    layers, heads = list(model.layers), list(model.heads)
+    first, second = layers
+    if case == "unchained_layer":
+        linear = LinearLayer(np.zeros((3, 4)), second.linear.bias)
+        layers[1] = AalLayer(linear, second.coords, second.grid)
+    elif case == "coords_rows":
+        layers[0] = AalLayer(first.linear, first.coords[:2], first.grid)
+    else:
+        heads[2] = LinearLayer(np.zeros((2, 4)), heads[2].bias)
+    return layers, heads
+
+
+@pytest.mark.parametrize(
+    "case, slot, shape, expected",
+    [
+        ("unchained_layer", "layers[1].linear.weight", (3, 4), (3, 5)),
+        ("coords_rows", "layers[0].coords", (2, 4), (3, 4)),
+        ("head_width", "heads[2].weight", (2, 4), (2, 3)),
+    ],
+    ids=["unchained_layer", "coords_rows", "head_width"],
+)
+def test_a_mis_shaped_array_names_its_slot(case, slot, shape, expected):
+    layers, heads = mis_shaped(case)
+    message = f"{slot} has shape {shape}, expected {expected}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        TaanModel(layers, heads, task_count=3)
 
 
 def test_hard_sharing_with_tied_heads_is_task_independent():
@@ -698,6 +731,8 @@ def test_validation_errors():
         forward(model, {0: rng.standard_normal((2, ARCH.input_dim + 1))})
     with pytest.raises(ValueError):
         forward(model, {0: rng.standard_normal(ARCH.input_dim)})
+    with pytest.raises(ValueError, match="at least one"):
+        TaanModel([], [], 0)
     out, trace = forward(model, {0: rng.standard_normal((2, ARCH.input_dim))})
     with pytest.raises(ValueError):
         backward(model, trace, {0: np.ones((2, 3))})

@@ -188,3 +188,26 @@ def test_reg_config_coercion_and_validation():
         RegConfig("cos", -1.0)
     with pytest.raises(ValueError):
         RegConfig("cos", float("nan"))
+
+
+DIRECT_VALUES = {
+    RegKind.NONE: lambda a, cache: 0.0,
+    RegKind.TRACE_NORM: lambda a, cache: trace_norm(a),
+    RegKind.COSINE: cosine_reg,
+    RegKind.DISTANCE: distance_reg,
+}
+# The function-space gradients have no separate implementation; the
+# finite-difference tests above check them through reg_grad.
+DIRECT_GRADS = {
+    RegKind.NONE: lambda a: np.zeros_like(a),
+    RegKind.TRACE_NORM: trace_norm_grad,
+}
+
+
+@pytest.mark.parametrize("kind", list(RegKind), ids=lambda k: k.name.lower())
+def test_dispatch_equals_the_direct_call(kind):
+    cache = standard_cache()
+    a = np.random.default_rng(5).uniform(0.1, 1.0, (3, 4))
+    assert regularizer_value(kind, a, cache) == DIRECT_VALUES[kind](a, cache)
+    if kind in DIRECT_GRADS:
+        assert np.array_equal(reg_grad(kind, a, cache), DIRECT_GRADS[kind](a))
