@@ -55,24 +55,25 @@ class BasisGrid:
         return _backend.intervals(x, self.breakpoints, self.lookup, out, scratch)
 
 
-def _as_coords(coords, grid):
-    coords = np.ascontiguousarray(coords, dtype=np.float64)
-    if coords.shape != (len(grid),):
+def _coords(values, width, ndim=1):
+    """Coordinates as a contiguous float64 row of shape (width,) or, with
+    ``ndim`` 2, a (tasks, width) matrix; a width of None accepts any.  Any
+    other shape raises ValueError naming the coordinates and both shapes.
+    Finiteness is left to the caller."""
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    if values.ndim != ndim or width not in (None, values.shape[-1]):
+        name, shape = ("row", "({},)") if ndim == 1 else ("matrix", "(tasks, {})")
+        expected = shape.format("M" if width is None else width)
         raise ValueError(
-            f"coords has shape {coords.shape}, expected ({len(grid)},)"
+            f"coordinate {name} has shape {values.shape}, expected {expected}"
         )
-    return coords
+    return values
 
 
 def validate_coordinates(alpha, grid):
     """Check a task-by-basis coordinate matrix against a grid; returns it as
     a float64 array."""
-    alpha = np.ascontiguousarray(alpha, dtype=np.float64)
-    if alpha.ndim != 2 or alpha.shape[1] != len(grid):
-        raise ValueError(
-            f"coordinate matrix has shape {alpha.shape}, expected "
-            f"(tasks, {len(grid)})"
-        )
+    alpha = _coords(alpha, len(grid), 2)
     if not np.all(np.isfinite(alpha)):
         raise ValueError("coordinate matrix contains non-finite entries")
     return alpha
@@ -80,7 +81,7 @@ def validate_coordinates(alpha, grid):
 
 def apl_eval(x, coords, grid):
     """F(x) = max(0, x) + sum_i coords[i] * max(0, -x + b_i), scalar x."""
-    coords = _as_coords(coords, grid)
+    coords = _coords(coords, len(grid))
     acc = x if x > 0.0 else 0.0
     for ci, bi in zip(coords, grid.breakpoints):
         d = bi - x
@@ -91,7 +92,7 @@ def apl_eval(x, coords, grid):
 
 def apl_eval_batch(pre_activation, coords, grid):
     """Elementwise apl_eval; preserves the input's shape."""
-    coords = _as_coords(coords, grid)
+    coords = _coords(coords, len(grid))
     x = np.ascontiguousarray(pre_activation, dtype=np.float64).ravel()
     bps = grid.breakpoints
     tables = _backend.suffix_tables(coords, bps)
@@ -104,7 +105,8 @@ def apl_eval_pair(x, coords1, coords2, grid):
     functions.  The difference is read off the difference of their tables,
     so it carries no cancelled relu term."""
     bps = grid.breakpoints
-    tables = _backend.suffix_tables(np.stack([coords1, coords2]), bps)
+    pair = [_coords(c, bps.size) for c in (coords1, coords2)]
+    tables = _backend.suffix_tables(np.stack(pair), bps)
     tables1, tables2 = tables[:, : bps.size + 1], tables[:, bps.size + 1 :]
     k = grid.intervals(x)
     return (
@@ -120,7 +122,7 @@ def apl_grad_x(x, coords, grid):
     Uses the right-derivative at x = 0 (slope 1) and treats a hinge as
     inactive at x = b_i, so the subgradient choice is deterministic.
     """
-    coords = _as_coords(coords, grid)
+    coords = _coords(coords, len(grid))
     slope = 1.0 if x >= 0.0 else 0.0
     for ci, bi in zip(coords, grid.breakpoints):
         if x < bi:

@@ -33,7 +33,7 @@ from taan.data import (
     load_csv,
     save_csv,
 )
-from taan.metrics import GaussianMixture, mean_pairwise_distance
+from taan.metrics import GaussianMixture, build_gram, mean_pairwise_distance
 from taan.moments import (
     GaussianParams,
     moment_b0_sq,
@@ -51,7 +51,7 @@ from taan.network import (
     param_views,
     save_checkpoint,
 )
-from taan.regularizers import RegConfig, reg_grad, regularizer_value
+from taan.regularizers import RegConfig, RegKind, reg_grad, regularizer_value
 from taan.training import TrainConfig, _head_dims, train
 
 # The CLI's own defaults; everything else defaults in TrainConfig,
@@ -306,19 +306,16 @@ def _check_apl_gradients(rng):
 
 
 def _check_reg_gradients(rng):
-    from taan.metrics import build_gram
-
     grid = BasisGrid.even(6)
     cache = build_gram(grid, GaussianMixture.standard_normal())
     worst = 0.0
     for _ in range(3):
         alpha = rng.uniform(-1.0, 1.0, (4, len(grid)))
-        for kind in ("trace", "cos", "dis"):
-            config = RegConfig(kind, 1.0)
-            grad = reg_grad(config.kind, alpha, cache)
+        for kind in (k for k in RegKind if k is not RegKind.NONE):
+            grad = reg_grad(kind, alpha, cache)
 
             def objective():
-                return regularizer_value(config.kind, alpha, cache)
+                return regularizer_value(kind, alpha, cache)
 
             worst = max(worst, _fd_worst(objective, alpha, grad, range(alpha.size)))
     return worst
@@ -393,12 +390,11 @@ def check_bounds(seed, out=None):
 
 
 def cmd_check(args):
-    seed = args.seed if args.seed is not None else 0
     if args.kind == "moments":
         return check_moments()
     if args.kind == "gradients":
-        return check_gradients(seed)
-    return check_bounds(seed, getattr(args, "out", None))
+        return check_gradients(args.seed)
+    return check_bounds(args.seed, args.out)
 
 
 def build_parser():
@@ -418,7 +414,7 @@ def build_parser():
         if reg:
             p.add_argument(
                 "--reg",
-                choices=("none", "trace", "cos", "dis"),
+                choices=[kind.value for kind in RegKind],
                 help="coordinate-matrix regularizer",
             )
             p.add_argument(
@@ -440,7 +436,7 @@ def build_parser():
 
     p_check = sub.add_parser("check", help="numeric self-diagnostics")
     p_check.add_argument("kind", choices=("moments", "gradients", "bounds"))
-    p_check.add_argument("--seed", type=int)
+    p_check.add_argument("--seed", type=int, default=0)
     p_check.add_argument("--out", help="also write a CSV report here")
     p_check.set_defaults(func=cmd_check)
     return parser

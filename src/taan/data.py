@@ -18,6 +18,18 @@ SPLIT_TAGS = ("train", "val", "test")
 HIDDEN_UNITS = 16
 
 
+def _whole(name, value):
+    """``value`` as an int when it is a whole number (an int, a numpy int or
+    a whole-valued float); anything else raises ValueError naming the field."""
+    try:
+        whole = int(value)
+    except (TypeError, ValueError, OverflowError):
+        whole = None
+    if whole is None or whole != value:
+        raise ValueError(f"{name} must be a whole number, got {value}")
+    return whole
+
+
 @dataclass(frozen=True)
 class TaskDataset:
     """One task's examples: inputs (n, d) and targets (n, k) or labels (n,)."""
@@ -86,11 +98,11 @@ class SyntheticSpec:
     shared_inputs: bool = False
 
     def __post_init__(self):
-        if self.task_count < 1:
-            raise ValueError("task_count must be >= 1")
-        for name in ("samples_per_task", "input_dim", "output_dim"):
-            if getattr(self, name) < 1:
+        for name in ("task_count", "samples_per_task", "input_dim", "output_dim"):
+            value = _whole(name, getattr(self, name))
+            if value < 1:
                 raise ValueError(f"{name} must be >= 1")
+            object.__setattr__(self, name, value)
         if not (0.0 <= self.relatedness <= 1.0):
             raise ValueError("relatedness must lie in [0, 1]")
         if not (math.isfinite(self.noise) and self.noise >= 0):
@@ -98,7 +110,7 @@ class SyntheticSpec:
         clusters = self.clusters
         if clusters is None:
             clusters = (0,) * self.task_count
-        clusters = tuple(int(c) for c in clusters)
+        clusters = tuple(_whole("clusters", c) for c in clusters)
         if len(clusters) != self.task_count or any(c < 0 for c in clusters):
             raise ValueError(
                 "clusters needs one id >= 0 per task "
@@ -241,7 +253,8 @@ def load_csv(path, schema: CsvSchema, task_id=0, split="train") -> TaskDataset:
 
 
 def save_csv(dataset: TaskDataset, path):
-    """Inverse of load_csv; repr() floats give byte-stable reruns."""
+    """Inverse of load_csv; 1-D labels become one target column.  Cells are
+    written by ``_write_csv``'s one rule, so reruns give identical bytes."""
     targets = np.asarray(dataset.targets, dtype=np.float64)
     if targets.ndim == 1:
         targets = targets[:, None]

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from taan.apl import BasisGrid, apl_eval_pair
+from taan.apl import BasisGrid, _coords, apl_eval_pair
 from taan.moments import GaussianParams, moment_b0_sq, moment_b0b, std_normal_cdf
 from taan.moments import _moment_bb, _std_normal_pdf
 
@@ -149,21 +149,9 @@ def layer_grams(grids, mixture: GaussianMixture):
     return [built[id(grid)] for grid in grids]
 
 
-def _pair(c1, c2, cache):
-    m = cache.basis_count
-    c1 = np.ascontiguousarray(c1, dtype=np.float64)
-    c2 = np.ascontiguousarray(c2, dtype=np.float64)
-    if c1.shape != (m,) or c2.shape != (m,):
-        raise ValueError(
-            f"coordinate vectors must have shape ({m},), got "
-            f"{c1.shape} and {c2.shape}"
-        )
-    return c1, c2
-
-
 def inner_product(c1, c2, cache: GramCache):
     """<F1, F2> under the mixture; symmetric in the two coordinate vectors."""
-    c1, c2 = _pair(c1, c2, cache)
+    c1, c2 = (_coords(c, cache.basis_count) for c in (c1, c2))
     return float(
         cache.relu_relu
         + (c1 + c2) @ cache.relu_hinge
@@ -173,8 +161,7 @@ def inner_product(c1, c2, cache: GramCache):
 
 def distance_sq(c1, c2, cache: GramCache):
     """E[(F1(X) - F2(X))^2]: the Gram quadratic form of the difference."""
-    c1, c2 = _pair(c1, c2, cache)
-    d = c1 - c2
+    d = _coords(c1, cache.basis_count) - _coords(c2, cache.basis_count)
     return float(d @ cache.hinge_hinge @ d)
 
 
@@ -210,12 +197,7 @@ def distance_matrix(alpha, cache: GramCache):
     exactly zero diagonal by construction; tiny negative rounding residue is
     clipped to zero.
     """
-    alpha = np.asarray(alpha, dtype=np.float64)
-    if alpha.ndim != 2 or alpha.shape[1] != cache.basis_count:
-        raise ValueError(
-            f"coordinate matrix has shape {alpha.shape}, expected "
-            f"(tasks, {cache.basis_count})"
-        )
+    alpha = _coords(alpha, cache.basis_count, 2)
     i, j = np.triu_indices(alpha.shape[0], 1)
     diff = alpha[i] - alpha[j]
     d = np.zeros((alpha.shape[0],) * 2)

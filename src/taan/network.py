@@ -17,6 +17,7 @@ import numpy as np
 
 from taan import _backend
 from taan.apl import BasisGrid, validate_coordinates
+from taan.data import _whole
 from taan.metrics import GaussianMixture
 
 COORD_INIT_SCALE = 0.01
@@ -378,14 +379,12 @@ class ArchitectureSpec:
         basis_count=8,
         basis_range=(-2.0, 2.0),
     ):
-        self.input_dim = int(input_dim)
-        self.hidden_widths = tuple(int(w) for w in hidden_widths)
-        if isinstance(output_dim, (int, np.integer)):
-            self.output_dims = (int(output_dim),) * int(task_count)
-        else:
-            self.output_dims = tuple(int(d) for d in output_dim)
-        self.task_count = int(task_count)
-        self.basis_count = int(basis_count)
+        self.task_count = _whole("task_count", task_count)
+        self.input_dim = _whole("input_dim", input_dim)
+        self.hidden_widths = tuple(_whole("hidden_widths", w) for w in hidden_widths)
+        dims = output_dim if np.ndim(output_dim) else [output_dim] * self.task_count
+        self.output_dims = tuple(_whole("output_dim", d) for d in dims)
+        self.basis_count = _whole("basis_count", basis_count)
         self.basis_range = (float(basis_range[0]), float(basis_range[1]))
         if self.task_count < 1:
             raise ValueError("task_count must be >= 1")

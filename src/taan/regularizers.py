@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from taan.apl import _coords
 from taan.metrics import (
     DEGENERATE_NORM_EPS,
     DegenerateFunctionError,
@@ -49,25 +50,16 @@ class RegConfig:
         object.__setattr__(self, "coefficient", c)
 
 
-def _as_matrix(alpha):
-    alpha = np.asarray(alpha, dtype=np.float64)
-    if alpha.ndim != 2:
-        raise ValueError(f"expected a 2-D coordinate matrix, got {alpha.shape}")
-    return alpha
-
-
 def trace_norm(alpha):
     """Nuclear norm: the sum of singular values."""
-    alpha = _as_matrix(alpha)
-    return float(np.linalg.svd(alpha, compute_uv=False).sum())
+    return float(np.linalg.svd(_coords(alpha, None, 2), compute_uv=False).sum())
 
 
 def trace_norm_grad(alpha):
     """Subgradient U V' from the thin SVD, dropping directions whose
     singular value falls below the cutoff (any subdifferential element is
     valid; this choice is deterministic)."""
-    alpha = _as_matrix(alpha)
-    u, s, vt = np.linalg.svd(alpha, full_matrices=False)
+    u, s, vt = np.linalg.svd(_coords(alpha, None, 2), full_matrices=False)
     keep = s > SINGULAR_VALUE_CUTOFF
     return u[:, keep] @ vt[keep, :]
 
@@ -97,14 +89,14 @@ def _centred_gram(alpha, cache):
 
 def cosine_reg(alpha, cache: GramCache):
     """Negative mean of all pairwise cosine similarities (in [-1, 1])."""
-    _, _, cos = _cosine_terms(_as_matrix(alpha), cache)
+    _, _, cos = _cosine_terms(_coords(alpha, cache.basis_count, 2), cache)
     return float(-cos.mean())
 
 
 def distance_reg(alpha, cache: GramCache):
     """Mean of all pairwise squared function distances (>= 0): the centred
     form (2 / T) sum_t (a_t - a_bar)' G (a_t - a_bar)."""
-    alpha = _as_matrix(alpha)
+    alpha = _coords(alpha, cache.basis_count, 2)
     centred, centred_g = _centred_gram(alpha, cache)
     quad = np.einsum("ij,ij->", centred_g, centred)
     return float(2.0 * quad / alpha.shape[0] ** 3)
@@ -124,14 +116,14 @@ def regularizer_value(kind: RegKind, alpha, cache=None):
 
 def reg_grad(kind: RegKind, alpha, cache=None):
     """Gradient of the selected regularizer with respect to alpha."""
-    alpha = _as_matrix(alpha)
-    t = alpha.shape[0]
     if kind is RegKind.NONE:
-        return np.zeros_like(alpha)
+        return np.zeros_like(_coords(alpha, None, 2))
     if kind is RegKind.TRACE_NORM:
         return trace_norm_grad(alpha)
     if cache is None:
         raise ValueError(f"{kind} requires a Gram cache")
+    alpha = _coords(alpha, cache.basis_count, 2)
+    t = alpha.shape[0]
     if kind is RegKind.DISTANCE:
         # row t of the gradient: (4 / T^2) * sum_j G (a_t - a_j)
         return (4.0 / t**2) * _centred_gram(alpha, cache)[1]

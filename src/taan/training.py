@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from taan.data import _write_csv
+from taan.data import _whole, _write_csv
 from taan.metrics import (
     GaussianMixture,
     distance_matrix,
@@ -91,6 +91,8 @@ class TrainConfig:
     loss: object = "squared_error"
 
     def __post_init__(self):
+        for name in ("epochs", "batch_size"):
+            object.__setattr__(self, name, _whole(name, getattr(self, name)))
         if self.epochs < 0 or self.batch_size < 1:
             raise ValueError("epochs must be >= 0 and batch_size >= 1")
         for name in ("learning_rate", "beta1", "beta2", "epsilon"):

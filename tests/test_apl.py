@@ -1,4 +1,7 @@
-"""Piecewise-linear activation: values, gradients, grid validation."""
+"""Piecewise-linear activation: values, gradients, grid validation, and the
+one coordinate-shape rule every reader of coordinates goes through."""
+
+import re
 
 import numpy as np
 import pytest
@@ -7,9 +10,25 @@ from taan.apl import (
     BasisGrid,
     apl_eval,
     apl_eval_batch,
+    apl_eval_pair,
     apl_grad_coords,
     apl_grad_x,
     validate_coordinates,
+)
+from taan.metrics import (
+    GaussianMixture,
+    build_gram,
+    distance_matrix,
+    distance_sq,
+    inner_product,
+    mc_inner_and_distance,
+)
+from taan.regularizers import (
+    RegKind,
+    cosine_reg,
+    distance_reg,
+    reg_grad,
+    regularizer_value,
 )
 
 
@@ -103,6 +122,8 @@ def test_grad_coords_is_hinge_value():
     grid = BasisGrid(np.array([-1.0, 1.0]))
     assert np.array_equal(apl_grad_coords(0.0, grid), np.array([0.0, 1.0]))
     assert np.array_equal(apl_grad_coords(-2.0, grid), np.array([1.0, 3.0]))
+    with pytest.raises(ValueError, match="x must be finite"):
+        apl_grad_coords(np.inf, grid)
 
 
 def test_even_grid_layout():
@@ -139,3 +160,44 @@ def test_validate_coordinates():
         validate_coordinates(np.zeros((4, 2)), grid)
     with pytest.raises(ValueError):
         validate_coordinates(np.full((4, 3), np.nan), grid)
+
+
+GRID4 = BasisGrid.even(4)
+CACHE4 = build_gram(GRID4, GaussianMixture.standard_normal())
+ROW, WIDE_ROW, WIDE = np.full(4, 0.1), np.full(5, 0.1), np.full((3, 5), 0.1)
+ROW_MESSAGE = "coordinate row has shape (5,), expected (4,)"
+MATRIX_MESSAGE = "coordinate matrix has shape (3, 5), expected (tasks, 4)"
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: apl_eval(0.5, WIDE_ROW, GRID4), ROW_MESSAGE),
+        (lambda: apl_eval_pair(np.zeros(3), ROW, WIDE_ROW, GRID4), ROW_MESSAGE),
+        (lambda: inner_product(ROW, WIDE_ROW, CACHE4), ROW_MESSAGE),
+        (lambda: distance_sq(WIDE_ROW, ROW, CACHE4), ROW_MESSAGE),
+        (lambda: distance_matrix(WIDE, CACHE4), MATRIX_MESSAGE),
+        (lambda: cosine_reg(WIDE, CACHE4), MATRIX_MESSAGE),
+        (lambda: distance_reg(WIDE, CACHE4), MATRIX_MESSAGE),
+        (lambda: regularizer_value(RegKind.COSINE, WIDE, CACHE4), MATRIX_MESSAGE),
+        (lambda: regularizer_value(RegKind.DISTANCE, WIDE, CACHE4), MATRIX_MESSAGE),
+        (lambda: reg_grad(RegKind.COSINE, WIDE, CACHE4), MATRIX_MESSAGE),
+        (lambda: reg_grad(RegKind.DISTANCE, WIDE, CACHE4), MATRIX_MESSAGE),
+        (
+            lambda: mc_inner_and_distance(
+                np.zeros(8), np.zeros(8), GRID4, GaussianMixture.standard_normal(),
+                100, np.random.default_rng(0),
+            ),
+            "coordinate row has shape (8,), expected (4,)",
+        ),
+    ],
+    ids=[
+        "apl_eval", "apl_eval_pair", "inner_product", "distance_sq",
+        "distance_matrix", "cosine_reg", "distance_reg", "regularizer_value_cos",
+        "regularizer_value_dis", "reg_grad_cos", "reg_grad_dis",
+        "mc_inner_and_distance",
+    ],
+)
+def test_coordinates_of_the_wrong_width_are_named(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()

@@ -4,6 +4,7 @@ on what the CLI hands its writers."""
 import json
 import subprocess
 import sys
+import zipfile
 
 import numpy as np
 import pytest
@@ -405,6 +406,34 @@ def test_train_rejects_both_data_sources(tmp_path):
     proc = run_cli("train", "--config", str(path), "--out", "run", cwd=tmp_path)
     assert proc.returncode == 1
     assert "data.synthetic" in proc.stderr and "data.csv" in proc.stderr
+    # A config that clears the default synthetic block names both sources too.
+    path.write_text(json.dumps({"data": {"synthetic": None}}), encoding="utf-8")
+    args = cli.PARSER.parse_args(
+        ["train", "--config", str(path), "--out", str(tmp_path)]
+    )
+    with pytest.raises(ValueError, match="config needs data.synthetic or data.csv"):
+        cli.cmd_train(args)
+
+
+def test_train_seed_flag_equals_the_config_seed(tmp_path):
+    # In process: --seed 5 over a seed-3 config trains what "seed": 5 does.
+    flagged = write_config(tmp_path)
+    seeded = tmp_path / "seed5.json"
+    seeded.write_text(json.dumps({**SMALL_CONFIG, "seed": 5}), encoding="utf-8")
+    runs = {
+        "flag": [str(flagged), "--seed", "5"],
+        "file": [str(seeded)],
+        "seed3": [str(flagged)],
+    }
+    outputs = {}
+    for name, config in runs.items():
+        out = tmp_path / name
+        assert cli.main(["train", "--config", *config, "--out", str(out)]) == 0
+        with zipfile.ZipFile(out / "checkpoints/model.npz") as zf:
+            members = {m: zf.read(m) for m in zf.namelist()}
+        outputs[name] = ((out / "history/history.csv").read_bytes(), members)
+    assert outputs["flag"] == outputs["file"]
+    assert outputs["flag"] != outputs["seed3"]
 
 
 def test_train_divergence_exits_1_without_checkpoint(tmp_path):

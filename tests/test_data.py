@@ -122,6 +122,12 @@ def test_spec_validation():
         SyntheticSpec(train_fraction=0.0)
     with pytest.raises(ValueError):
         SyntheticSpec(samples_per_task=3, train_fraction=0.6, val_fraction=0.2)
+    with pytest.raises(ValueError, match="clusters must be a whole number, got 1.7"):
+        SyntheticSpec(task_count=2, clusters=[0, 1.7])
+    with pytest.raises(ValueError, match="samples_per_task .* got 100.5"):
+        SyntheticSpec(samples_per_task=100.5)
+    whole = SyntheticSpec(task_count=2.0, samples_per_task=100.0, clusters=[0, 1.0])
+    assert whole.split_sizes() == (60, 20, 20) and whole.clusters == (0, 1)
     # Defaults fill one cluster per task.
     assert SyntheticSpec(task_count=3).clusters == (0, 0, 0)
 
@@ -158,6 +164,11 @@ def test_csv_round_trip_bitwise(tmp_path):
     second = tmp_path / "again.csv"
     save_csv(again, second)
     assert path.read_bytes() == second.read_bytes()
+    # 1-D class labels are written as one target column.
+    labels = TaskDataset(ds.inputs, np.arange(len(ds)) % 3, 0, "train")
+    save_csv(labels, tmp_path / "labels.csv")
+    read = load_csv(tmp_path / "labels.csv", CsvSchema(3, 1))
+    assert np.array_equal(read.targets, labels.targets[:, None])
 
 
 def test_csv_cells_are_written_by_one_rule(tmp_path):

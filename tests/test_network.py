@@ -625,11 +625,13 @@ def edit_meta(**changes):
         {"mixture": np.array([[0.5, 0.4], [0.0, 0.0], [1.0, 1.0]])},
         edit_meta(task_count=0),
         edit_meta(widths=[-5]),
+        {"mixture": np.array([[1.0], [0.0]])},
     ],
     ids=[
         "widths_longer_than_basis_counts", "missing_widths", "missing_task_count",
         "bad_json", "bad_utf8", "meta_not_object", "descending_breakpoints",
         "nan_breakpoint", "mixture_weights", "zero_tasks", "negative_width",
+        "mixture_shape",
     ],
 )
 def test_checkpoint_corrupt_meta_is_one_error_naming_the_path(tmp_path, members):
@@ -748,3 +750,15 @@ def test_validation_errors():
     lin = LinearLayer(np.ones((3, 4)), np.zeros(3))
     with pytest.raises(ValueError):
         TaanModel([AalLayer(lin, np.zeros((2, 4)), grid)], [lin], task_count=2)
+    with pytest.raises(ValueError, match="at least one task batch"):
+        forward(model, {})
+    with pytest.raises(ValueError, match=r"forward pass ran tasks \[0\]"):
+        backward(model, trace, {1: np.ones((2, 2))})
+    with pytest.raises(ValueError, match="task_count must be >= 1"):
+        ArchitectureSpec(4, (5,), 1, task_count=0)
+    # Sizes are whole numbers: a fractional one is named, a whole float is an int.
+    with pytest.raises(ValueError, match="hidden_widths must be a whole .* got 32.5"):
+        ArchitectureSpec(8, (32.5,), 1, task_count=8)
+    whole = ArchitectureSpec(8.0, (np.int64(32),), 1, task_count=8, basis_count=16.0)
+    assert (whole.input_dim, whole.hidden_widths, whole.basis_count) == (8, (32,), 16)
+    assert all(type(n) is int for n in (whole.input_dim, *whole.hidden_widths))

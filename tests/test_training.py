@@ -130,6 +130,8 @@ def test_cross_entropy_value_and_grad():
     assert loss2 == loss and np.array_equal(grad, grad2)
     with pytest.raises(ValueError):
         cross_entropy(np.zeros((1, 2)), np.array([5]))
+    with pytest.raises(ValueError, match="batch size does not match"):
+        cross_entropy(np.zeros((2, 3)), np.eye(3))
 
 
 def test_fractional_class_labels_are_rejected():
@@ -180,6 +182,11 @@ def test_train_config_validation():
         TrainConfig(epochs=1, beta2=1.0)
     with pytest.raises(ValueError):
         TrainConfig(epochs=1, loss="huber")
+    with pytest.raises(ValueError, match="epochs must be a whole number, got 2.5"):
+        TrainConfig(epochs=2.5)
+    with pytest.raises(ValueError, match="batch_size must be a whole number, got 8.5"):
+        TrainConfig(epochs=1, batch_size=8.5)
+    assert type(TrainConfig(epochs=2.0, batch_size=np.int64(8)).batch_size) is int
 
 
 def regression_setup(seed=3, task_count=2):
@@ -593,6 +600,9 @@ def test_evaluate_metrics():
     assert abs(evaluate(model, ranked, 0, "map_at_k", k=1) - 2.0 / 3.0) < 1e-12
     with pytest.raises(ValueError):
         evaluate(model, perfect, 0, "rmse")
+    narrow = TaskDataset(MAP_SCORES, MAP_SCORES[:, :3], 0, "test")
+    with pytest.raises(ValueError, match="target shape"):
+        evaluate(model, narrow, 0, "mse")
     empty = SimpleNamespace(inputs=np.zeros((0, 4)), targets=np.zeros((0, 4)))
     with pytest.raises(ValueError):
         evaluate(model, empty, 0, "mse")
