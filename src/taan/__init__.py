@@ -6,7 +6,7 @@ Gaussian moments turn activation similarity into exact inner products and
 distances, which coordinate-matrix regularizers then shape during training.
 """
 
-from taan.apl import BasisGrid, apl_eval, apl_eval_batch, apl_grad_coords, apl_grad_x
+from taan.apl import BasisGrid, apl_eval, apl_grad_coords, apl_grad_x
 from taan.data import (
     CsvSchema,
     SplitDatasets,
@@ -20,7 +20,6 @@ from taan.metrics import (
     GaussianMixture,
     GramCache,
     build_gram,
-    cosine_similarity,
     distance_matrix,
     distance_sq,
     inner_product,
@@ -64,7 +63,6 @@ __all__ = [
     # activations
     "BasisGrid",
     "apl_eval",
-    "apl_eval_batch",
     "apl_grad_coords",
     "apl_grad_x",
     # moments
@@ -78,7 +76,6 @@ __all__ = [
     "GaussianMixture",
     "GramCache",
     "build_gram",
-    "cosine_similarity",
     "distance_matrix",
     "distance_sq",
     "inner_product",

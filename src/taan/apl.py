@@ -90,16 +90,6 @@ def apl_eval(x, coords, grid):
     return float(acc)
 
 
-def apl_eval_batch(pre_activation, coords, grid):
-    """Elementwise apl_eval; preserves the input's shape."""
-    coords = _coords(coords, len(grid))
-    x = np.ascontiguousarray(pre_activation, dtype=np.float64).ravel()
-    bps = grid.breakpoints
-    tables = _backend.suffix_tables(coords, bps)
-    out = _backend.apl_forward(x, grid.intervals(x), tables, bps)
-    return out.reshape(np.shape(pre_activation))
-
-
 def apl_eval_pair(x, coords1, coords2, grid):
     """(F1, F2, F1 - F2) over a 1-D array, with one interval lookup for both
     functions.  The difference is read off the difference of their tables,

@@ -18,15 +18,18 @@ SPLIT_TAGS = ("train", "val", "test")
 HIDDEN_UNITS = 16
 
 
-def _whole(name, value):
+def _whole(name, value, least=None):
     """``value`` as an int when it is a whole number (an int, a numpy int or
-    a whole-valued float); anything else raises ValueError naming the field."""
+    a whole-valued float) and at least ``least``, if given; anything else, a
+    bool too, raises ValueError naming the field."""
     try:
-        whole = int(value)
+        whole = None if isinstance(value, (bool, np.bool_)) else int(value)
     except (TypeError, ValueError, OverflowError):
         whole = None
     if whole is None or whole != value:
         raise ValueError(f"{name} must be a whole number, got {value}")
+    if least is not None and whole < least:
+        raise ValueError(f"{name} must be >= {least}, got {whole}")
     return whole
 
 
@@ -99,10 +102,8 @@ class SyntheticSpec:
 
     def __post_init__(self):
         for name in ("task_count", "samples_per_task", "input_dim", "output_dim"):
-            value = _whole(name, getattr(self, name))
-            if value < 1:
-                raise ValueError(f"{name} must be >= 1")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, _whole(name, getattr(self, name), 1))
+        object.__setattr__(self, "seed", _whole("seed", self.seed, 0))
         if not (0.0 <= self.relatedness <= 1.0):
             raise ValueError("relatedness must lie in [0, 1]")
         if not (math.isfinite(self.noise) and self.noise >= 0):

@@ -176,17 +176,6 @@ def norm(c, cache: GramCache):
     return math.sqrt(max(ip, 0.0))
 
 
-def cosine_similarity(c1, c2, cache: GramCache):
-    """<F1, F2> / (||F1|| ||F2||), in [-1, 1] up to rounding."""
-    n1 = norm(c1, cache)
-    n2 = norm(c2, cache)
-    if n1 <= DEGENERATE_NORM_EPS or n2 <= DEGENERATE_NORM_EPS:
-        raise DegenerateFunctionError(
-            f"cosine similarity undefined for near-zero norms ({n1}, {n2})"
-        )
-    return inner_product(c1, c2, cache) / (n1 * n2)
-
-
 def distance_matrix(alpha, cache: GramCache):
     """All pairwise squared distances between the rows of a coordinate
     matrix.

@@ -379,15 +379,13 @@ class ArchitectureSpec:
         basis_count=8,
         basis_range=(-2.0, 2.0),
     ):
-        self.task_count = _whole("task_count", task_count)
+        self.task_count = _whole("task_count", task_count, 1)
         self.input_dim = _whole("input_dim", input_dim)
         self.hidden_widths = tuple(_whole("hidden_widths", w) for w in hidden_widths)
         dims = output_dim if np.ndim(output_dim) else [output_dim] * self.task_count
         self.output_dims = tuple(_whole("output_dim", d) for d in dims)
         self.basis_count = _whole("basis_count", basis_count)
         self.basis_range = (float(basis_range[0]), float(basis_range[1]))
-        if self.task_count < 1:
-            raise ValueError("task_count must be >= 1")
         if len(self.output_dims) != self.task_count:
             raise ValueError("need one output dim per task")
         bad = [
@@ -402,8 +400,8 @@ class ArchitectureSpec:
 def build_model(arch: ArchitectureSpec, seed) -> TaanModel:
     """Seeded initialization: He-uniform weights, zero biases, coordinate
     rows i.i.d. uniform on [-0.01, 0.01] (a near-ReLU start with just enough
-    asymmetry for tasks to diverge)."""
-    rng = np.random.default_rng(seed)
+    asymmetry for tasks to diverge); ``seed`` is a whole number >= 0."""
+    rng = np.random.default_rng(_whole("seed", seed, 0))
     grid = BasisGrid.even(arch.basis_count, *arch.basis_range)
     depth = len(arch.hidden_widths)
     layout, size = _layout(
@@ -537,14 +535,16 @@ def load_checkpoint(path):
     equal breakpoints share one ``BasisGrid``.  A file that is not an npz
     archive, a missing or malformed member, a missing ``meta`` key and
     ``meta`` values that do not describe a model raise one ValueError
-    naming the path.
+    naming the path.  The file is opened once and closed on every path,
+    also when ``np.load`` fails on a truncated archive.
     """
     try:
         with open(path, "rb") as fh:  # np.load's own test for a zip archive
             if fh.read(4) not in (b"PK\x03\x04", b"PK\x05\x06"):
                 raise ValueError("not an npz checkpoint archive")
-        with np.load(path) as archive:
-            return _checkpoint_from_archive(archive)
+            fh.seek(0)
+            with np.load(fh) as archive:
+                return _checkpoint_from_archive(archive)
     except KeyError as exc:
         raise ValueError(f"checkpoint {path}: meta has no key {exc}") from exc
     except (AttributeError, TypeError, ValueError, zipfile.BadZipFile) as exc:

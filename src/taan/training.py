@@ -91,10 +91,8 @@ class TrainConfig:
     loss: object = "squared_error"
 
     def __post_init__(self):
-        for name in ("epochs", "batch_size"):
-            object.__setattr__(self, name, _whole(name, getattr(self, name)))
-        if self.epochs < 0 or self.batch_size < 1:
-            raise ValueError("epochs must be >= 0 and batch_size >= 1")
+        for name, least in (("epochs", 0), ("batch_size", 1), ("seed", 0)):
+            object.__setattr__(self, name, _whole(name, getattr(self, name), least))
         for name in ("learning_rate", "beta1", "beta2", "epsilon"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):

@@ -164,6 +164,12 @@ def test_layer1_unit_gaussians_are_exact():
         assert abs(g.sigma - np.sqrt(np.sum(linear.weight[n] ** 2))) < 1e-15
 
 
+def test_layer1_unit_gaussians_need_an_activation_layer():
+    heads_only = build_model(ArchitectureSpec(3, (), 1, task_count=2), 0)
+    with pytest.raises(ValueError, match="model has no activation layers"):
+        layer1_unit_gaussians(heads_only)
+
+
 def test_l1_bound_holds_with_unit_envelope():
     model = spread_model(seed=5, task_count=2)
     gaussians = layer1_unit_gaussians(model)

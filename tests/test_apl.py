@@ -9,7 +9,6 @@ import pytest
 from taan.apl import (
     BasisGrid,
     apl_eval,
-    apl_eval_batch,
     apl_eval_pair,
     apl_grad_coords,
     apl_grad_x,
@@ -61,17 +60,6 @@ def test_single_breakpoint_hand_values():
     coords = np.array([0.5])
     for x, expected in ((-1.0, 1.0), (0.0, 0.5), (1.0, 1.0), (2.0, 2.0)):
         assert apl_eval(x, coords, grid) == expected
-
-
-def test_batch_eval_preserves_shape_and_values():
-    rng = np.random.default_rng(11)
-    grid = BasisGrid.even(5)
-    coords = rng.uniform(-1.0, 1.0, 5)
-    x = rng.standard_normal((4, 6)) * 2.0
-    out = apl_eval_batch(x, coords, grid)
-    assert out.shape == x.shape
-    for idx in np.ndindex(x.shape):
-        assert abs(out[idx] - apl_eval(float(x[idx]), coords, grid)) < 1e-12
 
 
 def test_grad_x_matches_finite_differences():

@@ -11,7 +11,7 @@ import pytest
 
 import taan.cli as cli
 from conftest import child_env
-from taan.data import CsvSchema, TaskDataset, _read_csv, load_csv, save_csv
+from taan.data import CsvSchema, SyntheticSpec, TaskDataset, _read_csv, load_csv, save_csv
 from taan.analysis import check_l1_bounds, load_heatmap_csv
 from taan.network import (
     ArchitectureSpec,
@@ -19,6 +19,7 @@ from taan.network import (
     load_checkpoint,
     save_checkpoint,
 )
+from taan.training import TrainConfig
 
 SMALL_CONFIG = {
     "seed": 3,
@@ -204,6 +205,29 @@ def test_bad_config_fails_cleanly(tmp_path):
     assert proc.returncode == 1
     assert proc.stderr.startswith("error:")
     assert "relatedness" in proc.stderr
+
+
+def test_seeds_are_whole_numbers_at_least_zero(tmp_path, capsys):
+    arch = ArchitectureSpec(3, (4,), 1, task_count=1)
+    makers = (
+        lambda seed: SyntheticSpec(task_count=1, samples_per_task=10, seed=seed),
+        lambda seed: TrainConfig(epochs=1, seed=seed),
+        lambda seed: build_model(arch, seed),
+    )
+    for seed, message in (
+        (2.5, "seed must be a whole number, got 2.5"),
+        (True, "seed must be a whole number, got True"),
+        (-1, "seed must be >= 0, got -1"),
+    ):
+        for make in makers:
+            with pytest.raises(ValueError, match=message):
+                make(seed)
+    # A config's seed at the top level, under train or under data.synthetic.
+    for where in ("seed", "train.seed", "data.synthetic.seed"):
+        cfg = write_config(tmp_path, {where: 2.5})
+        argv = ["train", "--config", str(cfg), "--out", str(tmp_path / "run")]
+        assert cli.main(argv) == 1
+        assert "error: seed must be a whole number, got 2.5" in capsys.readouterr().err
 
 
 def test_missing_subcommand_is_a_usage_error(tmp_path, capsys):

@@ -9,6 +9,7 @@ from taan.data import (
     SyntheticSpec,
     TaskDataset,
     generate,
+    _whole,
     _write_csv,
     load_csv,
     save_csv,
@@ -130,6 +131,17 @@ def test_spec_validation():
     assert whole.split_sizes() == (60, 20, 20) and whole.clusters == (0, 1)
     # Defaults fill one cluster per task.
     assert SyntheticSpec(task_count=3).clusters == (0, 0, 0)
+    # A bool is not a count or an id: a JSON true must not become 1.
+    with pytest.raises(ValueError, match="task_count must be a whole number, got True"):
+        SyntheticSpec(task_count=True)
+    with pytest.raises(ValueError, match="clusters must be a whole number, got False"):
+        SyntheticSpec(task_count=1, clusters=[False])
+
+
+@pytest.mark.parametrize("value", [None, "abc"])
+def test_whole_rejects_what_is_not_a_number(value):
+    with pytest.raises(ValueError, match=f"size must be a whole number, got {value}"):
+        _whole("size", value)
 
 
 def test_dataset_validation():

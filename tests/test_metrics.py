@@ -11,8 +11,8 @@ from taan.metrics import (
     DegenerateFunctionError,
     GaussianMixture,
     GramCache,
+    NumericError,
     build_gram,
-    cosine_similarity,
     distance_matrix,
     distance_sq,
     inner_product,
@@ -22,6 +22,7 @@ from taan.metrics import (
     norm,
 )
 from taan.moments import GaussianParams, moment_b0_sq, moment_b0b, moment_bb
+from taan.regularizers import RegKind, cosine_reg, reg_grad
 
 
 def random_instance(rng, max_m=8):
@@ -270,7 +271,7 @@ def test_identical_coordinates_have_zero_distance_unit_cosine():
     cache = build_gram(grid, mixture)
     c = rng.uniform(-1.0, 1.0, len(grid))
     assert distance_sq(c, c, cache) == 0.0
-    assert abs(cosine_similarity(c, c, cache) - 1.0) < 1e-12
+    assert abs(cosine_reg(np.stack([c, c]), cache) + 1.0) < 1e-12
     assert abs(norm(c, cache) ** 2 - inner_product(c, c, cache)) < 1e-12
 
 
@@ -323,12 +324,45 @@ def test_mc_chunks_hold_at_most_mc_chunk_elements(width):
 def test_degenerate_cosine_raises():
     # A mixture far to the left of both the origin and the breakpoint makes
     # every basis function vanish on essentially all of the mass, so the
-    # norm underflows to zero and the cosine is undefined.
+    # norm underflows to zero and the cosine regularizer is undefined.
     left = GaussianMixture(np.array([1.0]), np.array([-40.0]), np.array([0.5]))
     lcache = build_gram(BasisGrid(np.array([-41.0])), left)
-    zero = np.zeros(1)
-    with pytest.raises(DegenerateFunctionError):
-        cosine_similarity(zero, zero, lcache)
+    zero = np.zeros((2, 1))
+    with pytest.raises(DegenerateFunctionError, match="near-zero-norm"):
+        cosine_reg(zero, lcache)
+    with pytest.raises(DegenerateFunctionError, match="near-zero-norm"):
+        reg_grad(RegKind.COSINE, zero, lcache)
+
+
+@pytest.mark.parametrize(
+    "make, error, message",
+    [
+        (
+            lambda: GaussianMixture(np.ones(1), np.zeros(2), np.ones(2)),
+            ValueError,
+            "weights, means, sigmas must be equal-length 1-D",
+        ),
+        (
+            lambda: GaussianMixture(np.ones(1), np.array([np.nan]), np.ones(1)),
+            ValueError,
+            "mixture parameters must be finite",
+        ),
+        (
+            lambda: GramCache(0.0, np.zeros(2), np.zeros((2, 3))),
+            ValueError,
+            r"inconsistent cache shapes \(2,\) and \(2, 3\)",
+        ),
+        (
+            lambda: norm(np.zeros(1), GramCache(-1.0, np.zeros(1), np.zeros((1, 1)))),
+            NumericError,
+            "self inner product -1.0 is negative",
+        ),
+    ],
+    ids=["mixture_unequal", "mixture_non_finite", "cache_shapes", "negative_norm"],
+)
+def test_invalid_metric_inputs_raise_naming_the_cause(make, error, message):
+    with pytest.raises(error, match=message):
+        make()
 
 
 def test_mixture_validation():

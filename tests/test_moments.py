@@ -149,6 +149,20 @@ def test_oracle_rejects_unknown_descriptor():
         oracle_moment(("bogus",), STD)
 
 
+@pytest.mark.parametrize(
+    "pair, message",
+    [
+        (("relu_sq", 1.0), "takes no breakpoints"),
+        (("relu_hinge",), r"\('relu_hinge', b\) expected"),
+        (("hinge_hinge", 1.0), r"\('hinge_hinge', bi, bj\) expected"),
+    ],
+    ids=["relu_sq", "relu_hinge", "hinge_hinge"],
+)
+def test_oracle_rejects_the_wrong_number_of_breakpoints(pair, message):
+    with pytest.raises(ValueError, match=message):
+        oracle_moment(pair, STD)
+
+
 def test_import_leaves_the_quadrature_module_unloaded():
     # Only oracle_moment integrates numerically; `import taan` stays light.
     code = "import sys, taan; print('scipy.integrate' in sys.modules)"

@@ -2,10 +2,12 @@
 finite differences, sharing reductions, checkpoint round-trips."""
 
 import copy
+import gc
 import json
 import pickle
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -542,6 +544,21 @@ def test_checkpoint_file_name_and_no_leftovers(tmp_path):
     assert seed == 1 and np.array_equal(loaded.params, model.params)
 
 
+@pytest.mark.parametrize("failure", ["write", "replace"])
+def test_checkpoint_failed_save_leaves_no_temporary_file(tmp_path, monkeypatch, failure):
+    def fail(*args, **kwargs):
+        raise OSError(f"{failure} failed")
+
+    path = tmp_path / "model.npz"
+    if failure == "write":
+        monkeypatch.setattr(np, "savez", fail)
+    else:
+        path.mkdir()  # the archive cannot replace a directory
+    with pytest.raises(OSError):
+        save_checkpoint(small_model(), path)
+    assert not list(tmp_path.glob("*.tmp"))
+
+
 def rewrite_members(path, out, **changes):
     """Copy an npz archive to ``out`` with members replaced (None drops)."""
     with np.load(path) as data:
@@ -645,13 +662,21 @@ def test_checkpoint_corrupt_meta_is_one_error_naming_the_path(tmp_path, members)
 
 
 def test_checkpoint_truncated_file_names_the_path(tmp_path):
+    # np.load gives up the file it opened before its archive reader raises on
+    # a truncated zip, so a loader that hands np.load the path leaks that
+    # handle; the loader's own handle is closed on every path.
     path = tmp_path / "model.npz"
     save_checkpoint(small_model(), path)
     data = path.read_bytes()
     path.write_bytes(data[: len(data) // 2])
-    with pytest.raises(ValueError, match="not a zip file") as info:
-        load_checkpoint(path)
-    assert str(info.value).count(str(path)) == 1
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match="not a zip file") as info:
+            load_checkpoint(path)
+        assert str(info.value).count(str(path)) == 1
+        del info
+        gc.collect()
+    assert not [str(w.message) for w in caught if w.category is ResourceWarning]
 
 
 def test_checkpoint_non_npz_file_names_the_path(tmp_path):
@@ -762,3 +787,13 @@ def test_validation_errors():
     whole = ArchitectureSpec(8.0, (np.int64(32),), 1, task_count=8, basis_count=16.0)
     assert (whole.input_dim, whole.hidden_widths, whole.basis_count) == (8, (32,), 16)
     assert all(type(n) is int for n in (whole.input_dim, *whole.hidden_widths))
+    # A bool is not a size: a JSON true must not become 1.
+    for name, value in (
+        ("task_count", True),
+        ("hidden_widths", (True,)),
+        ("output_dim", np.bool_(True)),
+        ("basis_count", True),
+    ):
+        sizes = dict(input_dim=8, hidden_widths=(4,), output_dim=1, task_count=1)
+        with pytest.raises(ValueError, match=f"{name} must be a whole number, got True"):
+            ArchitectureSpec(**{**sizes, name: value})

@@ -27,6 +27,7 @@ from taan.training import (
     AdamState,
     History,
     TrainConfig,
+    _head_dims,
     adam_step,
     cross_entropy,
     evaluate,
@@ -187,6 +188,11 @@ def test_train_config_validation():
     with pytest.raises(ValueError, match="batch_size must be a whole number, got 8.5"):
         TrainConfig(epochs=1, batch_size=8.5)
     assert type(TrainConfig(epochs=2.0, batch_size=np.int64(8)).batch_size) is int
+    # A bool is not a count: a JSON true must not become 1.
+    with pytest.raises(ValueError, match="epochs must be a whole number, got True"):
+        TrainConfig(epochs=True)
+    with pytest.raises(ValueError, match="batch_size must be a whole number, got True"):
+        TrainConfig(epochs=1, batch_size=np.bool_(True))
 
 
 def regression_setup(seed=3, task_count=2):
@@ -476,6 +482,30 @@ def test_unusable_targets_name_their_task_before_the_first_step():
         with pytest.raises(ValueError, match="task 1: " + match):
             train(model, pairs, TrainConfig(epochs=1))
     assert np.array_equal(model.params, before)
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("one_output_head", "task 0: cross_entropy needs at least 2 output classes, "
+         "but its head has 1 output"),
+        ("negative_labels", r"task 0: cross_entropy targets must be non-negative "
+         r"integer class labels; labels outside \[0, 1\)"),
+    ],
+    ids=["one_output_head", "negative_labels"],
+)
+def test_unusable_class_heads_and_labels_name_their_task(case, message):
+    inputs = regression_setup()[1][0].train.inputs
+    config = TrainConfig(epochs=1, loss="cross_entropy")
+    labels = np.arange(len(inputs)) % 2
+    if case == "one_output_head":
+        model = build_model(ArchitectureSpec(4, (8,), 1, task_count=1, basis_count=4), 0)
+        with pytest.raises(ValueError, match=message):
+            train(model, [(SimpleNamespace(inputs=inputs, targets=labels), None)], config)
+    else:
+        pairs = [(SimpleNamespace(inputs=inputs, targets=labels - 1), None)]
+        with pytest.raises(ValueError, match=message):
+            _head_dims(pairs, config)
 
 
 def test_out_of_range_validation_labels_fail_before_the_first_step():
