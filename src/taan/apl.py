@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from taan import _backend
+from taan.data import _whole
 
 
 @dataclass(frozen=True)
@@ -40,8 +41,7 @@ class BasisGrid:
     @classmethod
     def even(cls, basis_count, lo=-2.0, hi=2.0):
         """Evenly spaced grid of ``basis_count`` breakpoints on [lo, hi]."""
-        if basis_count < 1:
-            raise ValueError(f"basis_count must be >= 1, got {basis_count}")
+        basis_count = _whole("basis_count", basis_count, 1)
         if basis_count == 1:
             return cls(np.array([0.5 * (lo + hi)]))
         return cls(np.linspace(lo, hi, basis_count))

@@ -79,6 +79,11 @@ def load_config(args):
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as fh:
             file_cfg = json.load(fh)
+        if not isinstance(file_cfg, dict):
+            kind = type(file_cfg).__name__
+            raise ValueError(
+                f"config {args.config} must hold a JSON object, got {kind}"
+            )
         file_data = file_cfg.get("data", {})
         if "csv" in file_data:
             # A CSV source replaces the default synthetic benchmark.
@@ -128,6 +133,8 @@ def _load_datasets(cfg):
     schema = CsvSchema(**csv_cfg["schema"])
     out = []
     for t, entry in enumerate(csv_cfg["tasks"]):
+        if not (isinstance(entry, dict) and entry.get("train")):
+            raise ValueError(f"data.csv.tasks[{t}] has no train file")
         out.append(
             SplitDatasets(
                 load_csv(entry["train"], schema, t, "train"),

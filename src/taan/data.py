@@ -62,8 +62,7 @@ class TaskDataset:
             raise ValueError("datasets must not contain non-finite entries")
         if self.split not in SPLIT_TAGS:
             raise ValueError(f"split must be one of {SPLIT_TAGS}")
-        if int(self.task_id) < 0:
-            raise ValueError("task_id must be >= 0")
+        object.__setattr__(self, "task_id", _whole("task_id", self.task_id, 0))
         inputs.setflags(write=False)
         targets.setflags(write=False)
         object.__setattr__(self, "inputs", inputs)
@@ -189,8 +188,8 @@ class CsvSchema:
     n_targets: int
 
     def __post_init__(self):
-        if self.n_inputs < 1 or self.n_targets < 1:
-            raise ValueError("schema needs at least one input and one target")
+        for name in ("n_inputs", "n_targets"):
+            object.__setattr__(self, name, _whole(name, getattr(self, name), 1))
 
     def header(self):
         return [f"x{i}" for i in range(self.n_inputs)] + [

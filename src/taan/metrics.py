@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from taan.apl import BasisGrid, _coords, apl_eval_pair
+from taan.data import _whole
 from taan.moments import GaussianParams, moment_b0_sq, moment_b0b, std_normal_cdf
 from taan.moments import _moment_bb, _std_normal_pdf
 
@@ -237,8 +238,7 @@ def _mc_mean_se(draw, n_samples, width):
     benchmark's tracer, which wraps public functions, charges the sampling
     loop to the caller.
     """
-    if n_samples < 2:
-        raise ValueError(f"need at least 2 Monte-Carlo samples, got {n_samples!r}")
+    n_samples = _whole("Monte-Carlo sample count", n_samples, 2)
     chunk = max(1, MC_CHUNK // width)
     means = m2 = 0.0
     done = 0

@@ -176,8 +176,9 @@ class TaanModel(_Owned):
         return self.layout[0][2][1]  # the first weight is (out, input_dim)
 
     def _task(self, task):
-        """The task id as an int; any other value raises ValueError naming it."""
-        if not (isinstance(task, (int, np.integer)) and 0 <= task < self.task_count):
+        """The task id as an int (not a bool); anything else raises ValueError."""
+        is_int = isinstance(task, (int, np.integer)) and not isinstance(task, bool)
+        if not (is_int and 0 <= task < self.task_count):
             raise ValueError(
                 f"unknown task id {task!r} for a {self.task_count}-task model"
             )
@@ -380,21 +381,14 @@ class ArchitectureSpec:
         basis_range=(-2.0, 2.0),
     ):
         self.task_count = _whole("task_count", task_count, 1)
-        self.input_dim = _whole("input_dim", input_dim)
-        self.hidden_widths = tuple(_whole("hidden_widths", w) for w in hidden_widths)
+        self.input_dim = _whole("input_dim", input_dim, 1)
+        self.hidden_widths = tuple(_whole("hidden_widths", w, 1) for w in hidden_widths)
         dims = output_dim if np.ndim(output_dim) else [output_dim] * self.task_count
-        self.output_dims = tuple(_whole("output_dim", d) for d in dims)
-        self.basis_count = _whole("basis_count", basis_count)
+        self.output_dims = tuple(_whole("output_dim", d, 1) for d in dims)
+        self.basis_count = _whole("basis_count", basis_count, 1)
         self.basis_range = (float(basis_range[0]), float(basis_range[1]))
         if len(self.output_dims) != self.task_count:
             raise ValueError("need one output dim per task")
-        bad = [
-            w
-            for w in (self.input_dim, *self.hidden_widths, *self.output_dims)
-            if w < 1
-        ]
-        if bad:
-            raise ValueError(f"invalid width(s) {bad}; all must be >= 1")
 
 
 def build_model(arch: ArchitectureSpec, seed) -> TaanModel:
@@ -567,21 +561,18 @@ def _checkpoint_from_archive(archive):
             f"format {version}, not {CHECKPOINT_FORMAT}; format 1, the old "
             "per-array layout with one member per array, is no longer read"
         )
-    task_count, widths, counts = (
-        meta["task_count"], meta["widths"], meta["basis_counts"]
+    task_count, input_dim = (
+        _whole(f"meta {key}", meta[key], 0) for key in ("task_count", "input_dim")
     )
-    if len(widths) != len(counts):
+    widths, counts, output_dims = (
+        [_whole(f"meta {key}[{i}]", n, 0) for i, n in enumerate(meta[key])]
+        for key in ("widths", "basis_counts", "output_dims")
+    )
+    if (len(widths), len(output_dims)) != (len(counts), task_count):
         raise ValueError(
-            f"meta has {len(widths)} widths but {len(counts)} basis counts"
+            f"meta has {len(widths)} widths, {len(counts)} basis counts and "
+            f"{len(output_dims)} output dims for {task_count} tasks"
         )
-    output_dims = meta["output_dims"]
-    if len(output_dims) != task_count:
-        raise ValueError(
-            f"meta has {len(output_dims)} output dims for {task_count} tasks"
-        )
-    sizes = [task_count, meta["input_dim"], *widths, *counts, *output_dims]
-    if not all(isinstance(n, int) and n >= 0 for n in sizes):
-        raise ValueError("meta sizes must be non-negative integers")
     bps = data("breakpoints", (sum(counts),))
     grids, by_row, start = [], {}, 0
     for m in counts:
@@ -591,7 +582,7 @@ def _checkpoint_from_archive(archive):
         if key not in by_row:
             by_row[key] = BasisGrid(row)
         grids.append(by_row[key])
-    layout, size = _layout(meta["input_dim"], widths, counts, output_dims)
+    layout, size = _layout(input_dim, widths, counts, output_dims)
     params = data("params", (size,))
     if not np.all(np.isfinite(params)):
         raise ValueError("params has non-finite entries")

@@ -33,19 +33,30 @@ from taan.regularizers import RegConfig, RegKind, reg_grad, regularizer_value
 LOSS_KINDS = ("squared_error", "cross_entropy")
 
 
+def _check_adam(learning_rate, beta1, beta2, epsilon):
+    """Adam's settings, each positive and finite, and both betas below 1;
+    anything else raises ValueError naming the setting."""
+    names = ("learning_rate", "beta1", "beta2", "epsilon")
+    for name, value in zip(names, (learning_rate, beta1, beta2, epsilon)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be positive and finite")
+    if beta1 >= 1 or beta2 >= 1:
+        raise ValueError("beta1 and beta2 must be < 1")
+
+
 class AdamState:
-    """Adam accumulators plus the hyperparameters that drive the update."""
+    """Adam accumulators plus the hyperparameters that drive the update,
+    which are checked as ``TrainConfig`` checks them."""
 
     def __init__(self, m, v, step, learning_rate, beta1, beta2, epsilon):
+        _check_adam(learning_rate, beta1, beta2, epsilon)
         self.m = m
         self.v = v
-        self.step = step
+        self.step = _whole("step", step, 0)
         self.learning_rate = learning_rate
         self.beta1 = beta1
         self.beta2 = beta2
         self.epsilon = epsilon
-        if step < 0:
-            raise ValueError("step counter must be >= 0")
 
     @classmethod
     def for_params(
@@ -93,12 +104,7 @@ class TrainConfig:
     def __post_init__(self):
         for name, least in (("epochs", 0), ("batch_size", 1), ("seed", 0)):
             object.__setattr__(self, name, _whole(name, getattr(self, name), least))
-        for name in ("learning_rate", "beta1", "beta2", "epsilon"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be positive and finite")
-        if self.beta1 >= 1 or self.beta2 >= 1:
-            raise ValueError("beta1 and beta2 must be < 1")
+        _check_adam(self.learning_rate, self.beta1, self.beta2, self.epsilon)
         kinds = (self.loss,) if isinstance(self.loss, str) else tuple(self.loss)
         for kind in kinds:
             if kind not in LOSS_KINDS:
@@ -417,6 +423,7 @@ def map_at_k(scores, relevance, k=10):
     relevance is a binary (n, labels) matrix; rows without any relevant
     label are excluded from the mean.
     """
+    k = _whole("k", k, 1)
     scores = np.asarray(scores, dtype=np.float64)
     relevance = np.asarray(relevance)
     if scores.shape != relevance.shape or scores.ndim != 2:

@@ -439,6 +439,36 @@ def test_train_rejects_both_data_sources(tmp_path):
         cli.cmd_train(args)
 
 
+def test_config_that_is_not_a_json_object_names_the_file(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    for text, kind in (("[1, 2]", "list"), ('"train"', "str"), ("null", "NoneType")):
+        path.write_text(text, encoding="utf-8")
+        argv = ["train", "--config", str(path), "--out", str(tmp_path / "run")]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: config {path} must hold a JSON object, got {kind}\n"
+    assert not (tmp_path / "run").exists()
+
+
+def test_csv_task_entries_and_schema_are_checked_by_name(tmp_path, capsys):
+    path = write_class_csvs(tmp_path, [0, 1, 2] * 20)
+    cfg = json.loads(path.read_text(encoding="utf-8"))
+    argv = ["train", "--config", str(path), "--out", str(tmp_path / "run")]
+    csv_cfg = cfg["data"]["csv"]
+    for tasks in ([{"val": csv_cfg["tasks"][0]["val"]}], ["task0.csv"]):
+        edited = {**cfg, "data": {"csv": {**csv_cfg, "tasks": tasks}}}
+        path.write_text(json.dumps(edited), encoding="utf-8")
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == "error: data.csv.tasks[0] has no train file\n"
+    # A JSON schema size goes through the one whole-number rule.
+    schema = {"n_inputs": 2.5, "n_targets": 1}
+    edited = {**cfg, "data": {"csv": {**csv_cfg, "schema": schema}}}
+    path.write_text(json.dumps(edited), encoding="utf-8")
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == "error: n_inputs must be a whole number, got 2.5\n"
+
+
 def test_train_seed_flag_equals_the_config_seed(tmp_path):
     # In process: --seed 5 over a seed-3 config trains what "seed": 5 does.
     flagged = write_config(tmp_path)

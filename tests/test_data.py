@@ -1,8 +1,14 @@
-"""Synthetic benchmark generation and CSV round-trips."""
+"""Synthetic benchmark generation, CSV round-trips and the one rule for
+whole numbers."""
+
+import json
+import re
 
 import numpy as np
 import pytest
 
+from taan.analysis import check_l1_bounds, layer1_unit_gaussians
+from taan.apl import BasisGrid
 from taan.data import (
     SPLIT_TAGS,
     CsvSchema,
@@ -14,6 +20,10 @@ from taan.data import (
     load_csv,
     save_csv,
 )
+from taan.metrics import GaussianMixture, mc_inner_and_distance
+from taan.network import ArchitectureSpec, build_model, load_checkpoint, save_checkpoint
+from taan.training import map_at_k
+from test_network import meta_member, rewrite_members
 
 
 def test_generation_is_seed_deterministic():
@@ -142,6 +152,112 @@ def test_spec_validation():
 def test_whole_rejects_what_is_not_a_number(value):
     with pytest.raises(ValueError, match=f"size must be a whole number, got {value}"):
         _whole("size", value)
+
+
+TINY = ArchitectureSpec(2, (3,), 1, task_count=2, basis_count=4)
+
+
+def checkpoint_size(key, tmp_path):
+    """Loads a checkpoint whose ``meta`` sets ``key`` (``widths[0]`` sets the
+    first width) to a value; returns the size the loaded model has there."""
+    path = tmp_path / "model.npz"
+    save_checkpoint(build_model(TINY, 0), path)
+    with np.load(path) as archive:
+        meta = json.loads(bytes(archive["meta"]).decode())
+    name, _, index = key.partition("[")
+    read = {
+        "task_count": lambda m: m.task_count,
+        "input_dim": lambda m: m.input_dim,
+        "widths": lambda m: m.layers[0].linear.out_dim,
+        "basis_counts": lambda m: len(m.layers[0].grid),
+        "output_dims": lambda m: m.head_dim(0),
+    }[name]
+
+    def load(value):
+        if index:
+            meta[name][0] = value
+        else:
+            meta[name] = value
+        edited = rewrite_members(path, tmp_path / "edited.npz", meta=meta_member(meta))
+        return read(load_checkpoint(edited)[0])
+
+    return load
+
+
+def mc_pair(n):
+    grid, rng = BasisGrid.even(4), np.random.default_rng(0)
+    c = np.linspace(-0.5, 0.5, 4)
+    return mc_inner_and_distance(c, -c, grid, GaussianMixture.standard_normal(), n, rng)
+
+
+def mc_bounds(n):
+    model = build_model(TINY, 0)
+    report = check_l1_bounds(model, layer1_unit_gaussians(model), 1.0, (0, 1), n)
+    return report.inner_left, report.dist_left
+
+
+SCORES = np.array([[0.9, 0.1, 0.5], [0.2, 0.8, 0.3]])
+RELEVANT = np.array([[0, 1, 1], [1, 0, 0]])
+
+# Each site of the whole-number rule: (reader of a value, the field its
+# errors name, the floor or None, a valid whole number).
+WHOLE_SITES = {
+    "task_id": (
+        lambda v, _: TaskDataset(np.zeros((2, 1)), np.zeros(2), v, "train").task_id,
+        "task_id", 0, 3,
+    ),
+    "n_inputs": (lambda v, _: CsvSchema(v, 1).n_inputs, "n_inputs", 1, 2),
+    "n_targets": (lambda v, _: CsvSchema(1, v).n_targets, "n_targets", 1, 2),
+    "basis_count": (lambda v, _: len(BasisGrid.even(v)), "basis_count", 1, 5),
+    "mc_inner_and_distance": (
+        lambda v, _: mc_pair(v), "Monte-Carlo sample count", 2, 1000
+    ),
+    "check_l1_bounds": (
+        lambda v, _: mc_bounds(v), "Monte-Carlo sample count", 2, 1000
+    ),
+    "map_at_k": (lambda v, _: map_at_k(SCORES, RELEVANT, v), "k", 1, 2),
+    "arch_input_dim": (
+        lambda v, _: ArchitectureSpec(v, (4,), 1, task_count=1).input_dim,
+        "input_dim", 1, 3,
+    ),
+    "arch_hidden_widths": (
+        lambda v, _: ArchitectureSpec(3, (v,), 1, task_count=1).hidden_widths[0],
+        "hidden_widths", 1, 4,
+    ),
+    "arch_output_dim": (
+        lambda v, _: ArchitectureSpec(3, (4,), v, task_count=1).output_dims[0],
+        "output_dim", 1, 2,
+    ),
+    "arch_basis_count": (
+        lambda v, _: ArchitectureSpec(3, (4,), 1, 1, basis_count=v).basis_count,
+        "basis_count", 1, 8,
+    ),
+    **{
+        f"meta_{key}": (
+            lambda v, tmp, key=key: checkpoint_size(key, tmp)(v),
+            f"meta {key}", 0, whole,
+        )
+        for key, whole in (
+            ("task_count", 2), ("input_dim", 2), ("widths[0]", 3),
+            ("basis_counts[0]", 4), ("output_dims[0]", 1),
+        )
+    },
+}
+
+
+@pytest.mark.parametrize("site", WHOLE_SITES)
+def test_sizes_ids_and_counts_are_whole_numbers(site, tmp_path):
+    read, field, least, whole = WHOLE_SITES[site]
+    bad = [(whole + 0.5, "a whole number"), (True, "a whole number")]
+    if least is not None:
+        bad.append((least - 1, f">= {least}"))
+    for value, rule in bad:
+        message = f"{field} must be {rule}, got {value}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read(value, tmp_path)
+    # A whole-valued float, which JSON can produce, reads as the int.
+    got, want = read(float(whole), tmp_path), read(whole, tmp_path)
+    assert got == want and type(got) is type(want)
 
 
 def test_dataset_validation():

@@ -746,6 +746,15 @@ def test_geometry_checkpoint_has_four_members(tmp_path):
         assert sorted(data.files) == ["breakpoints", "meta", "mixture", "params"]
 
 
+def test_task_ids_are_ints_not_bools():
+    model = small_model()
+    x = np.zeros((2, ARCH.input_dim))
+    for call in (lambda: model.head_dim(True), lambda: forward(model, {True: x})):
+        with pytest.raises(ValueError, match="unknown task id True "):
+            call()
+    assert model.head_dim(np.int64(1)) == model.head_dim(1)
+
+
 def test_validation_errors():
     model = small_model()
     rng = np.random.default_rng(15)

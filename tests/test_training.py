@@ -76,6 +76,29 @@ def test_adam_validates_structure():
         AdamState(np.zeros(1), np.zeros(1), -1, 1e-4, 0.9, 0.98, 1e-8)
 
 
+def test_adam_state_checks_its_settings_as_train_config_does():
+    for settings, message in (
+        ({"learning_rate": -1.0}, "learning_rate must be positive and finite"),
+        ({"learning_rate": math.inf}, "learning_rate must be positive and finite"),
+        ({"beta1": 0.0}, "beta1 must be positive and finite"),
+        ({"beta2": 1.5}, "beta1 and beta2 must be < 1"),
+        ({"epsilon": math.nan}, "epsilon must be positive and finite"),
+    ):
+        for make in (
+            lambda: TrainConfig(epochs=1, **settings),
+            lambda: AdamState.for_params(np.zeros(3), **settings),
+        ):
+            with pytest.raises(ValueError, match=message):
+                make()
+    # The defaults are unchanged, and the step counter is a whole number >= 0.
+    state = AdamState.for_params(np.zeros(3))
+    assert (state.learning_rate, state.beta1, state.beta2, state.epsilon) == (
+        1e-4, 0.9, 0.98, 1e-8
+    )
+    with pytest.raises(ValueError, match="step must be a whole number, got 2.5"):
+        AdamState(np.zeros(1), np.zeros(1), 2.5, 1e-4, 0.9, 0.98, 1e-8)
+
+
 def per_array_adam(params, grads, ms, vs, step, lr, b1, b2, eps):
     """Reference Adam step looping over separate arrays."""
     bc1 = 1.0 - b1**step
