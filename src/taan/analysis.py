@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from taan.apl import apl_eval_pair
-from taan.data import _read_csv, _write_csv
+from taan.data import _read_csv, _real, _write_csv
 from taan.metrics import (
     GaussianMixture,
     build_gram,
@@ -123,7 +123,7 @@ def layer1_unit_gaussians(model: TaanModel):
         raise ValueError("model has no activation layers")
     linear = model.layers[0].linear
     return [
-        GaussianParams(float(linear.bias[n]), float(np.linalg.norm(linear.weight[n])))
+        GaussianParams(linear.bias[n], np.linalg.norm(linear.weight[n]))
         for n in range(linear.out_dim)
     ]
 
@@ -183,8 +183,7 @@ def check_l1_bounds(
     With D inputs, one sample spans max(D, N) float64 elements, so the
     sampler draws ``metrics.MC_CHUNK // max(D, N)`` samples per call (6,250
     at 8 → 16), and memory does not grow with ``mc_samples``."""
-    if not (math.isfinite(c1) and c1 > 0):
-        raise ValueError(f"envelope constant must be positive, got {c1!r}")
+    c1 = _real("c1", c1, 0)
     t1, t2 = (model._task(t) for t in tasks)
     layer = model.layers[0]
     n_units = len(unit_gaussians)

@@ -130,9 +130,14 @@ def _load_datasets(cfg):
         return generate(_synthetic_spec(cfg))
     if not csv_cfg:
         raise ValueError("config needs data.synthetic or data.csv")
+    if not isinstance(csv_cfg.get("schema"), dict):
+        raise ValueError("data.csv needs a schema object")
+    tasks = csv_cfg.get("tasks")
+    if not (isinstance(tasks, list) and tasks):
+        raise ValueError("data.csv needs a non-empty tasks list")
     schema = CsvSchema(**csv_cfg["schema"])
     out = []
-    for t, entry in enumerate(csv_cfg["tasks"]):
+    for t, entry in enumerate(tasks):
         if not (isinstance(entry, dict) and entry.get("train")):
             raise ValueError(f"data.csv.tasks[{t}] has no train file")
         out.append(

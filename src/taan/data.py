@@ -33,6 +33,22 @@ def _whole(name, value, least=None):
     return whole
 
 
+def _real(name, value, low=-math.inf, high=math.inf, closed=False):
+    """A finite int, float or numpy number (not a bool) between ``low`` and
+    ``high``, ends included when ``closed``, as a float; else ValueError."""
+    number = isinstance(value, (int, float, np.integer, np.floating))
+    try:
+        real = float(value) if number and not isinstance(value, bool) else math.nan
+    except OverflowError:  # an int too big for a float
+        real = math.nan
+    if math.isfinite(real) and (low <= real <= high if closed else low < real < high):
+        return real
+    left = "[" if closed and low > -math.inf else "("
+    right = "]" if closed and high < math.inf else ")"
+    interval = f"{left}{low:g}, {high:g}{right}"
+    raise ValueError(f"{name} must be a finite number in {interval}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TaskDataset:
     """One task's examples: inputs (n, d) and targets (n, k) or labels (n,)."""
@@ -103,10 +119,11 @@ class SyntheticSpec:
         for name in ("task_count", "samples_per_task", "input_dim", "output_dim"):
             object.__setattr__(self, name, _whole(name, getattr(self, name), 1))
         object.__setattr__(self, "seed", _whole("seed", self.seed, 0))
-        if not (0.0 <= self.relatedness <= 1.0):
-            raise ValueError("relatedness must lie in [0, 1]")
-        if not (math.isfinite(self.noise) and self.noise >= 0):
-            raise ValueError("noise must be finite and >= 0")
+        for name, high in (("relatedness", 1), ("noise", math.inf)):
+            value = _real(name, getattr(self, name), 0, high, closed=True)
+            object.__setattr__(self, name, value)
+        for name in ("train_fraction", "val_fraction"):
+            object.__setattr__(self, name, _real(name, getattr(self, name), 0, 1))
         clusters = self.clusters
         if clusters is None:
             clusters = (0,) * self.task_count
@@ -117,8 +134,6 @@ class SyntheticSpec:
                 f"(got {clusters!r} for {self.task_count} tasks)"
             )
         object.__setattr__(self, "clusters", clusters)
-        if not (0 < self.train_fraction < 1 and 0 < self.val_fraction < 1):
-            raise ValueError("split fractions must lie in (0, 1)")
         if self.train_fraction + self.val_fraction >= 1:
             raise ValueError("train and val fractions must leave a test split")
         if min(self.split_sizes()) < 1:

@@ -82,7 +82,7 @@ class GaussianMixture:
 
     def components(self):
         return [
-            (float(p), GaussianParams(float(m), float(s)))
+            (float(p), GaussianParams(m, s))
             for p, m, s in zip(self.weights, self.means, self.sigmas)
         ]
 

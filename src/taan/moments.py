@@ -37,6 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
+from taan.data import _real
+
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
@@ -52,13 +54,8 @@ class GaussianParams:
     sigma: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.mu) and math.isfinite(self.sigma)):
-            raise ValueError(
-                f"Gaussian parameters must be finite, got mu={self.mu}, "
-                f"sigma={self.sigma}"
-            )
-        if self.sigma <= 0.0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        object.__setattr__(self, "mu", _real("mu", self.mu))
+        object.__setattr__(self, "sigma", _real("sigma", self.sigma, 0))
 
 
 def std_normal_cdf(x):

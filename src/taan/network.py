@@ -17,7 +17,7 @@ import numpy as np
 
 from taan import _backend
 from taan.apl import BasisGrid, validate_coordinates
-from taan.data import _whole
+from taan.data import _real, _whole
 from taan.metrics import GaussianMixture
 
 COORD_INIT_SCALE = 0.01
@@ -386,7 +386,11 @@ class ArchitectureSpec:
         dims = output_dim if np.ndim(output_dim) else [output_dim] * self.task_count
         self.output_dims = tuple(_whole("output_dim", d, 1) for d in dims)
         self.basis_count = _whole("basis_count", basis_count, 1)
-        self.basis_range = (float(basis_range[0]), float(basis_range[1]))
+        pair = tuple(basis_range) if np.iterable(basis_range) else (basis_range,)
+        if len(pair) != 2:
+            raise ValueError(f"basis_range must be two numbers (lo, hi), got {pair}")
+        lo = _real("basis_range[0]", pair[0])
+        self.basis_range = (lo, _real("basis_range[1]", pair[1], lo))
         if len(self.output_dims) != self.task_count:
             raise ValueError("need one output dim per task")
 
@@ -597,4 +601,5 @@ def _checkpoint_from_archive(archive):
                 f"mixture has shape {mix.shape}, expected (3, components)"
             )
         mixture = GaussianMixture(*mix)
-    return model, mixture, meta["seed"]
+    seed = meta["seed"]
+    return model, mixture, None if seed is None else _whole("meta seed", seed, 0)

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from taan.apl import _coords
+from taan.data import _real
 from taan.metrics import (
     DEGENERATE_NORM_EPS,
     DegenerateFunctionError,
@@ -44,9 +45,7 @@ class RegConfig:
     def __post_init__(self):
         if not isinstance(self.kind, RegKind):
             object.__setattr__(self, "kind", RegKind(self.kind))
-        c = float(self.coefficient)
-        if not np.isfinite(c) or c < 0.0:
-            raise ValueError(f"coefficient must be finite and >= 0, got {c}")
+        c = _real("coefficient", self.coefficient, 0, np.inf, closed=True)
         object.__setattr__(self, "coefficient", c)
 
 

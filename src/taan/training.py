@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from taan.data import _whole, _write_csv
+from taan.data import _real, _whole, _write_csv
 from taan.metrics import (
     GaussianMixture,
     distance_matrix,
@@ -33,37 +33,24 @@ from taan.regularizers import RegConfig, RegKind, reg_grad, regularizer_value
 LOSS_KINDS = ("squared_error", "cross_entropy")
 
 
-def _check_adam(learning_rate, beta1, beta2, epsilon):
-    """Adam's settings, each positive and finite, and both betas below 1;
-    anything else raises ValueError naming the setting."""
-    names = ("learning_rate", "beta1", "beta2", "epsilon")
-    for name, value in zip(names, (learning_rate, beta1, beta2, epsilon)):
-        if not (math.isfinite(value) and value > 0):
-            raise ValueError(f"{name} must be positive and finite")
-    if beta1 >= 1 or beta2 >= 1:
-        raise ValueError("beta1 and beta2 must be < 1")
+# Adam's decay rates and the offset of its denominator; no caller tunes them.
+ADAM_BETAS = (0.9, 0.98)
+ADAM_EPSILON = 1e-8
 
 
 class AdamState:
-    """Adam accumulators plus the hyperparameters that drive the update,
-    which are checked as ``TrainConfig`` checks them."""
+    """Adam accumulators, step count and learning rate (positive, checked
+    as ``TrainConfig`` checks it); the betas and epsilon are constants."""
 
-    def __init__(self, m, v, step, learning_rate, beta1, beta2, epsilon):
-        _check_adam(learning_rate, beta1, beta2, epsilon)
+    def __init__(self, m, v, step, learning_rate):
         self.m = m
         self.v = v
         self.step = _whole("step", step, 0)
-        self.learning_rate = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.epsilon = epsilon
+        self.learning_rate = _real("learning_rate", learning_rate, 0)
 
     @classmethod
-    def for_params(
-        cls, param, learning_rate=1e-4, beta1=0.9, beta2=0.98, epsilon=1e-8
-    ):
-        m, v = np.zeros_like(param), np.zeros_like(param)
-        return cls(m, v, 0, learning_rate, beta1, beta2, epsilon)
+    def for_params(cls, param, learning_rate=1e-4):
+        return cls(np.zeros_like(param), np.zeros_like(param), 0, learning_rate)
 
 
 def adam_step(param, grad, state: AdamState):
@@ -74,7 +61,7 @@ def adam_step(param, grad, state: AdamState):
             f"shapes differ: {param.shape}, {grad.shape}, state {state.m.shape}"
         )
     state.step += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETAS
     bc1 = 1.0 - b1**state.step
     bc2 = 1.0 - b2**state.step
     m, v = state.m, state.v
@@ -82,7 +69,7 @@ def adam_step(param, grad, state: AdamState):
     m += (1.0 - b1) * grad
     v *= b2
     v += (1.0 - b2) * grad * grad
-    param -= state.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + state.epsilon)
+    param -= state.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPSILON)
     return param, state
 
 
@@ -94,9 +81,6 @@ class TrainConfig:
     epochs: int
     batch_size: int = 64
     learning_rate: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.98
-    epsilon: float = 1e-8
     seed: int = 0
     reg: RegConfig = field(default_factory=lambda: RegConfig(RegKind.NONE, 0.0))
     loss: object = "squared_error"
@@ -104,7 +88,8 @@ class TrainConfig:
     def __post_init__(self):
         for name, least in (("epochs", 0), ("batch_size", 1), ("seed", 0)):
             object.__setattr__(self, name, _whole(name, getattr(self, name), least))
-        _check_adam(self.learning_rate, self.beta1, self.beta2, self.epsilon)
+        lr = _real("learning_rate", self.learning_rate, 0)
+        object.__setattr__(self, "learning_rate", lr)
         kinds = (self.loss,) if isinstance(self.loss, str) else tuple(self.loss)
         for kind in kinds:
             if kind not in LOSS_KINDS:
@@ -318,9 +303,7 @@ def train(model: TaanModel, datasets, config: TrainConfig):
         if va is not None and np.asarray(va.inputs).shape[0] > 0:
             val_x[t], val_y[t] = _task_arrays(model, t, kinds[t], va)
     rng = np.random.default_rng(config.seed)
-    state = AdamState.for_params(
-        model.params, config.learning_rate, config.beta1, config.beta2, config.epsilon
-    )
+    state = AdamState.for_params(model.params, config.learning_rate)
     caches = layer_grams(
         [layer.grid for layer in model.layers], GaussianMixture.standard_normal()
     )

@@ -2,16 +2,27 @@
 on what the CLI hands its writers."""
 
 import json
+import re
 import subprocess
 import sys
 import zipfile
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import taan.cli as cli
 from conftest import child_env
-from taan.data import CsvSchema, SyntheticSpec, TaskDataset, _read_csv, load_csv, save_csv
+from taan.data import (
+    CsvSchema,
+    SplitDatasets,
+    SyntheticSpec,
+    TaskDataset,
+    _read_csv,
+    load_csv,
+    save_csv,
+)
 from taan.analysis import check_l1_bounds, load_heatmap_csv
 from taan.network import (
     ArchitectureSpec,
@@ -467,6 +478,92 @@ def test_csv_task_entries_and_schema_are_checked_by_name(tmp_path, capsys):
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
     assert err == "error: n_inputs must be a whole number, got 2.5\n"
+
+
+def test_csv_block_without_schema_or_tasks_names_what_is_missing(tmp_path, capsys):
+    path = write_class_csvs(tmp_path, [0, 1, 2] * 20)
+    cfg = json.loads(path.read_text(encoding="utf-8"))
+    schema, tasks = cfg["data"]["csv"]["schema"], cfg["data"]["csv"]["tasks"]
+    argv = ["train", "--config", str(path), "--out", str(tmp_path / "run")]
+    no_schema = "data.csv needs a schema object"
+    no_tasks = "data.csv needs a non-empty tasks list"
+    for csv_cfg, message in (
+        ({"tasks": tasks}, no_schema),
+        ({"schema": [2, 1], "tasks": tasks}, no_schema),
+        ({"schema": schema}, no_tasks),
+        ({"schema": schema, "tasks": []}, no_tasks),
+        ({"schema": schema, "tasks": tasks[0]}, no_tasks),
+    ):
+        edited = {**cfg, "data": {"csv": csv_cfg}}
+        path.write_text(json.dumps(edited), encoding="utf-8")
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+# A config setting, a bad value for it and what the error must say.
+BAD_REALS = {
+    "lr_bool": (
+        "train.learning_rate", True,
+        "learning_rate must be a finite number in (0, inf), got True",
+    ),
+    "lr_str": (
+        "train.learning_rate", "3e-3",
+        "learning_rate must be a finite number in (0, inf), got '3e-3'",
+    ),
+    "relatedness_bool": (
+        "data.synthetic.relatedness", True,
+        "relatedness must be a finite number in [0, 1], got True",
+    ),
+    "coefficient_str": (
+        "train.reg.coefficient", "0.1",
+        "coefficient must be a finite number in [0, inf), got '0.1'",
+    ),
+    "basis_range_one": (
+        "arch.basis_range", [1], "basis_range must be two numbers (lo, hi), got (1,)"
+    ),
+    "beta2": ("train.beta2", 0.999, "unexpected keyword argument 'beta2'"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_REALS)
+def test_train_config_reals_are_checked_by_name(tmp_path, capsys, case):
+    where, value, message = BAD_REALS[case]
+    cfg = write_config(tmp_path, {where: value})
+    argv = ["train", "--config", str(cfg), "--out", str(tmp_path / "run")]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+README_JSON = re.findall(
+    r"```json\n(.*?)```",
+    (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8"),
+    re.DOTALL,
+)
+
+
+def test_readme_has_json_examples():
+    assert len(README_JSON) >= 2
+
+
+@pytest.mark.parametrize("block", range(len(README_JSON)))
+def test_readme_json_examples_build_what_train_builds(tmp_path, block):
+    """Each README config goes through what ``taan train`` builds before its
+    first step, with one stand-in row per task in place of the data."""
+    path = tmp_path / "config.json"
+    path.write_text(README_JSON[block], encoding="utf-8")
+    cfg = cli.load_config(SimpleNamespace(config=str(path)))
+    config = cli._train_config(cfg)
+    if "csv" in cfg["data"]:
+        schema = CsvSchema(**cfg["data"]["csv"]["schema"])
+        dims = (schema.n_inputs, schema.n_targets)
+        tasks = len(cfg["data"]["csv"]["tasks"])
+    else:
+        spec = cli._synthetic_spec(cfg)
+        dims, tasks = (spec.input_dim, spec.output_dim), spec.task_count
+    row = TaskDataset(np.zeros((1, dims[0])), np.zeros((1, dims[1])), 0, "train")
+    arch = cli._architecture(cfg, [SplitDatasets(row, None, None)] * tasks, config)
+    assert arch.task_count == tasks
 
 
 def test_train_seed_flag_equals_the_config_seed(tmp_path):

@@ -1,7 +1,8 @@
-"""Synthetic benchmark generation, CSV round-trips and the one rule for
-whole numbers."""
+"""Synthetic benchmark generation, CSV round-trips and the one rule each for
+whole and for real numbers."""
 
 import json
+import math
 import re
 
 import numpy as np
@@ -21,8 +22,10 @@ from taan.data import (
     save_csv,
 )
 from taan.metrics import GaussianMixture, mc_inner_and_distance
+from taan.moments import GaussianParams
 from taan.network import ArchitectureSpec, build_model, load_checkpoint, save_checkpoint
-from taan.training import map_at_k
+from taan.regularizers import RegConfig, RegKind
+from taan.training import AdamState, TrainConfig, map_at_k
 from test_network import meta_member, rewrite_members
 
 
@@ -159,18 +162,20 @@ TINY = ArchitectureSpec(2, (3,), 1, task_count=2, basis_count=4)
 
 def checkpoint_size(key, tmp_path):
     """Loads a checkpoint whose ``meta`` sets ``key`` (``widths[0]`` sets the
-    first width) to a value; returns the size the loaded model has there."""
+    first width) to a value; returns the size the loaded model has there, or
+    for ``seed`` the seed the loader returns."""
     path = tmp_path / "model.npz"
     save_checkpoint(build_model(TINY, 0), path)
     with np.load(path) as archive:
         meta = json.loads(bytes(archive["meta"]).decode())
     name, _, index = key.partition("[")
     read = {
-        "task_count": lambda m: m.task_count,
-        "input_dim": lambda m: m.input_dim,
-        "widths": lambda m: m.layers[0].linear.out_dim,
-        "basis_counts": lambda m: len(m.layers[0].grid),
-        "output_dims": lambda m: m.head_dim(0),
+        "task_count": lambda m, _: m.task_count,
+        "input_dim": lambda m, _: m.input_dim,
+        "widths": lambda m, _: m.layers[0].linear.out_dim,
+        "basis_counts": lambda m, _: len(m.layers[0].grid),
+        "output_dims": lambda m, _: m.head_dim(0),
+        "seed": lambda _, seed: seed,
     }[name]
 
     def load(value):
@@ -179,7 +184,8 @@ def checkpoint_size(key, tmp_path):
         else:
             meta[name] = value
         edited = rewrite_members(path, tmp_path / "edited.npz", meta=meta_member(meta))
-        return read(load_checkpoint(edited)[0])
+        model, _, seed = load_checkpoint(edited)
+        return read(model, seed)
 
     return load
 
@@ -239,7 +245,7 @@ WHOLE_SITES = {
         )
         for key, whole in (
             ("task_count", 2), ("input_dim", 2), ("widths[0]", 3),
-            ("basis_counts[0]", 4), ("output_dims[0]", 1),
+            ("basis_counts[0]", 4), ("output_dims[0]", 1), ("seed", 7),
         )
     },
 }
@@ -258,6 +264,72 @@ def test_sizes_ids_and_counts_are_whole_numbers(site, tmp_path):
     # A whole-valued float, which JSON can produce, reads as the int.
     got, want = read(float(whole), tmp_path), read(whole, tmp_path)
     assert got == want and type(got) is type(want)
+
+
+def l1_bound(c1):
+    model = build_model(TINY, 0)
+    return check_l1_bounds(model, layer1_unit_gaussians(model), c1, (0, 1), 100)
+
+
+# Each site of the real-number rule: (reader of a value, the field its errors
+# name, its interval as the errors write it, a value outside it or None when
+# every finite number is inside, a valid value, and a valid int or None).
+REAL_SITES = {
+    "learning_rate": (
+        lambda v: TrainConfig(epochs=1, learning_rate=v).learning_rate,
+        "learning_rate", "(0, inf)", 0, 3e-3, 2,
+    ),
+    "adam_learning_rate": (
+        lambda v: AdamState.for_params(np.zeros(2), v).learning_rate,
+        "learning_rate", "(0, inf)", -1, 3e-3, 2,
+    ),
+    "coefficient": (
+        lambda v: RegConfig(RegKind.DISTANCE, v).coefficient,
+        "coefficient", "[0, inf)", -0.1, 0.1, 0,
+    ),
+    "relatedness": (
+        lambda v: SyntheticSpec(relatedness=v).relatedness,
+        "relatedness", "[0, 1]", 1.5, 0.3, 1,
+    ),
+    "noise": (
+        lambda v: SyntheticSpec(noise=v).noise, "noise", "[0, inf)", -0.1, 0.3, 0
+    ),
+    "train_fraction": (
+        lambda v: SyntheticSpec(train_fraction=v).train_fraction,
+        "train_fraction", "(0, 1)", 0, 0.5, None,
+    ),
+    "val_fraction": (
+        lambda v: SyntheticSpec(val_fraction=v).val_fraction,
+        "val_fraction", "(0, 1)", 1, 0.3, None,
+    ),
+    "c1": (lambda v: l1_bound(v).inner_right, "c1", "(0, inf)", 0, 1.5, 2),
+    "mu": (lambda v: GaussianParams(v, 1.0).mu, "mu", "(-inf, inf)", None, -0.5, 3),
+    "sigma": (lambda v: GaussianParams(0.0, v).sigma, "sigma", "(0, inf)", 0, 0.5, 2),
+    "basis_range_lo": (
+        lambda v: ArchitectureSpec(3, (4,), 1, 1, basis_range=(v, 9.0)).basis_range[0],
+        "basis_range[0]", "(-inf, inf)", None, -1.5, -2,
+    ),
+    "basis_range_hi": (
+        lambda v: ArchitectureSpec(3, (4,), 1, 1, basis_range=(-2, v)).basis_range[1],
+        "basis_range[1]", "(-2, inf)", -2, 1.5, 3,
+    ),
+}
+
+
+@pytest.mark.parametrize("site", REAL_SITES)
+def test_real_settings_are_finite_numbers_in_their_interval(site):
+    read, field, interval, outside, real, whole = REAL_SITES[site]
+    # 10**400 is an int too big for a float.
+    bad = [True, "0.5", None, math.nan, math.inf, -math.inf, 10**400]
+    for value in bad + ([outside] if outside is not None else []):
+        message = f"{field} must be a finite number in {interval}, got {value!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read(value)
+    # An int or a numpy float inside the interval reads as a float.
+    for value in (np.float64(real), whole):
+        if value is not None:
+            got = read(value)
+            assert type(got) is float and got == read(float(value))
 
 
 def test_dataset_validation():

@@ -24,6 +24,8 @@ from taan.network import (
 )
 from taan.regularizers import RegConfig, RegKind, distance_reg
 from taan.training import (
+    ADAM_BETAS,
+    ADAM_EPSILON,
     AdamState,
     History,
     TrainConfig,
@@ -73,16 +75,13 @@ def test_adam_validates_structure():
     with pytest.raises(ValueError):
         adam_step(p, np.zeros(4), state)
     with pytest.raises(ValueError):
-        AdamState(np.zeros(1), np.zeros(1), -1, 1e-4, 0.9, 0.98, 1e-8)
+        AdamState(np.zeros(1), np.zeros(1), -1, 1e-4)
 
 
 def test_adam_state_checks_its_settings_as_train_config_does():
     for settings, message in (
-        ({"learning_rate": -1.0}, "learning_rate must be positive and finite"),
-        ({"learning_rate": math.inf}, "learning_rate must be positive and finite"),
-        ({"beta1": 0.0}, "beta1 must be positive and finite"),
-        ({"beta2": 1.5}, "beta1 and beta2 must be < 1"),
-        ({"epsilon": math.nan}, "epsilon must be positive and finite"),
+        ({"learning_rate": -1.0}, r"learning_rate must be .* \(0, inf\), got -1.0"),
+        ({"learning_rate": math.inf}, r"learning_rate must be .* \(0, inf\), got inf"),
     ):
         for make in (
             lambda: TrainConfig(epochs=1, **settings),
@@ -91,12 +90,10 @@ def test_adam_state_checks_its_settings_as_train_config_does():
             with pytest.raises(ValueError, match=message):
                 make()
     # The defaults are unchanged, and the step counter is a whole number >= 0.
-    state = AdamState.for_params(np.zeros(3))
-    assert (state.learning_rate, state.beta1, state.beta2, state.epsilon) == (
-        1e-4, 0.9, 0.98, 1e-8
-    )
+    assert AdamState.for_params(np.zeros(3)).learning_rate == 1e-4
+    assert (ADAM_BETAS, ADAM_EPSILON) == ((0.9, 0.98), 1e-8)
     with pytest.raises(ValueError, match="step must be a whole number, got 2.5"):
-        AdamState(np.zeros(1), np.zeros(1), 2.5, 1e-4, 0.9, 0.98, 1e-8)
+        AdamState(np.zeros(1), np.zeros(1), 2.5, 1e-4)
 
 
 def per_array_adam(params, grads, ms, vs, step, lr, b1, b2, eps):
@@ -117,7 +114,7 @@ def test_flat_adam_matches_per_array_updates_bitwise():
     params = [p.copy() for p in model_parameters(model)]
     ms = [np.zeros_like(p) for p in params]
     vs = [np.zeros_like(p) for p in params]
-    state = AdamState.for_params(model.params, 3e-3, 0.9, 0.98, 1e-8)
+    state = AdamState.for_params(model.params, 3e-3)
     for step in range(1, 6):
         grad = rng.standard_normal(model.params.size) * 10.0 ** rng.integers(
             -6, 3, model.params.size
@@ -202,8 +199,6 @@ def test_train_config_validation():
         TrainConfig(epochs=1, batch_size=0)
     with pytest.raises(ValueError):
         TrainConfig(epochs=1, learning_rate=0.0)
-    with pytest.raises(ValueError):
-        TrainConfig(epochs=1, beta2=1.0)
     with pytest.raises(ValueError):
         TrainConfig(epochs=1, loss="huber")
     with pytest.raises(ValueError, match="epochs must be a whole number, got 2.5"):
@@ -315,9 +310,7 @@ def reference_train(model, datasets, config):
     permutation, runs through reference_pass on its own, and gets its own
     loss call; then one Adam update.  Returns the history rows."""
     rng = np.random.default_rng(config.seed)
-    state = AdamState.for_params(
-        model.params, config.learning_rate, config.beta1, config.beta2, config.epsilon
-    )
+    state = AdamState.for_params(model.params, config.learning_rate)
     grids = [layer.grid for layer in model.layers]
     caches = layer_grams(grids, GaussianMixture.standard_normal())
     n = config.batch_size
