@@ -70,15 +70,6 @@ def _coords(values, width, ndim=1):
     return values
 
 
-def validate_coordinates(alpha, grid):
-    """Check a task-by-basis coordinate matrix against a grid; returns it as
-    a float64 array."""
-    alpha = _coords(alpha, len(grid), 2)
-    if not np.all(np.isfinite(alpha)):
-        raise ValueError("coordinate matrix contains non-finite entries")
-    return alpha
-
-
 def apl_eval(x, coords, grid):
     """F(x) = max(0, x) + sum_i coords[i] * max(0, -x + b_i), scalar x."""
     coords = _coords(coords, len(grid))

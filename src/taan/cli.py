@@ -64,6 +64,24 @@ DEFAULT_CONFIG = {
     "data": {"synthetic": {"clusters": [0, 0, 0, 0, 1, 1, 1, 1]}},
 }
 
+
+def _keys(value, name, keys):
+    """``value`` if it is a JSON object with no key outside ``keys``, else
+    ValueError naming ``name``, its place in the config.  The objects that
+    become a class's keyword arguments are left to that class."""
+    if not isinstance(value, dict):
+        kind = type(value).__name__
+        raise ValueError(f"config {name} must be a JSON object, got {kind}")
+    for key in value:
+        if key not in keys:
+            where = f"{name}.{key}" if name else key
+            raise ValueError(
+                f"unknown config key {where!r}; {name or 'the top level'} takes "
+                + ", ".join(keys)
+            )
+    return value
+
+
 def _deep_merge(base, override):
     merged = dict(base)
     for key, value in override.items():
@@ -84,7 +102,8 @@ def load_config(args):
             raise ValueError(
                 f"config {args.config} must hold a JSON object, got {kind}"
             )
-        file_data = file_cfg.get("data", {})
+        _keys(file_cfg, "", tuple(DEFAULT_CONFIG))
+        file_data = _keys(file_cfg.get("data", {}), "data", ("synthetic", "csv"))
         if "csv" in file_data:
             # A CSV source replaces the default synthetic benchmark.
             cfg["data"] = {}
@@ -93,6 +112,8 @@ def load_config(args):
             # clusters of its own, a file's task count gets SyntheticSpec's.
             del cfg["data"]["synthetic"]["clusters"]
         cfg = _deep_merge(cfg, file_cfg)
+        if isinstance(cfg["train"], dict):
+            _keys(cfg["train"]["reg"], "train.reg", ("kind", "coefficient"))
     if getattr(args, "seed", None) is not None:
         cfg["seed"] = args.seed
     if getattr(args, "out", None):
@@ -130,6 +151,7 @@ def _load_datasets(cfg):
         return generate(_synthetic_spec(cfg))
     if not csv_cfg:
         raise ValueError("config needs data.synthetic or data.csv")
+    _keys(csv_cfg, "data.csv", ("schema", "tasks"))
     if not isinstance(csv_cfg.get("schema"), dict):
         raise ValueError("data.csv needs a schema object")
     tasks = csv_cfg.get("tasks")
@@ -140,6 +162,7 @@ def _load_datasets(cfg):
     for t, entry in enumerate(tasks):
         if not (isinstance(entry, dict) and entry.get("train")):
             raise ValueError(f"data.csv.tasks[{t}] has no train file")
+        _keys(entry, f"data.csv.tasks[{t}]", ("train", "val", "test"))
         out.append(
             SplitDatasets(
                 load_csv(entry["train"], schema, t, "train"),
@@ -160,7 +183,11 @@ def _architecture(cfg, datasets, config):
     arch_cfg.setdefault("input_dim", first.inputs.shape[1])
     if "output_dim" not in arch_cfg:
         arch_cfg["output_dim"] = _head_dims(datasets, config)
-    arch_cfg["task_count"] = len(datasets)
+    tasks = arch_cfg.setdefault("task_count", len(datasets))
+    if tasks != len(datasets):
+        raise ValueError(
+            f"arch.task_count is {tasks!r}, but the data has {len(datasets)} tasks"
+        )
     return ArchitectureSpec(**arch_cfg)
 
 

@@ -8,6 +8,7 @@ their interval indices so the manual backward pass can chain through the
 activation's x- and coordinate-derivatives without searching again.
 """
 
+import copy
 import json
 import math
 import os
@@ -16,7 +17,7 @@ import zipfile
 import numpy as np
 
 from taan import _backend
-from taan.apl import BasisGrid, validate_coordinates
+from taan.apl import BasisGrid
 from taan.data import _real, _whole
 from taan.metrics import GaussianMixture
 
@@ -57,21 +58,12 @@ class _Fixed(tuple):
         raise _rebind_error(self.slots[i][0])
 
 
-class LinearLayer:
-    """Dense map y = x W' + b with weight (out, in) and bias (out,)."""
+class LinearLayer(_Owned):
+    """A dense map y = x W' + b of a model: ``weight`` (out, in) and ``bias``
+    (out,) are views of its ``params``."""
 
-    def __init__(self, weight, bias):
-        self.weight = np.ascontiguousarray(weight, dtype=np.float64)
-        self.bias = np.ascontiguousarray(bias, dtype=np.float64)
-        if self.weight.ndim != 2 or self.bias.shape != (self.weight.shape[0],):
-            raise ValueError(
-                f"inconsistent linear shapes {self.weight.shape}, "
-                f"{self.bias.shape}"
-            )
-        if not (
-            np.all(np.isfinite(self.weight)) and np.all(np.isfinite(self.bias))
-        ):
-            raise ValueError("linear layer entries must be finite")
+    def __init__(self, name, weight, bias):
+        self.__dict__.update(_name=name, weight=weight, bias=bias)
 
     @property
     def out_dim(self):
@@ -82,21 +74,10 @@ class LinearLayer:
         return self.weight.shape[1]
 
 
-class AalLayer:
-    """One shared linear layer plus the per-task activation coordinates."""
+class AalLayer(_Owned):
+    """One shared linear layer of a model plus every task's activation
+    coordinates on ``grid``, a (tasks, len(grid)) view of its ``params``."""
 
-    def __init__(self, linear, coords, grid):
-        self.linear = linear
-        self.grid = grid
-        self.coords = validate_coordinates(coords, grid)
-
-
-class _OwnedLinear(_Owned, LinearLayer):
-    def __init__(self, name, weight, bias):  # views of params: validated already
-        self.__dict__.update(_name=name, weight=weight, bias=bias)
-
-
-class _OwnedAal(_Owned, AalLayer):
     def __init__(self, name, linear, coords, grid):
         self.__dict__.update(_name=name, linear=linear, coords=coords, grid=grid)
 
@@ -119,57 +100,62 @@ def _layout(input_dim, widths, basis_counts, output_dims):
 
 
 class TaanModel(_Owned):
-    """Shared layers plus per-task heads.
+    """Shared layers plus per-task heads, over one float64 vector.
 
-    Construction checks each given array against its slot in the table
-    ``_layout`` builds from their sizes (a mis-shaped one raises ValueError
-    naming the slot and both shapes), then copies them into one float64
-    vector ``params`` laid out as that table, ``layout``; ``load_checkpoint``
-    binds its loaded vector instead.  ``layers`` and ``heads`` are the
-    model's own objects over views of ``params``; the caller's objects are
-    only read.  The arrays are writable, but neither they, the objects nor
-    ``params`` can be rebound: that raises ``ValueError`` naming the slot.
+    ``layout`` is the slot table ``_layout`` builds from the sizes: layer l
+    maps to ``widths[l]`` units through activations on ``grids[l]``, and
+    task t's head has ``output_dims[t]`` outputs.  ``params`` (a contiguous
+    float64 vector as long as the table) becomes the model's own vector,
+    not copied; without it the model starts at zeros.  ``layers`` and
+    ``heads`` are the model's own objects over views of ``params``.  The
+    arrays are writable, but neither they, the objects nor ``params`` can
+    be rebound: that raises ``ValueError`` naming the slot.
     """
 
-    def __init__(self, layers, heads, task_count):
-        if len(heads) != task_count or task_count < 1:
-            need = f"expected {task_count} heads (one per task, at least one)"
-            raise ValueError(f"{need}, got {len(heads)}")
-        layout, _ = _layout(
-            layers[0].linear.in_dim if layers else heads[0].in_dim,
-            [x.linear.out_dim for x in layers],
-            [len(x.grid) for x in layers],
-            [x.out_dim for x in heads],
-        )
-        arrays = [a for x in layers for a in (x.linear.weight, x.linear.bias, x.coords)]
-        arrays += [a for x in heads for a in (x.weight, x.bias)]
-        for a, (name, _, shape) in zip(arrays, layout):
-            if a.shape != shape:
-                raise ValueError(f"{name} has shape {a.shape}, expected {shape}")
-        params = np.concatenate([a.ravel() for a in arrays])
-        self._bind(params, layout, [x.grid for x in layers])
-
-    def _bind(self, params, layout, grids):
-        """Take ``params`` (float64, contiguous, owning its data; not copied)
-        as this model's vector, laid out as ``layout`` (from ``_layout``),
-        with layer l on ``grids[l]``."""
+    def __init__(self, input_dim, widths, grids, output_dims, params=None):
+        if len(widths) != len(grids) or not output_dims:
+            got = f"{len(widths)} widths, {len(grids)} grids, {len(output_dims)} heads"
+            raise ValueError(f"need a grid per width and a head or more, got {got}")
+        layout, size = _layout(input_dim, widths, [len(g) for g in grids], output_dims)
+        if params is None:
+            params = np.zeros(size)
+        elif not (
+            isinstance(params, np.ndarray)
+            and params.shape == (size,)
+            and params.dtype == np.float64
+            and params.flags.c_contiguous
+        ):
+            dtype = getattr(params, "dtype", type(params).__name__)
+            raise ValueError(
+                f"params has shape {np.shape(params)} and dtype {dtype}, "
+                f"expected a contiguous ({size},) float64 vector"
+            )
         n = 3 * len(grids)
         self.params, self.layout = params, layout
-        self._arrays = v = tuple(param_views(self, params))
+        self._arrays = v = tuple(_views(params, layout))
         own = []
         for l, (grid, w, b, c) in enumerate(zip(grids, *[iter(v[:n])] * 3)):
             p = f"layers[{l}]."
-            own.append(_OwnedAal(p, _OwnedLinear(p + "linear.", w, b), c, grid))
+            own.append(AalLayer(p, LinearLayer(p + "linear.", w, b), c, grid))
         self.layers = _Fixed(own, layout[0:n:3])
         pairs = enumerate(zip(v[n::2], v[n + 1 :: 2]))
-        own = [_OwnedLinear(f"heads[{t}].", w, b) for t, (w, b) in pairs]
+        own = [LinearLayer(f"heads[{t}].", w, b) for t, (w, b) in pairs]
         self.heads = _Fixed(own, layout[n::2])
         self.task_count = len(own)
 
+    def _sizes(self):
+        """The constructor's arguments but ``params``."""
+        return (
+            self.input_dim,
+            [layer.linear.out_dim for layer in self.layers],
+            [layer.grid for layer in self.layers],
+            [head.out_dim for head in self.heads],
+        )
+
     def __reduce__(self):
-        # Copies and pickles are rebuilt by the constructor, so their arrays
-        # are views of their own params rather than detached copies.
-        return TaanModel, (list(self.layers), list(self.heads), self.task_count)
+        # Copies and pickles are rebuilt by the constructor over a copy of
+        # params, so a shallow copy does not share it either.
+        return TaanModel, (*self._sizes(), self.params.copy())
 
     @property
     def input_dim(self):
@@ -401,14 +387,10 @@ def build_model(arch: ArchitectureSpec, seed) -> TaanModel:
     asymmetry for tasks to diverge); ``seed`` is a whole number >= 0."""
     rng = np.random.default_rng(_whole("seed", seed, 0))
     grid = BasisGrid.even(arch.basis_count, *arch.basis_range)
-    depth = len(arch.hidden_widths)
-    layout, size = _layout(
-        arch.input_dim, arch.hidden_widths, [len(grid)] * depth, arch.output_dims
-    )
-    model = TaanModel.__new__(TaanModel)
-    model._bind(np.zeros(size), layout, [grid] * depth)
+    grids = [grid] * len(arch.hidden_widths)
+    model = TaanModel(arch.input_dim, arch.hidden_widths, grids, arch.output_dims)
     # Draws follow the layout: each layer's weight then coords, then heads.
-    for (name, _, shape), arr in zip(layout, model_parameters(model)):
+    for (name, _, shape), arr in zip(model.layout, model_parameters(model)):
         if name.endswith("weight"):
             limit = np.sqrt(6.0 / shape[1])
             arr[:] = rng.uniform(-limit, limit, size=shape)
@@ -417,21 +399,16 @@ def build_model(arch: ArchitectureSpec, seed) -> TaanModel:
     return model
 
 
-def _shared_coords(coords):
-    # Already-identical rows are kept verbatim instead of re-averaged, so the
-    # reduction is exactly idempotent despite rounding in the mean.
-    if np.all(coords == coords[0]):
-        return coords
-    return np.repeat(coords.mean(axis=0, keepdims=True), coords.shape[0], axis=0)
-
-
 def to_hard_sharing(model: TaanModel) -> TaanModel:
-    """Replace every coordinate row with the row mean so all tasks share one
-    activation per layer; weights, biases and heads are copied unchanged."""
-    layers = [
-        AalLayer(l.linear, _shared_coords(l.coords), l.grid) for l in model.layers
-    ]
-    return TaanModel(layers, model.heads, model.task_count)
+    """Copy of the model with every coordinate row replaced by the row mean,
+    so all tasks share one activation per layer."""
+    shared = copy.copy(model)
+    for layer in shared.layers:
+        # Already-identical rows are kept verbatim instead of re-averaged, so
+        # the reduction is exactly idempotent despite rounding in the mean.
+        if not np.all(layer.coords == layer.coords[0]):
+            layer.coords[:] = layer.coords.mean(axis=0)
+    return shared
 
 
 def tie_heads(model: TaanModel) -> TaanModel:
@@ -439,7 +416,10 @@ def tie_heads(model: TaanModel) -> TaanModel:
     first = model.heads[0]
     if any(h.out_dim != first.out_dim for h in model.heads):
         raise ValueError("cannot tie heads with different output dims")
-    return TaanModel(model.layers, [first] * model.task_count, model.task_count)
+    tied = copy.copy(model)
+    for head in tied.heads[1:]:
+        head.weight[:], head.bias[:] = first.weight, first.bias
+    return tied
 
 
 def param_views(model: TaanModel, flat):
@@ -461,7 +441,7 @@ def _layer_views(model, flat):
     """Each layer's (weight, bias, coords) views of a flat vector laid out
     like ``model.params``."""
     n = 3 * len(model.layers)
-    if flat is model.params:  # made through the table at binding, kept
+    if flat is model.params:  # made through the table at construction, kept
         return zip(*[iter(model._arrays[:n])] * 3)
     return zip(*[iter(_views(flat, model.layout[:n]))] * 3)
 
@@ -493,21 +473,22 @@ def save_checkpoint(model: TaanModel, path, mixture=None, seed=None):
     moved into place, so no save leaves a partial file.  Every model array
     is a view of ``params``, so that one member holds them all.
     """
+    input_dim, widths, grids, output_dims = model._sizes()
     meta = {
         "format": CHECKPOINT_FORMAT,
         "task_count": model.task_count,
-        "input_dim": model.input_dim,
-        "widths": [layer.linear.out_dim for layer in model.layers],
-        "basis_counts": [len(layer.grid) for layer in model.layers],
-        "output_dims": [h.out_dim for h in model.heads],
-        "seed": None if seed is None else int(seed),
+        "input_dim": input_dim,
+        "widths": widths,
+        "basis_counts": [len(grid) for grid in grids],
+        "output_dims": output_dims,
+        "seed": None if seed is None else _whole("seed", seed, 0),
         "has_mixture": mixture is not None,
     }
     arrays = {
         "meta": np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
         "params": model.params,
         "breakpoints": np.concatenate(
-            [np.zeros(0)] + [layer.grid.breakpoints for layer in model.layers]
+            [np.zeros(0)] + [grid.breakpoints for grid in grids]
         ),
     }
     if mixture is not None:
@@ -527,9 +508,9 @@ def save_checkpoint(model: TaanModel, path, mixture=None, seed=None):
 def load_checkpoint(path):
     """Inverse of save_checkpoint; returns (model, mixture, seed).
 
-    ``_layout`` builds the slot table from the sizes in ``meta``; ``params``
-    is checked once, for shape and finiteness, and becomes the model's own
-    vector, with the layers and heads bound over views of it.  Layers with
+    ``params`` is copied once, checked for finiteness and handed to the
+    constructor with the sizes in ``meta``, which checks its length and
+    takes the copy as the model's own vector.  Layers with
     equal breakpoints share one ``BasisGrid``.  A file that is not an npz
     archive, a missing or malformed member, a missing ``meta`` key and
     ``meta`` values that do not describe a model raise one ValueError
@@ -586,13 +567,11 @@ def _checkpoint_from_archive(archive):
         if key not in by_row:
             by_row[key] = BasisGrid(row)
         grids.append(by_row[key])
-    layout, size = _layout(input_dim, widths, counts, output_dims)
-    params = data("params", (size,))
+    # A copy: the archive's array is a view, and a model owns its vector.
+    params = np.array(data("params"), dtype=np.float64)
     if not np.all(np.isfinite(params)):
         raise ValueError("params has non-finite entries")
-    model = TaanModel.__new__(TaanModel)
-    # A copy: the archive's array is a view, and a model owns its vector.
-    model._bind(np.array(params, dtype=np.float64), layout, grids)
+    model = TaanModel(input_dim, widths, grids, output_dims, params)
     mixture = None
     if meta["has_mixture"]:
         mix = data("mixture")

@@ -12,7 +12,6 @@ from taan.apl import (
     apl_eval_pair,
     apl_grad_coords,
     apl_grad_x,
-    validate_coordinates,
 )
 from taan.metrics import (
     GaussianMixture,
@@ -137,17 +136,6 @@ def test_grid_validation():
         BasisGrid(np.array([], dtype=np.float64))
     with pytest.raises(ValueError):
         BasisGrid.even(0)
-
-
-def test_validate_coordinates():
-    grid = BasisGrid.even(3)
-    good = np.zeros((4, 3))
-    out = validate_coordinates(good, grid)
-    assert out.shape == (4, 3)
-    with pytest.raises(ValueError):
-        validate_coordinates(np.zeros((4, 2)), grid)
-    with pytest.raises(ValueError):
-        validate_coordinates(np.full((4, 3), np.nan), grid)
 
 
 GRID4 = BasisGrid.even(4)

@@ -500,6 +500,66 @@ def test_csv_block_without_schema_or_tasks_names_what_is_missing(tmp_path, capsy
         assert capsys.readouterr().err == f"error: {message}\n"
 
 
+SCHEMA = {"n_inputs": 3, "n_targets": 1}
+
+# Edits to write_config's file and the error each must give.
+BAD_OBJECTS = {
+    "top_level_key": (
+        {"learning_rate": 3e-3},
+        "unknown config key 'learning_rate'; the top level takes out, seed, "
+        "arch, train, data",
+    ),
+    "data_key": (
+        {"data.synthetc": {"task_count": 2}},
+        "unknown config key 'data.synthetc'; data takes synthetic, csv",
+    ),
+    "reg_key": (
+        {"train.reg": {"kind": "dis", "coef": 0.1}},
+        "unknown config key 'train.reg.coef'; train.reg takes kind, coefficient",
+    ),
+    "reg_string": (
+        {"train.reg": "dis"}, "config train.reg must be a JSON object, got str"
+    ),
+    "data_list": ({"data": [1]}, "config data must be a JSON object, got list"),
+    "csv_list": (
+        {"data": {"csv": [1]}}, "config data.csv must be a JSON object, got list"
+    ),
+    "csv_key": (
+        {"data": {"csv": {"schema": SCHEMA, "tasks": [], "sep": ";"}}},
+        "unknown config key 'data.csv.sep'; data.csv takes schema, tasks",
+    ),
+    "task_entry_key": (
+        {"data": {"csv": {"schema": SCHEMA, "tasks": [{"train": "t", "tset": "s"}]}}},
+        "unknown config key 'data.csv.tasks[0].tset'; data.csv.tasks[0] takes "
+        "train, val, test",
+    ),
+    "task_count": (
+        {"arch.task_count": 3},
+        "arch.task_count is 3, but the data has 2 tasks",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", BAD_OBJECTS)
+def test_config_objects_no_class_reads_are_checked_by_name(tmp_path, capsys, case):
+    overrides, message = BAD_OBJECTS[case]
+    cfg = write_config(tmp_path, overrides)
+    argv = ["train", "--config", str(cfg), "--out", str(tmp_path / "run")]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "run" / "checkpoints" / "model.npz").exists()
+    # The flags that write into train.reg do not get there first.
+    assert cli.main([*argv, "--reg", "dis", "--coef", "0.1"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_arch_task_count_equal_to_the_data_trains(tmp_path):
+    cfg = write_config(tmp_path, {"arch.task_count": 2})
+    out = tmp_path / "run"
+    assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+    assert load_checkpoint(out / "checkpoints" / "model.npz")[0].task_count == 2
+
+
 # A config setting, a bad value for it and what the error must say.
 BAD_REALS = {
     "lr_bool": (
@@ -540,6 +600,23 @@ README_JSON = re.findall(
     (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8"),
     re.DOTALL,
 )
+
+
+README_PYTHON = re.findall(
+    r"```python\n(.*?)```",
+    (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8"),
+    re.DOTALL,
+)
+
+
+def test_readme_quick_start_runs_as_written(capsys):
+    assert len(README_PYTHON) == 1
+    exec(compile(README_PYTHON[0], "README.md", "exec"), {})
+    scores, *matrix = capsys.readouterr().out.strip().split("\n")
+    # Four test MSEs, then the 4 x 4 layer-0 distance matrix.
+    scores = json.loads(scores)
+    assert len(scores) == 4 and all(mse > 0.0 for mse in scores)
+    assert len(matrix) == 4
 
 
 def test_readme_has_json_examples():

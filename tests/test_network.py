@@ -16,10 +16,8 @@ from taan.apl import BasisGrid, apl_eval
 from taan.metrics import GaussianMixture
 from taan.training import cross_entropy, squared_error
 from taan.network import (
-    AalLayer,
     ArchitectureSpec,
     BatchLayout,
-    LinearLayer,
     TaanModel,
     backward,
     build_model,
@@ -332,36 +330,41 @@ def test_rebound_arrays_fail_loudly(tmp_path, make):
     assert_packed(model)
 
 
-def mis_shaped(case):
-    """small_model's layers and heads (widths (5, 3), 3 tasks, M = 4, heads
-    (2, 3)) with one array of the wrong shape."""
-    model = small_model()
-    layers, heads = list(model.layers), list(model.heads)
-    first, second = layers
-    if case == "unchained_layer":
-        linear = LinearLayer(np.zeros((3, 4)), second.linear.bias)
-        layers[1] = AalLayer(linear, second.coords, second.grid)
-    elif case == "coords_rows":
-        layers[0] = AalLayer(first.linear, first.coords[:2], first.grid)
-    else:
-        heads[2] = LinearLayer(np.zeros((2, 4)), heads[2].bias)
-    return layers, heads
+def heads_only_model(weight, bias):
+    """A one-task model without hidden layers whose head is (weight, bias)."""
+    params = np.concatenate([np.ravel(weight), bias]).astype(np.float64)
+    return TaanModel(np.shape(weight)[1], [], [], [len(bias)], params)
+
+
+def test_the_constructor_takes_params_uncopied():
+    grid = BasisGrid.even(4)
+    # small_model's sizes: 4 inputs, widths (5, 3), M = 4, three 2-wide heads.
+    sizes = (4, (5, 3), [grid, grid], (2, 2, 2))
+    params = np.arange(91.0)
+    model = TaanModel(*sizes, params)
+    assert model.params is params and model.layout == small_model().layout
+    assert model.layers[1].coords[0, 0] == 4 * 5 + 5 + 3 * 4 + 3 * 5 + 3
+    assert model.layers[0].grid is grid and model.task_count == 3
+    assert not np.any(TaanModel(*sizes).params)
 
 
 @pytest.mark.parametrize(
-    "case, slot, shape, expected",
+    "params, got",
     [
-        ("unchained_layer", "layers[1].linear.weight", (3, 4), (3, 5)),
-        ("coords_rows", "layers[0].coords", (2, 4), (3, 4)),
-        ("head_width", "heads[2].weight", (2, 4), (2, 3)),
+        (np.zeros(90), "shape (90,) and dtype float64"),
+        (np.zeros(92), "shape (92,) and dtype float64"),
+        (np.zeros(91, np.float32), "shape (91,) and dtype float32"),
+        (np.zeros((1, 91)), "shape (1, 91) and dtype float64"),
+        (np.zeros(182)[::2], "shape (91,) and dtype float64"),
+        ([0.0] * 91, "shape (91,) and dtype list"),
     ],
-    ids=["unchained_layer", "coords_rows", "head_width"],
+    ids=["short", "long", "float32", "matrix", "strided", "list"],
 )
-def test_a_mis_shaped_array_names_its_slot(case, slot, shape, expected):
-    layers, heads = mis_shaped(case)
-    message = f"{slot} has shape {shape}, expected {expected}"
+def test_params_of_the_wrong_length_or_dtype_are_named(params, got):
+    grid = BasisGrid.even(4)
+    message = f"params has {got}, expected a contiguous (91,) float64 vector"
     with pytest.raises(ValueError, match=re.escape(message)):
-        TaanModel(layers, heads, task_count=3)
+        TaanModel(4, (5, 3), [grid, grid], (2, 2, 2), params)
 
 
 def test_hard_sharing_with_tied_heads_is_task_independent():
@@ -467,33 +470,13 @@ def test_every_array_is_a_view_of_params(tmp_path):
         assert_packed(derived)
         assert not np.shares_memory(derived.params, model.params)
     assert_packed(model)
-    heads_only = TaanModel([], [LinearLayer(np.eye(3), np.zeros(3))], 1)
-    assert_packed(heads_only)
-
-
-def test_same_object_twice_gives_independent_slots():
-    weight = np.ones((1, 3))
-    head = LinearLayer(weight, np.zeros(1))
-    model = TaanModel([], [head] * 2, task_count=2)
-    assert_packed(model)
-    model.heads[1].weight[:] = 5.0
-    model.heads[1].bias[:] = 5.0
-    assert np.array_equal(model.heads[0].weight, np.ones((1, 3)))
-    assert np.array_equal(model.heads[0].bias, np.zeros(1))
-    assert np.array_equal(head.weight, np.ones((1, 3)))
-    assert np.array_equal(weight, np.ones((1, 3)))
-    lin = LinearLayer(np.ones((3, 3)), np.zeros(3))
-    layer = AalLayer(lin, np.zeros((1, 4)), BasisGrid.even(4))
-    model = TaanModel([layer, layer], [lin], task_count=1)
-    assert_packed(model)
-    model.layers[1].linear.weight[:] = 5.0
-    assert np.all(model.layers[0].linear.weight == 1.0)
-    assert np.all(model.heads[0].weight == 1.0) and np.all(lin.weight == 1.0)
+    assert_packed(heads_only_model(np.eye(3), np.zeros(3)))
 
 
 def test_copies_and_pickles_stay_packed():
     model = small_model()
-    for other in (copy.deepcopy(model), pickle.loads(pickle.dumps(model))):
+    copies = (copy.copy(model), copy.deepcopy(model), pickle.loads(pickle.dumps(model)))
+    for other in copies:
         assert_packed(other)
         assert np.array_equal(other.params, model.params)
         assert not np.shares_memory(other.params, model.params)
@@ -542,6 +525,23 @@ def test_checkpoint_file_name_and_no_leftovers(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["plain.npz"]
     loaded, _, seed = load_checkpoint(tmp_path / "plain.npz")
     assert seed == 1 and np.array_equal(loaded.params, model.params)
+
+
+def test_checkpoint_seed_is_a_whole_number(tmp_path):
+    # The loader's rule for meta's seed, applied before anything is written.
+    model, path = small_model(), tmp_path / "m.npz"
+    for seed, message in (
+        (2.5, "seed must be a whole number, got 2.5"),
+        (True, "seed must be a whole number, got True"),
+        (-1, "seed must be >= 0, got -1"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            save_checkpoint(model, path, seed=seed)
+    assert not list(tmp_path.iterdir())
+    for seed in (np.int64(4), 4.0):
+        save_checkpoint(model, path, seed=seed)
+        loaded_seed = load_checkpoint(path)[2]
+        assert type(loaded_seed) is int and loaded_seed == 4
 
 
 @pytest.mark.parametrize("failure", ["write", "replace"])
@@ -697,18 +697,9 @@ def mixed_grid_model():
         BasisGrid(np.array([-1.0, 0.25, 3.0])),
         BasisGrid.even(1),
     ]
-    layers, fan_in = [], 3
-    for width, grid in zip((5, 4, 2), grids):
-        linear = LinearLayer(
-            rng.standard_normal((width, fan_in)), rng.standard_normal(width)
-        )
-        layers.append(AalLayer(linear, rng.standard_normal((2, len(grid))), grid))
-        fan_in = width
-    heads = [
-        LinearLayer(rng.standard_normal((d, fan_in)), rng.standard_normal(d))
-        for d in (1, 3)
-    ]
-    return TaanModel(layers, heads, task_count=2)
+    model = TaanModel(3, (5, 4, 2), grids, (1, 3))
+    model.params[:] = rng.standard_normal(model.params.size)
+    return model
 
 
 @pytest.mark.parametrize(
@@ -716,9 +707,7 @@ def mixed_grid_model():
     [
         lambda: small_model(arch=ArchitectureSpec(4, (5,), (1, 3, 2), task_count=3)),
         mixed_grid_model,
-        lambda: TaanModel(
-            [], [LinearLayer(np.arange(6.0).reshape(2, 3), np.ones(2))], 1
-        ),
+        lambda: heads_only_model(np.arange(6.0).reshape(2, 3), np.ones(2)),
     ],
     ids=["unequal_heads", "per_layer_grids", "heads_only"],
 )
@@ -767,23 +756,17 @@ def test_validation_errors():
         forward(model, {0: rng.standard_normal((2, ARCH.input_dim + 1))})
     with pytest.raises(ValueError):
         forward(model, {0: rng.standard_normal(ARCH.input_dim)})
-    with pytest.raises(ValueError, match="at least one"):
-        TaanModel([], [], 0)
+    with pytest.raises(ValueError, match="or more, got 0 widths, 0 grids, 0 heads"):
+        TaanModel(3, [], [], [])
     out, trace = forward(model, {0: rng.standard_normal((2, ARCH.input_dim))})
     with pytest.raises(ValueError):
         backward(model, trace, {0: np.ones((2, 3))})
     with pytest.raises(ValueError):
-        LinearLayer(np.ones((2, 3)), np.zeros(3))
-    with pytest.raises(ValueError):
-        LinearLayer(np.array([[np.inf, 0.0]]), np.zeros(1))
-    with pytest.raises(ValueError):
         ArchitectureSpec(4, (5,), (1, 2, 3), task_count=2)
     with pytest.raises(ValueError):
         ArchitectureSpec(0, (5,), 1, task_count=1)
-    grid = BasisGrid.even(4)
-    lin = LinearLayer(np.ones((3, 4)), np.zeros(3))
-    with pytest.raises(ValueError):
-        TaanModel([AalLayer(lin, np.zeros((2, 4)), grid)], [lin], task_count=2)
+    with pytest.raises(ValueError, match="need a grid per width .* 1 widths, 0 grids"):
+        TaanModel(4, [3], [], [1, 1])
     with pytest.raises(ValueError, match="at least one task batch"):
         forward(model, {})
     with pytest.raises(ValueError, match=r"forward pass ran tasks \[0\]"):

@@ -16,8 +16,6 @@ from taan.metrics import (
 )
 from taan.network import (
     ArchitectureSpec,
-    LinearLayer,
-    TaanModel,
     build_model,
     model_parameters,
     param_views,
@@ -37,7 +35,7 @@ from taan.training import (
     squared_error,
     train,
 )
-from test_network import LOSS_FNS, reference_pass, small_model
+from test_network import LOSS_FNS, heads_only_model, reference_pass, small_model
 
 
 def test_adam_zero_gradient_is_identity():
@@ -594,7 +592,7 @@ def test_non_finite_loss_stops_training():
 
 
 def identity_model(dim):
-    return TaanModel([], [LinearLayer(np.eye(dim), np.zeros(dim))], task_count=1)
+    return heads_only_model(np.eye(dim), np.zeros(dim))
 
 
 MAP_SCORES = np.array(
