@@ -65,15 +65,16 @@ DEFAULT_CONFIG = {
 }
 
 
-def _keys(value, name, keys):
+def _keys(value, name, keys=None):
     """``value`` if it is a JSON object with no key outside ``keys``, else
-    ValueError naming ``name``, its place in the config.  The objects that
-    become a class's keyword arguments are left to that class."""
+    ValueError naming ``name``, its place in the config.  An object that
+    becomes a class's keyword arguments passes no ``keys``: that class
+    checks them."""
     if not isinstance(value, dict):
         kind = type(value).__name__
         raise ValueError(f"config {name} must be a JSON object, got {kind}")
     for key in value:
-        if key not in keys:
+        if keys is not None and key not in keys:
             where = f"{name}.{key}" if name else key
             raise ValueError(
                 f"unknown config key {where!r}; {name or 'the top level'} takes "
@@ -104,16 +105,20 @@ def load_config(args):
             )
         _keys(file_cfg, "", tuple(DEFAULT_CONFIG))
         file_data = _keys(file_cfg.get("data", {}), "data", ("synthetic", "csv"))
+        synthetic = file_data.get("synthetic")
+        if synthetic is not None:  # null clears the default benchmark
+            _keys(synthetic, "data.synthetic")
         if "csv" in file_data:
             # A CSV source replaces the default synthetic benchmark.
             cfg["data"] = {}
-        elif "task_count" in (file_data.get("synthetic") or {}):
+        elif "task_count" in (synthetic or {}):
             # The default clusters are for the default task count; without
             # clusters of its own, a file's task count gets SyntheticSpec's.
             del cfg["data"]["synthetic"]["clusters"]
         cfg = _deep_merge(cfg, file_cfg)
-        if isinstance(cfg["train"], dict):
-            _keys(cfg["train"]["reg"], "train.reg", ("kind", "coefficient"))
+        _keys(cfg["arch"], "arch")
+        reg = _keys(cfg["train"], "train")["reg"]
+        _keys(reg, "train.reg", ("kind", "coefficient"))
     if getattr(args, "seed", None) is not None:
         cfg["seed"] = args.seed
     if getattr(args, "out", None):
@@ -127,7 +132,7 @@ def load_config(args):
 
 def _outdirs(out, *names):
     """The named subdirectories of ``out``, created; each command names
-    only the ones it writes."""
+    only the ones it writes, once its inputs are read and checked."""
     dirs = {name: Path(out) / name for name in names}
     for path in dirs.values():
         path.mkdir(parents=True, exist_ok=True)
@@ -204,9 +209,8 @@ def _train_config(cfg):
 
 def cmd_gen_data(args):
     cfg = load_config(args)
+    datasets = generate(_synthetic_spec(cfg))
     dirs = _outdirs(cfg["out"], "data")
-    spec = _synthetic_spec(cfg)
-    datasets = generate(spec)
     for split in datasets:
         for part in (split.train, split.val, split.test):
             path = dirs["data"] / f"task{part.task_id}_{part.split}.csv"
@@ -217,11 +221,10 @@ def cmd_gen_data(args):
 
 def cmd_train(args):
     cfg = load_config(args)
-    dirs = _outdirs(cfg["out"], "checkpoints", "history")
     datasets = _load_datasets(cfg)
     config = _train_config(cfg)
-    arch = _architecture(cfg, datasets, config)
-    model = build_model(arch, cfg["seed"])
+    model = build_model(_architecture(cfg, datasets, config), cfg["seed"])
+    dirs = _outdirs(cfg["out"], "checkpoints", "history")
     model, history = train(model, datasets, config)
     ckpt = dirs["checkpoints"] / "model.npz"
     save_checkpoint(
@@ -244,9 +247,9 @@ def cmd_train(args):
 
 def cmd_analyze(args):
     cfg = load_config(args)
-    dirs = _outdirs(cfg["out"], "matrices", "reports")
     ckpt = args.checkpoint or Path(cfg["out"]) / "checkpoints" / "model.npz"
     model, mixture, _seed = load_checkpoint(ckpt)
+    dirs = _outdirs(cfg["out"], "matrices", "reports")
     reports = layer_distances(model, mixture=mixture)
     lines = []
     for report in reports:

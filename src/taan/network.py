@@ -213,10 +213,14 @@ class BatchLayout:
     in training) gives them the same value.  Batches are stacked group by
     group in ``stack_order``; ``spans`` holds each task's row range and
     ``row_task`` the task of every row.  The layout is its pass's trace:
-    ``stacked_forward`` reads the stacked inputs ``x`` and writes each
-    layer's ``buffers`` (pre-activations, flat interval indices,
-    activations), its coordinate ``tables`` and ``scratch``, so a layout's
-    next pass overwrites its last trace."""
+    ``stacked_forward`` reads the stacked inputs ``x``, writes each layer's
+    ``buffers`` (pre-activations, flat interval indices, activations) and
+    ``scratch``, and keeps each layer's coordinate ``tables`` as built;
+    ``stacked_backward`` writes ``grad``, a vector laid out like
+    ``model.params``, through its per-layer (weight, bias, coords) views
+    ``layer_grads``.  A pass rewrites every layer slot of ``grad`` and the
+    heads of the layout's tasks, so the other heads stay exactly zero.  A
+    layout's next pass overwrites its last trace and gradient."""
 
     def __init__(self, model, sizes, key=lambda task: None):
         members = {}
@@ -234,9 +238,10 @@ class BatchLayout:
             (np.empty((n, w)), np.empty(n * w, np.intp), np.empty((n, w)))
             for w in widths
         ]
-        self.tables = [
-            np.empty((2, model.task_count * (len(l.grid) + 1))) for l in model.layers
-        ]
+        self.tables = []
+        self.grad = np.zeros_like(model.params)
+        views = _views(self.grad, model.layout[: 3 * len(widths)])
+        self.layer_grads = list(zip(*[iter(views)] * 3))
         size = n * max(widths, default=0)
         self.scratch = np.empty(size), np.empty(size, bool)
 
@@ -269,20 +274,22 @@ def stacked_forward(model, batch):
     this module, though not in ``taan``, so that perfbench's tracer, which
     wraps public functions, times the training step's pass."""
     h = batch.x
-    views = _layer_views(model, model.params)
-    for layer, (w, b, c), (a, idx, h_out), table in zip(
-        model.layers, views, batch.buffers, batch.tables, strict=True
+    batch.tables = [
+        _backend.suffix_tables(layer.coords, layer.grid.breakpoints)
+        for layer in model.layers
+    ]
+    for layer, (a, idx, h_out), table in zip(
+        model.layers, batch.buffers, batch.tables, strict=True
     ):
         bps = layer.grid.breakpoints
-        np.matmul(h, w.T, out=a)
-        a += b
+        np.matmul(h, layer.linear.weight.T, out=a)
+        a += layer.linear.bias
         flat = a.ravel()
         work = [s[: flat.size] for s in batch.scratch]
         layer.grid.intervals(flat, idx, work)
         # Row r's entries live in its task's block of the stacked tables.
         rows = idx.reshape(a.shape)
         rows += (batch.row_task * (bps.size + 1))[:, None]
-        table[...] = _backend.suffix_tables(c, bps)
         _backend.apl_forward(flat, idx, table, bps, h_out.ravel(), work[0])
         h = h_out
     outs = []
@@ -299,10 +306,10 @@ def backward(model: TaanModel, trace: BatchLayout, output_grads):
     """Chain each task's output gradient back to the parameters.
 
     ``output_grads`` maps every task of the forward pass to the gradient of
-    its outputs.  Returns the summed gradient as one vector laid out like
+    its outputs.  Returns the summed gradient as a new vector laid out like
     ``model.params``: the shared linear layers and the coordinate rows and
     heads of the tasks in the pass; every other task's coordinate row and
-    head stays exactly zero.
+    head is exactly zero.
     """
     if set(output_grads) != set(trace.spans):
         raise ValueError(
@@ -320,13 +327,14 @@ def backward(model: TaanModel, trace: BatchLayout, output_grads):
         np.asarray([output_grads[t] for t in group.tasks], dtype=np.float64)
         for group in trace.groups
     ]
-    return stacked_backward(model, trace, douts)
+    return stacked_backward(model, trace, douts).copy()
 
 
 def stacked_backward(model, batch, douts):
     """Backward of ``stacked_forward`` over the trace in ``batch``, from one
-    (G, rows, out) output gradient per head group."""
-    grad = np.zeros_like(model.params)
+    (G, rows, out) output gradient per head group; returns ``batch.grad``,
+    written in place."""
+    grad = batch.grad
     hs = [batch.x] + [h for _, _, h in batch.buffers]
     dh = np.empty_like(hs[-1])
     for group, g in zip(batch.groups, douts):
@@ -335,10 +343,9 @@ def stacked_backward(model, batch, douts):
         dw = np.matmul(g.transpose(0, 2, 1), h).reshape(len(g), -1)
         grad[group.block] = np.concatenate([dw, g.sum(axis=1)], axis=1).ravel()
         dh[group.rows] = np.matmul(g, weight).reshape(-1, dh.shape[1])
-    views = zip(_layer_views(model, model.params), _layer_views(model, grad))
-    steps = list(zip(model.layers, views, batch.buffers, batch.tables, hs))
+    steps = list(zip(model.layers, batch.layer_grads, batch.buffers, batch.tables, hs))
     for l in range(len(steps) - 1, -1, -1):
-        layer, ((w, _, _), (gw, gb, gc)), (a, idx, _), table, h = steps[l]
+        layer, (gw, gb, gc), (a, idx, _), table, h = steps[l]
         gx, gcoords = _backend.apl_backward(
             a.ravel(), idx, table, layer.grid.breakpoints, dh.ravel()
         )
@@ -347,7 +354,7 @@ def stacked_backward(model, batch, douts):
         gb[:] = da.sum(axis=0)
         gc[:] = gcoords
         if l > 0:
-            dh = da @ w
+            dh = da @ layer.linear.weight
     return grad
 
 
@@ -435,20 +442,6 @@ def param_views(model: TaanModel, flat):
 def _views(flat, slots):
     """Views of ``flat`` shaped as the given slots of a model's layout."""
     return [flat[s : s + math.prod(shape)].reshape(shape) for _, s, shape in slots]
-
-
-def _layer_views(model, flat):
-    """Each layer's (weight, bias, coords) views of a flat vector laid out
-    like ``model.params``."""
-    n = 3 * len(model.layers)
-    if flat is model.params:  # made through the table at construction, kept
-        return zip(*[iter(model._arrays[:n])] * 3)
-    return zip(*[iter(_views(flat, model.layout[:n]))] * 3)
-
-
-def coord_views(model: TaanModel, flat):
-    """Each layer's coordinate-matrix view of a flat vector in the layout."""
-    return [c for _, _, c in _layer_views(model, flat)]
 
 
 def model_parameters(model: TaanModel):

@@ -23,7 +23,6 @@ from taan.metrics import (
 from taan.network import (
     BatchLayout,
     TaanModel,
-    coord_views,
     forward,
     stacked_backward,
     stacked_forward,
@@ -347,10 +346,11 @@ def train(model: TaanModel, datasets, config: TrainConfig):
                 douts.append(dout)
             total = stacked_backward(model, batch, douts)
             if reg_on:
-                coord_grads = coord_views(model, total)
-                for l, layer in enumerate(model.layers):
-                    coord_grads[l] += config.reg.coefficient * reg_grad(
-                        config.reg.kind, layer.coords, caches[l]
+                for (_, _, gc), layer, cache in zip(
+                    batch.layer_grads, model.layers, caches
+                ):
+                    gc += config.reg.coefficient * reg_grad(
+                        config.reg.kind, layer.coords, cache
                     )
             adam_step(model.params, total, state)
         bad = np.flatnonzero(~np.isfinite(epoch_loss))

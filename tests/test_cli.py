@@ -271,6 +271,34 @@ def test_commands_create_only_the_directories_they_write(tmp_path):
         assert {p.name for p in out.iterdir()} == expected, name
 
 
+def test_a_failed_command_creates_no_directory(tmp_path, capsys):
+    # Each command's inputs fail to read or check, and it says why.
+    runs = {
+        "analyze": (
+            ["analyze", "--checkpoint", str(tmp_path / "no.npz")],
+            None,
+            "No such file or directory",
+        ),
+        "train": (
+            ["train"],
+            {"data.synthetic.task_count": 0},
+            "task_count must be >= 1, got 0",
+        ),
+        "gen": (
+            ["gen-data"],
+            {"data": {"synthetic": [1]}},
+            "config data.synthetic must be a JSON object, got list",
+        ),
+    }
+    for name, (argv, overrides, message) in runs.items():
+        if overrides:
+            argv = [*argv, "--config", str(write_config(tmp_path, overrides))]
+        out = tmp_path / name
+        assert cli.main([*argv, "--out", str(out)]) == 1, name
+        assert message in capsys.readouterr().err, name
+        assert not out.exists(), name
+
+
 def write_class_csvs(tmp_path, labels):
     """One task's train/val CSVs (columns x0, x1, y0) with the given labels;
     returns the config path for cross-entropy training on them."""
@@ -536,6 +564,12 @@ BAD_OBJECTS = {
     "task_count": (
         {"arch.task_count": 3},
         "arch.task_count is 3, but the data has 2 tasks",
+    ),
+    "train_list": ({"train": [1]}, "config train must be a JSON object, got list"),
+    "arch_list": ({"arch": [1]}, "config arch must be a JSON object, got list"),
+    "synthetic_list": (
+        {"data": {"synthetic": [1]}},
+        "config data.synthetic must be a JSON object, got list",
     ),
 }
 

@@ -26,6 +26,7 @@ from taan.network import (
     model_parameters,
     param_views,
     save_checkpoint,
+    stacked_backward,
     stacked_forward,
     tie_heads,
     to_hard_sharing,
@@ -225,13 +226,18 @@ def test_fused_step_with_unequal_heads_mixed_losses_and_batch_sizes():
     assert fused_against_reference(model, batches, losses, targets) <= 1e-13
 
 
+def buffer_arrays(trace):
+    return [trace.x, *(a for arrays in trace.buffers for a in arrays)]
+
+
 def trace_arrays(trace):
-    return [trace.x, *trace.tables, *(a for arrays in trace.buffers for a in arrays)]
+    return [*buffer_arrays(trace), *trace.tables]
 
 
 def test_a_layouts_passes_share_its_buffers():
-    # Two passes over one layout write into the same arrays, and the second
-    # pass's values are those of a fresh forward over its own inputs.
+    # Two passes over one layout write into the same buffers (the tables
+    # are kept as each pass builds them), and the second pass's values are
+    # those of a fresh forward over its own inputs.
     rng = np.random.default_rng(18)
     model = small_model(seed=7)
     sizes = {2: 6, 0: 6, 1: 3}
@@ -241,15 +247,52 @@ def test_a_layouts_passes_share_its_buffers():
         batches = {t: rng.standard_normal((n, 4)) for t, n in sizes.items()}
         np.concatenate([batches[t] for t in layout.stack_order], out=layout.x)
         outs.append(stacked_forward(model, layout))
-        traces.append(trace_arrays(layout))
+        traces.append(buffer_arrays(layout))
     for a, b in zip(*traces):
         assert np.shares_memory(a, b)
     fresh_outs, fresh = forward(model, batches)
-    for a, b in zip(trace_arrays(fresh), traces[1]):
+    for a, b in zip(trace_arrays(fresh), trace_arrays(layout)):
         assert np.array_equal(a, b)
     for group, out in zip(layout.groups, outs[1]):
         for t, o in zip(group.tasks, out):
             assert np.array_equal(o, fresh_outs[t])
+
+
+@pytest.mark.parametrize("sizes", [{2: 6, 0: 6, 1: 3}, {1: 4}], ids=["all", "subset"])
+def test_a_layouts_backward_passes_share_its_gradient(sizes):
+    # Two backward passes over one layout return its one gradient vector,
+    # and the second pass's values are a fresh layout's, bitwise; the heads
+    # of tasks outside the layout are never written and stay exactly zero.
+    rng = np.random.default_rng(21)
+    model = small_model(seed=10)
+    layout = BatchLayout(model, sizes)
+    grads = []
+    for _ in range(2):
+        layout.x[:] = rng.standard_normal(layout.x.shape)
+        outs = stacked_forward(model, layout)
+        douts = [rng.standard_normal(out.shape) for out in outs]
+        grads.append(stacked_backward(model, layout, douts))
+    assert grads[0] is grads[1] is layout.grad
+    fresh = BatchLayout(model, sizes)
+    fresh.x[:] = layout.x
+    stacked_forward(model, fresh)
+    assert np.array_equal(stacked_backward(model, fresh, douts), grads[1])
+    names = [name for name, _, _ in model.layout]
+    views = dict(zip(names, param_views(model, grads[1])))
+    for t in range(model.task_count):
+        head = [views[f"heads[{t}].weight"], views[f"heads[{t}].bias"]]
+        assert all(np.any(v != 0.0) == (t in sizes) for v in head), t
+
+
+def test_backward_returns_a_new_array_each_call():
+    rng = np.random.default_rng(22)
+    model = small_model(seed=11)
+    outs, trace = forward(model, {0: rng.standard_normal((4, 4))})
+    douts = {0: rng.standard_normal(outs[0].shape)}
+    first, second = (backward(model, trace, douts) for _ in range(2))
+    assert not np.shares_memory(first, second)
+    assert not np.shares_memory(first, trace.grad)
+    assert np.array_equal(first, second)
 
 
 def test_a_layout_for_another_depth_is_rejected():
