@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from taan.apl import apl_eval_pair
-from taan.data import _read_csv, _real, _write_csv
+from taan.data import _choice, _read_csv, _real, _write_csv
 from taan.metrics import (
     GaussianMixture,
     build_gram,
@@ -74,21 +74,18 @@ def export_heatmap(report: LayerDistanceReport, path, fmt="csv"):
     PGM scales linearly with 255 at the matrix maximum, so lighter pixels
     mean larger distance; an all-zero matrix renders black.
     """
-    if fmt == "csv":
+    if _choice("heatmap format", fmt, ("csv", "pgm")) == "csv":
         _write_csv(path, report.labels, report.matrix.tolist())
         return
-    if fmt == "pgm":
-        peak = float(report.matrix.max())
-        if peak > 0:
-            pixels = np.rint(report.matrix * (255.0 / peak)).astype(np.uint8)
-        else:
-            pixels = np.zeros(report.matrix.shape, dtype=np.uint8)
-        t = report.matrix.shape[0]
-        with open(path, "wb") as fh:
-            fh.write(f"P5\n{t} {t}\n255\n".encode("ascii"))
-            fh.write(pixels.tobytes())
-        return
-    raise ValueError(f"unknown heatmap format {fmt!r}")
+    peak = float(report.matrix.max())
+    if peak > 0:
+        pixels = np.rint(report.matrix * (255.0 / peak)).astype(np.uint8)
+    else:
+        pixels = np.zeros(report.matrix.shape, dtype=np.uint8)
+    t = report.matrix.shape[0]
+    with open(path, "wb") as fh:
+        fh.write(f"P5\n{t} {t}\n255\n".encode("ascii"))
+        fh.write(pixels.tobytes())
 
 
 def load_heatmap_csv(path):

@@ -26,9 +26,11 @@ from taan.analysis import (
 )
 from taan.apl import BasisGrid, apl_eval, apl_grad_coords, apl_grad_x
 from taan.data import (
+    SPLIT_TAGS,
     CsvSchema,
     SplitDatasets,
     SyntheticSpec,
+    _path,
     generate,
     load_csv,
     save_csv,
@@ -127,6 +129,7 @@ def load_config(args):
         cfg["train"]["reg"]["kind"] = args.reg
     if getattr(args, "coef", None) is not None:
         cfg["train"]["reg"]["coefficient"] = args.coef
+    _path("out", cfg["out"])
     return cfg
 
 
@@ -156,6 +159,19 @@ def _load_datasets(cfg):
         return generate(_synthetic_spec(cfg))
     if not csv_cfg:
         raise ValueError("config needs data.synthetic or data.csv")
+    schema, files = _csv_files(csv_cfg)
+    return [
+        SplitDatasets(*(
+            None if path is None else load_csv(path, schema, t, split)
+            for path, split in zip(names, SPLIT_TAGS)
+        ))
+        for t, names in enumerate(files)
+    ]
+
+
+def _csv_files(csv_cfg):
+    """A ``data.csv`` block's ``CsvSchema`` and each task's (train, val,
+    test) file names, None for a split it leaves out; nothing is read."""
     _keys(csv_cfg, "data.csv", ("schema", "tasks"))
     if not isinstance(csv_cfg.get("schema"), dict):
         raise ValueError("data.csv needs a schema object")
@@ -163,23 +179,17 @@ def _load_datasets(cfg):
     if not (isinstance(tasks, list) and tasks):
         raise ValueError("data.csv needs a non-empty tasks list")
     schema = CsvSchema(**csv_cfg["schema"])
-    out = []
+    files = []
     for t, entry in enumerate(tasks):
-        if not (isinstance(entry, dict) and entry.get("train")):
-            raise ValueError(f"data.csv.tasks[{t}] has no train file")
-        _keys(entry, f"data.csv.tasks[{t}]", ("train", "val", "test"))
-        out.append(
-            SplitDatasets(
-                load_csv(entry["train"], schema, t, "train"),
-                load_csv(entry["val"], schema, t, "val")
-                if entry.get("val")
-                else None,
-                load_csv(entry["test"], schema, t, "test")
-                if entry.get("test")
-                else None,
-            )
-        )
-    return out
+        where = f"data.csv.tasks[{t}]"
+        if not (isinstance(entry, dict) and "train" in entry):
+            raise ValueError(f"{where} has no train file")
+        _keys(entry, where, SPLIT_TAGS)
+        files.append([entry.get(split) for split in SPLIT_TAGS])
+        for split, name in zip(SPLIT_TAGS, files[-1]):
+            if split == "train" or name is not None:
+                _path(f"{where}.{split}", name)
+    return schema, files
 
 
 def _architecture(cfg, datasets, config):
@@ -200,8 +210,6 @@ def _train_config(cfg):
     params = dict(cfg["train"])
     reg_cfg = params.pop("reg")
     params.setdefault("seed", cfg["seed"])
-    if isinstance(params.get("loss"), list):
-        params["loss"] = tuple(params["loss"])
     return TrainConfig(
         reg=RegConfig(reg_cfg["kind"], reg_cfg["coefficient"]), **params
     )

@@ -49,6 +49,36 @@ def _real(name, value, low=-math.inf, high=math.inf, closed=False):
     raise ValueError(f"{name} must be a finite number in {interval}, got {value!r}")
 
 
+def _flag(name, value):
+    """A bool or numpy bool (a JSON true or false) as a bool; else ValueError."""
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    raise ValueError(f"{name} must be true or false, got {value!r}")
+
+
+def _items(name, value, count=None):
+    """A list or tuple, of ``count`` items if given, as a tuple; anything
+    else, a string, an object, a number or None too, raises ValueError."""
+    if isinstance(value, (list, tuple)) and count in (None, len(value)):
+        return tuple(value)
+    of = "" if count is None else f" of {count} items"
+    raise ValueError(f"{name} must be a list{of}, got {value!r}")
+
+
+def _choice(name, value, options):
+    """One of the names ``options``; else ValueError, which lists them."""
+    if isinstance(value, str) and value in options:
+        return value
+    raise ValueError(f"{name} must be one of {', '.join(options)}, got {value!r}")
+
+
+def _path(name, value):
+    """A file or directory name, a non-empty string; else ValueError."""
+    if isinstance(value, str) and value:
+        return value
+    raise ValueError(f"{name} must be a file name, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TaskDataset:
     """One task's examples: inputs (n, d) and targets (n, k) or labels (n,)."""
@@ -76,8 +106,7 @@ class TaskDataset:
             np.isfinite(np.asarray(targets, dtype=np.float64))
         ):
             raise ValueError("datasets must not contain non-finite entries")
-        if self.split not in SPLIT_TAGS:
-            raise ValueError(f"split must be one of {SPLIT_TAGS}")
+        _choice("split", self.split, SPLIT_TAGS)
         object.__setattr__(self, "task_id", _whole("task_id", self.task_id, 0))
         inputs.setflags(write=False)
         targets.setflags(write=False)
@@ -127,13 +156,11 @@ class SyntheticSpec:
         clusters = self.clusters
         if clusters is None:
             clusters = (0,) * self.task_count
-        clusters = tuple(_whole("clusters", c) for c in clusters)
-        if len(clusters) != self.task_count or any(c < 0 for c in clusters):
-            raise ValueError(
-                "clusters needs one id >= 0 per task "
-                f"(got {clusters!r} for {self.task_count} tasks)"
-            )
-        object.__setattr__(self, "clusters", clusters)
+        ids = _items("clusters", clusters, self.task_count)
+        ids = tuple(_whole("clusters", c, 0) for c in ids)
+        object.__setattr__(self, "clusters", ids)
+        flag = _flag("shared_inputs", self.shared_inputs)
+        object.__setattr__(self, "shared_inputs", flag)
         if self.train_fraction + self.val_fraction >= 1:
             raise ValueError("train and val fractions must leave a test split")
         if min(self.split_sizes()) < 1:

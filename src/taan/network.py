@@ -18,7 +18,7 @@ import numpy as np
 
 from taan import _backend
 from taan.apl import BasisGrid
-from taan.data import _real, _whole
+from taan.data import _flag, _items, _real, _whole
 from taan.metrics import GaussianMixture
 
 COORD_INIT_SCALE = 0.01
@@ -361,7 +361,8 @@ def stacked_backward(model, batch, douts):
 class ArchitectureSpec:
     """Widths and activation-basis layout of a model.
 
-    ``output_dim`` may be a single int (all heads alike) or one int per task.
+    ``output_dim`` may be a single int (all heads alike) or a list or tuple
+    of one int per task.
     """
 
     def __init__(
@@ -375,17 +376,17 @@ class ArchitectureSpec:
     ):
         self.task_count = _whole("task_count", task_count, 1)
         self.input_dim = _whole("input_dim", input_dim, 1)
-        self.hidden_widths = tuple(_whole("hidden_widths", w, 1) for w in hidden_widths)
-        dims = output_dim if np.ndim(output_dim) else [output_dim] * self.task_count
+        widths = _items("hidden_widths", hidden_widths)
+        self.hidden_widths = tuple(_whole("hidden_widths", w, 1) for w in widths)
+        if isinstance(output_dim, (list, tuple)):
+            dims = _items("output_dim", output_dim, self.task_count)
+        else:
+            dims = (output_dim,) * self.task_count
         self.output_dims = tuple(_whole("output_dim", d, 1) for d in dims)
         self.basis_count = _whole("basis_count", basis_count, 1)
-        pair = tuple(basis_range) if np.iterable(basis_range) else (basis_range,)
-        if len(pair) != 2:
-            raise ValueError(f"basis_range must be two numbers (lo, hi), got {pair}")
-        lo = _real("basis_range[0]", pair[0])
-        self.basis_range = (lo, _real("basis_range[1]", pair[1], lo))
-        if len(self.output_dims) != self.task_count:
-            raise ValueError("need one output dim per task")
+        lo, hi = _items("basis_range", basis_range, 2)
+        lo = _real("basis_range[0]", lo)
+        self.basis_range = (lo, _real("basis_range[1]", hi, lo))
 
 
 def build_model(arch: ArchitectureSpec, seed) -> TaanModel:
@@ -566,12 +567,14 @@ def _checkpoint_from_archive(archive):
         raise ValueError("params has non-finite entries")
     model = TaanModel(input_dim, widths, grids, output_dims, params)
     mixture = None
-    if meta["has_mixture"]:
+    if _flag("meta has_mixture", meta["has_mixture"]):
         mix = data("mixture")
         if mix.ndim != 2 or mix.shape[0] != 3:
             raise ValueError(
                 f"mixture has shape {mix.shape}, expected (3, components)"
             )
         mixture = GaussianMixture(*mix)
+    elif "mixture" in archive.files:
+        raise ValueError("meta has_mixture is false, but the archive has 'mixture'")
     seed = meta["seed"]
     return model, mixture, None if seed is None else _whole("meta seed", seed, 0)

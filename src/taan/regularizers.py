@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from taan.apl import _coords
-from taan.data import _real
+from taan.data import _choice, _real
 from taan.metrics import (
     DEGENERATE_NORM_EPS,
     DegenerateFunctionError,
@@ -44,7 +44,8 @@ class RegConfig:
 
     def __post_init__(self):
         if not isinstance(self.kind, RegKind):
-            object.__setattr__(self, "kind", RegKind(self.kind))
+            kind = _choice("kind", self.kind, [k.value for k in RegKind])
+            object.__setattr__(self, "kind", RegKind(kind))
         c = _real("coefficient", self.coefficient, 0, np.inf, closed=True)
         object.__setattr__(self, "coefficient", c)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from taan.data import _real, _whole, _write_csv
+from taan.data import _choice, _items, _real, _whole, _write_csv
 from taan.metrics import (
     GaussianMixture,
     distance_matrix,
@@ -74,8 +74,8 @@ def adam_step(param, grad, state: AdamState):
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Loop hyperparameters; ``loss`` is one kind for all tasks or a tuple
-    with one kind per task."""
+    """Loop hyperparameters; ``loss`` is one kind for all tasks or a list or
+    tuple with one kind per task, stored as a tuple."""
 
     epochs: int
     batch_size: int = 64
@@ -89,10 +89,12 @@ class TrainConfig:
             object.__setattr__(self, name, _whole(name, getattr(self, name), least))
         lr = _real("learning_rate", self.learning_rate, 0)
         object.__setattr__(self, "learning_rate", lr)
-        kinds = (self.loss,) if isinstance(self.loss, str) else tuple(self.loss)
-        for kind in kinds:
-            if kind not in LOSS_KINDS:
-                raise ValueError(f"unknown loss kind {kind!r}")
+        if isinstance(self.loss, str):
+            _choice("loss", self.loss, LOSS_KINDS)
+        else:
+            kinds = _items("loss", self.loss)
+            kinds = tuple(_choice("loss", kind, LOSS_KINDS) for kind in kinds)
+            object.__setattr__(self, "loss", kinds)
 
     def loss_kind(self, task):
         if isinstance(self.loss, str):
@@ -431,12 +433,10 @@ def evaluate(model: TaanModel, dataset, task, metric, k=10):
 
 
 def _score(out, targets, metric, k=10):
-    if metric == "map_at_k":
+    if _choice("metric", metric, ("mse", "accuracy", "map_at_k")) == "map_at_k":
         return map_at_k(out, targets, k)
     if metric == "accuracy":
         targets = _as_onehot(targets, out.shape[1])
-    elif metric != "mse":
-        raise ValueError(f"unknown metric {metric!r}")
     targets = np.asarray(targets, dtype=np.float64)
     if targets.shape != out.shape:
         raise ValueError(f"target shape {targets.shape} does not match {out.shape}")

@@ -1,6 +1,8 @@
 """End-to-end command-line runs, in subprocesses except where a test spies
 on what the CLI hands its writers."""
 
+import dataclasses
+import inspect
 import json
 import re
 import subprocess
@@ -30,6 +32,7 @@ from taan.network import (
     load_checkpoint,
     save_checkpoint,
 )
+from taan.regularizers import RegConfig
 from taan.training import TrainConfig
 
 SMALL_CONFIG = {
@@ -499,6 +502,16 @@ def test_csv_task_entries_and_schema_are_checked_by_name(tmp_path, capsys):
         path.write_text(json.dumps(edited), encoding="utf-8")
         assert cli.main(argv) == 1
         assert capsys.readouterr().err == "error: data.csv.tasks[0] has no train file\n"
+    # A file name is a non-empty string: 1 used to open the process's stdout,
+    # and 0, false and "" to train without that split.
+    for value in (1, True, 0, False, ""):
+        tasks = [{**csv_cfg["tasks"][0], "val": value}]
+        edited = {**cfg, "data": {"csv": {**csv_cfg, "tasks": tasks}}}
+        path.write_text(json.dumps(edited), encoding="utf-8")
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        message = f"data.csv.tasks[0].val must be a file name, got {value!r}"
+        assert err == f"error: {message}\n"
     # A JSON schema size goes through the one whole-number rule.
     schema = {"n_inputs": 2.5, "n_targets": 1}
     edited = {**cfg, "data": {"csv": {**csv_cfg, "schema": schema}}}
@@ -613,7 +626,7 @@ BAD_REALS = {
         "coefficient must be a finite number in [0, inf), got '0.1'",
     ),
     "basis_range_one": (
-        "arch.basis_range", [1], "basis_range must be two numbers (lo, hi), got (1,)"
+        "arch.basis_range", [1], "basis_range must be a list of 2 items, got [1]"
     ),
     "beta2": ("train.beta2", 0.999, "unexpected keyword argument 'beta2'"),
 }
@@ -657,24 +670,189 @@ def test_readme_has_json_examples():
     assert len(README_JSON) >= 2
 
 
-@pytest.mark.parametrize("block", range(len(README_JSON)))
-def test_readme_json_examples_build_what_train_builds(tmp_path, block):
-    """Each README config goes through what ``taan train`` builds before its
-    first step, with one stand-in row per task in place of the data."""
-    path = tmp_path / "config.json"
-    path.write_text(README_JSON[block], encoding="utf-8")
+def build_like_train(path):
+    """What ``taan train`` builds from the config file at ``path`` before its
+    first step, in its order, with one stand-in row per task in place of the
+    data: no file the config names is read."""
     cfg = cli.load_config(SimpleNamespace(config=str(path)))
-    config = cli._train_config(cfg)
     if "csv" in cfg["data"]:
-        schema = CsvSchema(**cfg["data"]["csv"]["schema"])
-        dims = (schema.n_inputs, schema.n_targets)
-        tasks = len(cfg["data"]["csv"]["tasks"])
+        schema, files = cli._csv_files(cfg["data"]["csv"])
+        dims, tasks = (schema.n_inputs, schema.n_targets), len(files)
     else:
         spec = cli._synthetic_spec(cfg)
         dims, tasks = (spec.input_dim, spec.output_dim), spec.task_count
+    config = cli._train_config(cfg)
     row = TaskDataset(np.zeros((1, dims[0])), np.zeros((1, dims[1])), 0, "train")
     arch = cli._architecture(cfg, [SplitDatasets(row, None, None)] * tasks, config)
-    assert arch.task_count == tasks
+    return build_model(arch, cfg["seed"])
+
+
+@pytest.mark.parametrize("block", range(len(README_JSON)))
+def test_readme_json_examples_build_what_train_builds(tmp_path, block):
+    """Each README config builds as ``taan train`` builds it before its first
+    step."""
+    path = tmp_path / "config.json"
+    path.write_text(README_JSON[block], encoding="utf-8")
+    data = json.loads(README_JSON[block])["data"]
+    if "csv" in data:
+        assert build_like_train(path).task_count == len(data["csv"]["tasks"])
+    else:
+        assert build_like_train(path).task_count == data["synthetic"]["task_count"]
+
+
+# The fuzz values, as JSON text.
+FUZZ_VALUES = (
+    "true", "2.5", "-1", "0", '"x"', "null", "[1]", "{}", "[]", '"1"', '"false"'
+)
+FILE_NAMES = {'"x"', '"1"', '"false"'}  # the fuzz values that are file names
+
+# Every setting of a taan config and the fuzz values it takes.
+FUZZ_LEAVES = {
+    "out": FILE_NAMES,
+    "seed": {"0"},
+    "arch.input_dim": set(),
+    "arch.hidden_widths": {"[1]", "[]"},
+    "arch.output_dim": set(),
+    "arch.task_count": set(),
+    "arch.basis_count": set(),
+    "arch.basis_range": set(),
+    "train.epochs": {"0"},
+    "train.batch_size": set(),
+    "train.learning_rate": {"2.5"},
+    "train.seed": {"0"},
+    "train.loss": set(),
+    "train.reg.kind": set(),
+    "train.reg.coefficient": {"2.5", "0"},
+    "data.synthetic.task_count": set(),
+    "data.synthetic.samples_per_task": set(),
+    "data.synthetic.input_dim": set(),
+    "data.synthetic.clusters": {"null"},
+    "data.synthetic.relatedness": {"0"},
+    "data.synthetic.noise": {"2.5", "0"},
+    "data.synthetic.seed": {"0"},
+    "data.synthetic.output_dim": set(),
+    "data.synthetic.train_fraction": set(),
+    "data.synthetic.val_fraction": set(),
+    "data.synthetic.shared_inputs": {"true"},
+    "data.csv.schema.n_inputs": set(),
+    "data.csv.schema.n_targets": set(),
+    "data.csv.tasks[0].train": FILE_NAMES,
+    "data.csv.tasks[0].val": FILE_NAMES | {"null"},
+    "data.csv.tasks[0].test": FILE_NAMES | {"null"},
+}
+
+
+def fuzz_name(leaf):
+    """What an error about ``leaf`` must name: a CSV task file's full path,
+    else the field, as the class that reads it names it."""
+    return leaf if leaf.startswith("data.csv.tasks") else leaf.rsplit(".", 1)[-1]
+
+
+def fuzz_pool(block):
+    """The leaves fuzzed in README config ``block``: all but those of the
+    data source it does not use."""
+    data = json.loads(README_JSON[block])["data"]
+    return [
+        leaf for leaf in FUZZ_LEAVES
+        if not leaf.startswith("data.") or leaf.split(".")[1] in data
+    ]
+
+
+def fuzz_verdict(tmp_path, block, edits):
+    """Build README config ``block`` with ``edits`` (leaf -> JSON text). None
+    when the case keeps the rule: it builds when each value is one its leaf
+    takes, and else raises ValueError naming a leaf whose value is not; a
+    line saying how it broke the rule otherwise."""
+    cfg = json.loads(README_JSON[block])
+    for leaf, text in edits.items():
+        node = cfg
+        *parents, last = re.findall(r"[^.\[\]]+", leaf)
+        for key in parents:
+            node = node[int(key)] if key.isdigit() else node.setdefault(key, {})
+        node[last] = json.loads(text)
+    path = tmp_path / "fuzz.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    bad = [fuzz_name(leaf) for leaf, v in edits.items() if v not in FUZZ_LEAVES[leaf]]
+    try:
+        build_like_train(path)
+    except Exception as exc:  # only a ValueError naming a bad leaf keeps the rule
+        if isinstance(exc, ValueError) and any(name in str(exc) for name in bad):
+            return None
+        return f"config {block} with {edits}: {exc!r}"
+    return f"config {block} with {edits}: built" if bad else None
+
+
+def test_config_fuzzer_every_setting_builds_or_names_itself(tmp_path):
+    """Every fuzz value at every leaf of each README config that has it,
+    then seeded cases that set two to four leaves of one config at once."""
+    pools = [fuzz_pool(block) for block in range(len(README_JSON))]
+    broken = [
+        fuzz_verdict(tmp_path, block, {leaf: text})
+        for block, pool in enumerate(pools)
+        for leaf in pool
+        for text in FUZZ_VALUES
+    ]
+    rng = np.random.default_rng(20191)
+    for _ in range(200):
+        block = int(rng.integers(len(pools)))
+        leaves = rng.choice(pools[block], size=rng.integers(2, 5), replace=False)
+        values = rng.choice(FUZZ_VALUES, size=len(leaves))
+        edits = {str(leaf): str(text) for leaf, text in zip(leaves, values)}
+        broken.append(fuzz_verdict(tmp_path, block, edits))
+    assert [line for line in broken if line] == []
+
+
+def task0(path):
+    """A config path with every list index replaced by 0."""
+    return re.sub(r"\[\d+\]", "[0]", path)
+
+
+def config_leaves(node, path=""):
+    """The dotted path of every leaf of a JSON config; a list of objects is
+    walked into, any other list is a leaf."""
+    if isinstance(node, dict):
+        items = [(f"{path}.{k}" if path else k, v) for k, v in node.items()]
+    elif isinstance(node, list) and node and all(isinstance(v, dict) for v in node):
+        items = [(f"{path}[{i}]", v) for i, v in enumerate(node)]
+    else:
+        return [path]
+    return [leaf for sub, v in items for leaf in config_leaves(v, sub)]
+
+
+def test_config_fuzzer_covers_every_setting(tmp_path, monkeypatch):
+    """FUZZ_LEAVES is exactly the settings of the config classes and of the
+    objects the CLI checks itself, and holds every leaf of README's configs,
+    so a new setting fails here until it has its fuzz cases."""
+    objects = {
+        "arch": list(inspect.signature(ArchitectureSpec).parameters),
+        "train": [f.name for f in dataclasses.fields(TrainConfig)],
+        "train.reg": [f.name for f in dataclasses.fields(RegConfig)],
+        "data.synthetic": [f.name for f in dataclasses.fields(SyntheticSpec)],
+        "data.csv.schema": [f.name for f in dataclasses.fields(CsvSchema)],
+    }
+    check = cli._keys
+
+    def spy(value, name, keys=None):
+        if keys is not None:
+            objects[task0(name)] = list(keys)
+        return check(value, name, keys)
+
+    monkeypatch.setattr(cli, "_keys", spy)
+    readme = set()
+    for block in README_JSON:
+        path = tmp_path / "config.json"
+        path.write_text(block, encoding="utf-8")
+        build_like_train(path)
+        readme.update(task0(leaf) for leaf in config_leaves(json.loads(block)))
+    paths = {f"{o}.{key}" if o else key for o, keys in objects.items() for key in keys}
+    # A path that names an object, or the list of the CSV task objects, is
+    # not a setting.
+    settings = {
+        p for p in paths
+        if not any(o == p or o.startswith((p + ".", p + "[")) for o in objects)
+    }
+    assert set(FUZZ_LEAVES) == settings
+    assert readme <= set(FUZZ_LEAVES)
 
 
 def test_train_seed_flag_equals_the_config_seed(tmp_path):

@@ -704,6 +704,23 @@ def test_checkpoint_corrupt_meta_is_one_error_naming_the_path(tmp_path, members)
     assert str(info.value).count(str(broken)) == 1
 
 
+@pytest.mark.parametrize(
+    "flag", [0, None, [], "false", False],
+    ids=["zero", "null", "empty_list", "string_false", "false"],
+)
+def test_checkpoint_has_mixture_is_a_bool_that_matches_the_members(tmp_path, flag):
+    # Read by truthiness, each of these dropped the archive's mixture, and
+    # analyze reported distances under N(0, 1) instead.
+    model = small_model(arch=ArchitectureSpec(4, (5,), 2, task_count=3, basis_count=4))
+    path = tmp_path / "model.npz"
+    save_checkpoint(model, path, mixture=GaussianMixture.standard_normal())
+    members = edit_meta(has_mixture=flag)
+    broken = rewrite_members(path, tmp_path / "broken.npz", **members)
+    with pytest.raises(ValueError, match="meta has_mixture") as info:
+        load_checkpoint(broken)
+    assert str(broken) in str(info.value)
+
+
 def test_checkpoint_truncated_file_names_the_path(tmp_path):
     # np.load gives up the file it opened before its archive reader raises on
     # a truncated zip, so a loader that hands np.load the path leaks that
