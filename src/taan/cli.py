@@ -123,7 +123,7 @@ def load_config(args):
         _keys(reg, "train.reg", ("kind", "coefficient"))
     if getattr(args, "seed", None) is not None:
         cfg["seed"] = args.seed
-    if getattr(args, "out", None):
+    if getattr(args, "out", None) is not None:
         cfg["out"] = args.out
     if getattr(args, "reg", None):
         cfg["train"]["reg"]["kind"] = args.reg
@@ -194,16 +194,11 @@ def _csv_files(csv_cfg):
 
 def _architecture(cfg, datasets, config):
     arch_cfg = dict(cfg["arch"])
-    first = datasets[0].train
-    arch_cfg.setdefault("input_dim", first.inputs.shape[1])
     if "output_dim" not in arch_cfg:
         arch_cfg["output_dim"] = _head_dims(datasets, config)
-    tasks = arch_cfg.setdefault("task_count", len(datasets))
-    if tasks != len(datasets):
-        raise ValueError(
-            f"arch.task_count is {tasks!r}, but the data has {len(datasets)} tasks"
-        )
-    return ArchitectureSpec(**arch_cfg)
+    # The data fixes both, so an arch that sets either fails naming it.
+    width, tasks = datasets[0].train.inputs.shape[1], len(datasets)
+    return ArchitectureSpec(input_dim=width, task_count=tasks, **arch_cfg)
 
 
 def _train_config(cfg):
@@ -232,8 +227,9 @@ def cmd_train(args):
     datasets = _load_datasets(cfg)
     config = _train_config(cfg)
     model = build_model(_architecture(cfg, datasets, config), cfg["seed"])
-    dirs = _outdirs(cfg["out"], "checkpoints", "history")
     model, history = train(model, datasets, config)
+    # Created after training, so a run that fails leaves no directory.
+    dirs = _outdirs(cfg["out"], "checkpoints", "history")
     ckpt = dirs["checkpoints"] / "model.npz"
     save_checkpoint(
         model, ckpt, mixture=GaussianMixture.standard_normal(), seed=cfg["seed"]
@@ -255,7 +251,8 @@ def cmd_train(args):
 
 def cmd_analyze(args):
     cfg = load_config(args)
-    ckpt = args.checkpoint or Path(cfg["out"]) / "checkpoints" / "model.npz"
+    default = Path(cfg["out"]) / "checkpoints" / "model.npz"
+    ckpt = default if args.checkpoint is None else _path("checkpoint", args.checkpoint)
     model, mixture, _seed = load_checkpoint(ckpt)
     dirs = _outdirs(cfg["out"], "matrices", "reports")
     reports = layer_distances(model, mixture=mixture)
@@ -440,11 +437,12 @@ def check_bounds(seed, out=None):
 
 
 def cmd_check(args):
+    out = None if args.out is None else _path("out", args.out)
     if args.kind == "moments":
         return check_moments()
     if args.kind == "gradients":
         return check_gradients(args.seed)
-    return check_bounds(args.seed, args.out)
+    return check_bounds(args.seed, out)
 
 
 def build_parser():
@@ -480,7 +478,8 @@ def build_parser():
     p_train.set_defaults(func=cmd_train)
 
     p_an = sub.add_parser("analyze", help="distance matrices and heatmaps")
-    common(p_an)
+    p_an.add_argument("--config", help="JSON config file")
+    p_an.add_argument("--out", help="output directory")
     p_an.add_argument("--checkpoint", help="checkpoint path (.npz)")
     p_an.set_defaults(func=cmd_analyze)
 

@@ -5,6 +5,7 @@ import dataclasses
 import inspect
 import json
 import re
+import shlex
 import subprocess
 import sys
 import zipfile
@@ -259,6 +260,38 @@ def test_missing_subcommand_is_a_usage_error(tmp_path, capsys):
     assert len(list((out / "data").glob("task*_*.csv"))) == 6
 
 
+def test_analyze_takes_no_seed(capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.PARSER.parse_args(["analyze", "--seed", "1"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
+# A command with an empty flag, and the flag its error must name.
+EMPTY_FLAGS = {
+    "train": (["train", "--out", ""], "out"),
+    "gen": (["gen-data", "--out", ""], "out"),
+    "analyze": (["analyze", "--checkpoint", ""], "checkpoint"),
+    "bounds": (["check", "bounds", "--out", ""], "out"),
+}
+
+
+@pytest.mark.parametrize("case", EMPTY_FLAGS)
+def test_an_empty_flag_is_refused_by_name(tmp_path, monkeypatch, capsys, case):
+    """A flag takes effect whenever it is given: an empty ``--out`` or
+    ``--checkpoint`` exits 1 naming it and writes nothing, rather than
+    falling back to the config's ``out``, the default checkpoint or the
+    working directory."""
+    argv, name = EMPTY_FLAGS[case]
+    cfg = write_config(tmp_path)
+    if argv[0] != "check":
+        argv = [*argv, "--config", str(cfg)]
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == f"error: {name} must be a file name, got ''\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
 def test_commands_create_only_the_directories_they_write(tmp_path):
     ckpt = tmp_path / "model.npz"
     arch = ArchitectureSpec(3, (4,), 1, task_count=2, basis_count=4)
@@ -274,8 +307,31 @@ def test_commands_create_only_the_directories_they_write(tmp_path):
         assert {p.name for p in out.iterdir()} == expected, name
 
 
+def write_diverging_config(tmp_path):
+    """A config whose one CSV task has targets of 1e200, so that training
+    diverges in its first epoch."""
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((30, 2))
+    csv = tmp_path / "train.csv"
+    save_csv(TaskDataset(x, np.full((30, 1), 1e200), 0, "train"), csv)
+    cfg = {
+        "arch": {"hidden_widths": [4], "basis_count": 4},
+        "train": {"epochs": 2, "batch_size": 16},
+        "data": {
+            "csv": {
+                "schema": {"n_inputs": 2, "n_targets": 1},
+                "tasks": [{"train": str(csv)}],
+            }
+        },
+    }
+    path = tmp_path / "diverge.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    return path
+
+
 def test_a_failed_command_creates_no_directory(tmp_path, capsys):
-    # Each command's inputs fail to read or check, and it says why.
+    # Each command's inputs fail to read or check, or training fails, and
+    # it says why.
     runs = {
         "analyze": (
             ["analyze", "--checkpoint", str(tmp_path / "no.npz")],
@@ -287,17 +343,30 @@ def test_a_failed_command_creates_no_directory(tmp_path, capsys):
             {"data.synthetic.task_count": 0},
             "task_count must be >= 1, got 0",
         ),
+        "train_output_dim": (
+            ["train"],
+            {"arch.output_dim": 3},
+            "task 0: targets have shape (24, 1), expected (n, 3)",
+        ),
+        "train_diverges": (
+            ["train"], write_diverging_config(tmp_path), "epoch 0, task 0"
+        ),
         "gen": (
             ["gen-data"],
             {"data": {"synthetic": [1]}},
             "config data.synthetic must be a JSON object, got list",
         ),
     }
-    for name, (argv, overrides, message) in runs.items():
-        if overrides:
-            argv = [*argv, "--config", str(write_config(tmp_path, overrides))]
+    for name, (argv, config, message) in runs.items():
+        if isinstance(config, dict):
+            config = write_config(tmp_path, config)
+        if config:
+            argv = [*argv, "--config", str(config)]
         out = tmp_path / name
-        assert cli.main([*argv, "--out", str(out)]) == 1, name
+        # A diverging run overflows before train stops it; numpy only warns,
+        # but pytest turns warnings into errors.
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert cli.main([*argv, "--out", str(out)]) == 1, name
         assert message in capsys.readouterr().err, name
         assert not out.exists(), name
 
@@ -574,10 +643,6 @@ BAD_OBJECTS = {
         "unknown config key 'data.csv.tasks[0].tset'; data.csv.tasks[0] takes "
         "train, val, test",
     ),
-    "task_count": (
-        {"arch.task_count": 3},
-        "arch.task_count is 3, but the data has 2 tasks",
-    ),
     "train_list": ({"train": [1]}, "config train must be a JSON object, got list"),
     "arch_list": ({"arch": [1]}, "config arch must be a JSON object, got list"),
     "synthetic_list": (
@@ -600,11 +665,19 @@ def test_config_objects_no_class_reads_are_checked_by_name(tmp_path, capsys, cas
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
-def test_arch_task_count_equal_to_the_data_trains(tmp_path):
-    cfg = write_config(tmp_path, {"arch.task_count": 2})
+@pytest.mark.parametrize("key", ["input_dim", "task_count"])
+@pytest.mark.parametrize("change", [0, 1], ids=["data_value", "other_value"])
+def test_the_data_fixes_input_dim_and_task_count(tmp_path, capsys, key, change):
+    """``arch`` may not set the input width or the task count, not even to
+    the data's value (3 inputs and 2 tasks in SMALL_CONFIG)."""
+    value = SMALL_CONFIG["data"]["synthetic"][key] + change
+    cfg = write_config(tmp_path, {f"arch.{key}": value})
     out = tmp_path / "run"
-    assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 0
-    assert load_checkpoint(out / "checkpoints" / "model.npz")[0].task_count == 2
+    assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert f"got multiple values for keyword argument {key!r}" in err
+    assert not out.exists()
 
 
 # A config setting, a bad value for it and what the error must say.
@@ -642,18 +715,27 @@ def test_train_config_reals_are_checked_by_name(tmp_path, capsys, case):
     assert err.startswith("error: ") and message in err
 
 
-README_JSON = re.findall(
-    r"```json\n(.*?)```",
-    (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8"),
-    re.DOTALL,
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+    encoding="utf-8"
 )
+README_JSON = re.findall(r"```json\n(.*?)```", README, re.DOTALL)
+README_PYTHON = re.findall(r"```python\n(.*?)```", README, re.DOTALL)
+README_SH = re.findall(r"```sh\n(.*?)```", README, re.DOTALL)
 
 
-README_PYTHON = re.findall(
-    r"```python\n(.*?)```",
-    (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8"),
-    re.DOTALL,
-)
+def test_readme_taan_commands_parse():
+    """Every ``taan`` line of README's ``sh`` blocks parses, comments
+    stripped, so a documented flag the parser no longer takes fails here
+    and not in a user's shell.  Nothing is run."""
+    commands = [
+        shlex.split(line, comments=True)[1:]
+        for block in README_SH
+        for line in block.splitlines()
+        if line.startswith("taan ")
+    ]
+    assert len(commands) >= 7
+    for argv in commands:
+        assert cli.PARSER.parse_args(argv).command == argv[0]
 
 
 def test_readme_quick_start_runs_as_written(capsys):
@@ -710,10 +792,8 @@ FILE_NAMES = {'"x"', '"1"', '"false"'}  # the fuzz values that are file names
 FUZZ_LEAVES = {
     "out": FILE_NAMES,
     "seed": {"0"},
-    "arch.input_dim": set(),
     "arch.hidden_widths": {"[1]", "[]"},
     "arch.output_dim": set(),
-    "arch.task_count": set(),
     "arch.basis_count": set(),
     "arch.basis_range": set(),
     "train.epochs": {"0"},
@@ -823,8 +903,11 @@ def test_config_fuzzer_covers_every_setting(tmp_path, monkeypatch):
     """FUZZ_LEAVES is exactly the settings of the config classes and of the
     objects the CLI checks itself, and holds every leaf of README's configs,
     so a new setting fails here until it has its fuzz cases."""
+    # The CLI fills arch's input_dim and task_count from the data.
+    fixed = ("input_dim", "task_count")
+    arch = [p for p in inspect.signature(ArchitectureSpec).parameters if p not in fixed]
     objects = {
-        "arch": list(inspect.signature(ArchitectureSpec).parameters),
+        "arch": arch,
         "train": [f.name for f in dataclasses.fields(TrainConfig)],
         "train.reg": [f.name for f in dataclasses.fields(RegConfig)],
         "data.synthetic": [f.name for f in dataclasses.fields(SyntheticSpec)],
@@ -877,27 +960,11 @@ def test_train_seed_flag_equals_the_config_seed(tmp_path):
 
 
 def test_train_divergence_exits_1_without_checkpoint(tmp_path):
-    rng = np.random.default_rng(5)
-    x = rng.standard_normal((30, 2))
-    csv = tmp_path / "train.csv"
-    save_csv(TaskDataset(x, np.full((30, 1), 1e200), 0, "train"), csv)
-    cfg = {
-        "arch": {"hidden_widths": [4], "basis_count": 4},
-        "train": {"epochs": 2, "batch_size": 16},
-        "data": {
-            "csv": {
-                "schema": {"n_inputs": 2, "n_targets": 1},
-                "tasks": [{"train": str(csv)}],
-            }
-        },
-    }
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(cfg), encoding="utf-8")
+    path = write_diverging_config(tmp_path)
     proc = run_cli("train", "--config", str(path), "--out", "run", cwd=tmp_path)
     assert proc.returncode == 1
     assert "epoch 0, task 0" in proc.stderr
-    assert not list((tmp_path / "run/checkpoints").iterdir())
-    assert not (tmp_path / "run/history/history.csv").exists()
+    assert not (tmp_path / "run").exists()
 
 
 def test_train_task_count_without_clusters_uses_one_cluster(tmp_path):
