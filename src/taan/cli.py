@@ -410,7 +410,16 @@ def check_gradients(seed):
     return 0 if ok else 1
 
 
+# c1 above 1 keeps the one-sided test in ``BoundCheckReport.passed`` clear
+# of sampling noise: with N(0, I) inputs each Monte-Carlo side estimates its
+# closed form, the bound over c1, exactly.  A side must also lie within
+# BOUND_MAX_Z standard errors of that closed form, so a wrong closed form
+# fails in either direction.
+BOUND_C1, BOUND_MAX_Z = 1.02, 5.0
+
+
 def check_bounds(seed, out=None):
+    out = None if out is None else _path("out", out)
     rng = np.random.default_rng(seed)
     arch = ArchitectureSpec(
         input_dim=6, hidden_widths=(8,), output_dim=1, task_count=2,
@@ -418,31 +427,31 @@ def check_bounds(seed, out=None):
     )
     model = build_model(arch, seed)
     layer = model.layers[0]
-    layer.coords[:] = rng.uniform(-0.5, 0.5, layer.coords.shape)
+    # Non-negative coordinates keep every side positive.
+    layer.coords[:] = rng.uniform(0.0, 0.5, layer.coords.shape)
     units = layer1_unit_gaussians(model)
     reports = [
-        check_l1_bounds(model, units, 1.0, pair, 200_000, seed + 1)
+        check_l1_bounds(model, units, BOUND_C1, pair, 200_000, seed + 1)
         for pair in ((0, 0), (0, 1))
     ]
     ok = True
     for report in reports:
         print(bound_report_text(report))
-        ok = ok and report.passed
+        near = all(
+            abs(left - right / BOUND_C1) <= BOUND_MAX_Z * se
+            for left, se, right in (
+                (report.inner_left, report.inner_se, report.inner_right),
+                (report.dist_left, report.dist_se, report.dist_right),
+            )
+        )
+        print(f"within {BOUND_MAX_Z:g} SE of bound / c1: {'yes' if near else 'NO'}")
+        ok = ok and report.passed and near
     if out is not None:
         path = _outdirs(out, "reports")["reports"] / "bounds.csv"
         bound_report_csv(reports, path)
         print(f"wrote {path}")
     print(f"bounds: {'pass' if ok else 'FAIL'}")
     return 0 if ok else 1
-
-
-def cmd_check(args):
-    out = None if args.out is None else _path("out", args.out)
-    if args.kind == "moments":
-        return check_moments()
-    if args.kind == "gradients":
-        return check_gradients(args.seed)
-    return check_bounds(args.seed, out)
 
 
 def build_parser():
@@ -484,10 +493,16 @@ def build_parser():
     p_an.set_defaults(func=cmd_analyze)
 
     p_check = sub.add_parser("check", help="numeric self-diagnostics")
-    p_check.add_argument("kind", choices=("moments", "gradients", "bounds"))
-    p_check.add_argument("--seed", type=int, default=0)
-    p_check.add_argument("--out", help="also write a CSV report here")
-    p_check.set_defaults(func=cmd_check)
+    kinds = p_check.add_subparsers(dest="kind", required=True)
+    p_mom = kinds.add_parser("moments", help="closed forms vs quadrature")
+    p_mom.set_defaults(func=lambda args: check_moments())
+    p_grad = kinds.add_parser("gradients", help="analytic vs finite differences")
+    p_grad.add_argument("--seed", type=int, default=0)
+    p_grad.set_defaults(func=lambda args: check_gradients(args.seed))
+    p_bounds = kinds.add_parser("bounds", help="layer-1 bounds vs Monte Carlo")
+    p_bounds.add_argument("--seed", type=int, default=0)
+    p_bounds.add_argument("--out", help="also write a CSV report here")
+    p_bounds.set_defaults(func=lambda args: check_bounds(args.seed, args.out))
     return parser
 
 
