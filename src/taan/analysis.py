@@ -114,11 +114,15 @@ def cluster_separation(matrix, clusters):
     return float(np.mean(within)), float(np.mean(between))
 
 
-def layer1_unit_gaussians(model: TaanModel):
-    """Exact per-unit pre-activation law of layer 1 under N(0, I) inputs."""
+def _layer1(model: TaanModel):
     if not model.layers:
         raise ValueError("model has no activation layers")
-    linear = model.layers[0].linear
+    return model.layers[0]
+
+
+def layer1_unit_gaussians(model: TaanModel):
+    """Exact per-unit pre-activation law of layer 1 under N(0, I) inputs."""
+    linear = _layer1(model).linear
     return [
         GaussianParams(linear.bias[n], np.linalg.norm(linear.weight[n]))
         for n in range(linear.out_dim)
@@ -181,8 +185,8 @@ def check_l1_bounds(
     sampler draws ``metrics.MC_CHUNK // max(D, N)`` samples per call (6,250
     at 8 → 16), and memory does not grow with ``mc_samples``."""
     c1 = _real("c1", c1, 0)
+    layer = _layer1(model)
     t1, t2 = (model._task(t) for t in tasks)
-    layer = model.layers[0]
     n_units = len(unit_gaussians)
     if n_units != layer.linear.out_dim:
         raise ValueError(

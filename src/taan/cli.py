@@ -56,14 +56,13 @@ from taan.network import (
 from taan.regularizers import RegConfig, RegKind, reg_grad, regularizer_value
 from taan.training import TrainConfig, _head_dims, train
 
-# The CLI's own defaults; everything else defaults in TrainConfig,
-# ArchitectureSpec and SyntheticSpec.
+# The values no class defaults; everything else defaults in TrainConfig,
+# RegConfig, ArchitectureSpec and SyntheticSpec.
 DEFAULT_CONFIG = {
     "out": "taan_out",
     "seed": 0,
     "arch": {"hidden_widths": [16, 16]},
-    "train": {"epochs": 10, "reg": {"kind": "none", "coefficient": 0.0}},
-    "data": {"synthetic": {"clusters": [0, 0, 0, 0, 1, 1, 1, 1]}},
+    "train": {"epochs": 10},
 }
 
 
@@ -105,31 +104,25 @@ def load_config(args):
             raise ValueError(
                 f"config {args.config} must hold a JSON object, got {kind}"
             )
-        _keys(file_cfg, "", tuple(DEFAULT_CONFIG))
+        _keys(file_cfg, "", ("out", "seed", "arch", "train", "data"))
         file_data = _keys(file_cfg.get("data", {}), "data", ("synthetic", "csv"))
-        synthetic = file_data.get("synthetic")
-        if synthetic is not None:  # null clears the default benchmark
-            _keys(synthetic, "data.synthetic")
-        if "csv" in file_data:
-            # A CSV source replaces the default synthetic benchmark.
-            cfg["data"] = {}
-        elif "task_count" in (synthetic or {}):
-            # The default clusters are for the default task count; without
-            # clusters of its own, a file's task count gets SyntheticSpec's.
-            del cfg["data"]["synthetic"]["clusters"]
+        if file_data.get("synthetic") is not None:
+            _keys(file_data["synthetic"], "data.synthetic")
         cfg = _deep_merge(cfg, file_cfg)
         _keys(cfg["arch"], "arch")
-        reg = _keys(cfg["train"], "train")["reg"]
+        reg = _keys(cfg["train"], "train").get("reg", {})
         _keys(reg, "train.reg", ("kind", "coefficient"))
     if getattr(args, "seed", None) is not None:
         cfg["seed"] = args.seed
     if getattr(args, "out", None) is not None:
         cfg["out"] = args.out
     if getattr(args, "reg", None):
-        cfg["train"]["reg"]["kind"] = args.reg
+        cfg["train"].setdefault("reg", {})["kind"] = args.reg
     if getattr(args, "coef", None) is not None:
-        cfg["train"]["reg"]["coefficient"] = args.coef
+        cfg["train"].setdefault("reg", {})["coefficient"] = args.coef
     _path("out", cfg["out"])
+    # The data block as written; none, or {}, is SyntheticSpec's benchmark.
+    cfg["data"] = cfg.get("data") or {"synthetic": {}}
     return cfg
 
 
@@ -143,21 +136,22 @@ def _outdirs(out, *names):
 
 
 def _synthetic_spec(cfg):
-    if not cfg["data"].get("synthetic"):
+    synthetic = cfg["data"].get("synthetic")
+    if synthetic is None:
         raise ValueError("config has no data.synthetic section")
-    params = dict(cfg["data"]["synthetic"])
+    params = dict(synthetic)
     params.setdefault("seed", cfg["seed"])
     return SyntheticSpec(**params)
 
 
 def _load_datasets(cfg):
-    data_cfg = cfg.get("data", {})
+    data_cfg = cfg["data"]
     csv_cfg = data_cfg.get("csv")
-    if data_cfg.get("synthetic"):
-        if csv_cfg:
+    if data_cfg.get("synthetic") is not None:
+        if csv_cfg is not None:
             raise ValueError("config sets both data.synthetic and data.csv")
         return generate(_synthetic_spec(cfg))
-    if not csv_cfg:
+    if csv_cfg is None:
         raise ValueError("config needs data.synthetic or data.csv")
     schema, files = _csv_files(csv_cfg)
     return [
@@ -203,11 +197,9 @@ def _architecture(cfg, datasets, config):
 
 def _train_config(cfg):
     params = dict(cfg["train"])
-    reg_cfg = params.pop("reg")
+    reg = RegConfig(**params.pop("reg", {}))
     params.setdefault("seed", cfg["seed"])
-    return TrainConfig(
-        reg=RegConfig(reg_cfg["kind"], reg_cfg["coefficient"]), **params
-    )
+    return TrainConfig(reg=reg, **params)
 
 
 def cmd_gen_data(args):

@@ -47,6 +47,12 @@ class RegConfig:
             kind = _choice("kind", self.kind, [k.value for k in RegKind])
             object.__setattr__(self, "kind", RegKind(kind))
         c = _real("coefficient", self.coefficient, 0, np.inf, closed=True)
+        if c > 0 and self.kind is RegKind.NONE:
+            *kinds, last = (k.value for k in RegKind if k is not RegKind.NONE)
+            raise ValueError(
+                f"coefficient {c:g} needs a regularizer kind: "
+                f"{', '.join(kinds)} or {last}"
+            )
         object.__setattr__(self, "coefficient", c)
 
 

@@ -27,7 +27,7 @@ from taan.network import (
     stacked_backward,
     stacked_forward,
 )
-from taan.regularizers import RegConfig, RegKind, reg_grad, regularizer_value
+from taan.regularizers import RegConfig, reg_grad, regularizer_value
 
 LOSS_KINDS = ("squared_error", "cross_entropy")
 
@@ -81,7 +81,7 @@ class TrainConfig:
     batch_size: int = 64
     learning_rate: float = 1e-4
     seed: int = 0
-    reg: RegConfig = field(default_factory=lambda: RegConfig(RegKind.NONE, 0.0))
+    reg: RegConfig = field(default_factory=RegConfig)
     loss: object = "squared_error"
 
     def __post_init__(self):
@@ -308,7 +308,7 @@ def train(model: TaanModel, datasets, config: TrainConfig):
     caches = layer_grams(
         [layer.grid for layer in model.layers], GaussianMixture.standard_normal()
     )
-    reg_on = config.reg.kind is not RegKind.NONE and config.reg.coefficient > 0
+    reg_on = config.reg.coefficient > 0
     # All tasks' rows stacked once; each step is one gather from each stack.
     sizes = [x.shape[0] for x in train_x]
     offsets = np.cumsum([0] + sizes[:-1])
@@ -405,14 +405,18 @@ def _average_precision_at_k(scores, relevant, k):
 def map_at_k(scores, relevance, k=10):
     """Mean average precision truncated at k over ranked label scores.
 
-    relevance is a binary (n, labels) matrix; rows without any relevant
-    label are excluded from the mean.
+    relevance is a binary (n, labels) matrix of bools or of the numbers 0
+    and 1, else ValueError naming the first other value; rows without any
+    relevant label are excluded from the mean.
     """
     k = _whole("k", k, 1)
     scores = np.asarray(scores, dtype=np.float64)
     relevance = np.asarray(relevance)
     if scores.shape != relevance.shape or scores.ndim != 2:
         raise ValueError("scores and relevance must share a 2-D shape")
+    bad = [v for v in relevance.ravel().tolist() if v not in (0, 1)]
+    if bad:
+        raise ValueError(f"relevance must be 0 or 1, got {bad[0]!r}")
     values = [
         ap
         for row_scores, row_rel in zip(scores, relevance != 0)

@@ -20,7 +20,7 @@ from taan.analysis import (
     load_heatmap_csv,
 )
 from taan.metrics import GaussianMixture, build_gram, distance_sq, inner_product
-from taan.network import ArchitectureSpec, build_model, to_hard_sharing
+from taan.network import ArchitectureSpec, TaanModel, build_model, to_hard_sharing
 
 
 def spread_model(seed=0, task_count=3):
@@ -168,6 +168,13 @@ def test_layer1_unit_gaussians_need_an_activation_layer():
     heads_only = build_model(ArchitectureSpec(3, (), 1, task_count=2), 0)
     with pytest.raises(ValueError, match="model has no activation layers"):
         layer1_unit_gaussians(heads_only)
+
+
+def test_l1_bounds_need_an_activation_layer():
+    # Used to fail with IndexError reading the first layer.
+    heads_only = TaanModel(4, [], [], [1, 1])
+    with pytest.raises(ValueError, match="model has no activation layers"):
+        check_l1_bounds(heads_only, [], 1.0, (0, 1), mc_samples=100)
 
 
 def test_l1_bound_holds_with_unit_envelope():

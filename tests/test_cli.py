@@ -725,6 +725,10 @@ BAD_REALS = {
         "arch.basis_range", [1], "basis_range must be a list of 2 items, got [1]"
     ),
     "beta2": ("train.beta2", 0.999, "unexpected keyword argument 'beta2'"),
+    "coefficient_without_kind": (
+        "train.reg", {"kind": "none", "coefficient": 2.5},
+        "coefficient 2.5 needs a regularizer kind: trace, cos or dis",
+    ),
 }
 
 
@@ -961,6 +965,61 @@ def test_config_fuzzer_covers_every_setting(tmp_path, monkeypatch):
     assert readme <= set(FUZZ_LEAVES)
 
 
+def test_the_cli_defaults_only_what_no_class_defaults():
+    """Each default has one owner: ``cli.DEFAULT_CONFIG`` sets no leaf that
+    the class reading its object defaults (as the class's signature shows),
+    so a config means the same whether it writes that value out or not."""
+    classes = {
+        "arch": ArchitectureSpec,
+        "train": TrainConfig,
+        "train.reg": RegConfig,
+        "data.synthetic": SyntheticSpec,
+    }
+    defaulted = {
+        name: {
+            p.name for p in inspect.signature(cls).parameters.values()
+            if p.default is not inspect.Parameter.empty
+        }
+        for name, cls in classes.items()
+    }
+    restated = [
+        leaf for leaf in config_leaves(cli.DEFAULT_CONFIG)
+        if leaf.rpartition(".")[2] in defaulted.get(leaf.rpartition(".")[0], ())
+    ]
+    assert restated == []
+    assert defaulted["train.reg"] == {"kind", "coefficient"}
+
+
+def test_a_data_block_is_taken_as_written(tmp_path):
+    """No config, an empty data block, an empty synthetic block and one that
+    writes out SyntheticSpec's task count all generate SyntheticSpec's
+    benchmark; an empty synthetic block is a data source of its own."""
+    path = tmp_path / "config.json"
+
+    def load(data):
+        path.write_text(json.dumps({"data": data}), encoding="utf-8")
+        return cli.load_config(SimpleNamespace(config=str(path)))
+
+    specs = [cli._synthetic_spec(cli.load_config(SimpleNamespace(config=None)))]
+    for data in ({}, {"synthetic": {}}, {"synthetic": {"task_count": 8}}):
+        specs.append(cli._synthetic_spec(load(data)))
+    assert specs == [SyntheticSpec()] * 4
+    csv_cfg = {"schema": SCHEMA, "tasks": [{"train": "t.csv"}]}
+    cfg = load({"synthetic": {}, "csv": csv_cfg})
+    with pytest.raises(ValueError, match="config sets both data.synthetic and data.csv"):
+        cli._load_datasets(cfg)
+
+
+def test_a_coefficient_without_a_regularizer_is_refused(tmp_path, capsys):
+    # It used to train unregularized, write reg_value 0 and exit 0.
+    out = tmp_path / "run"
+    argv = ["train", "--config", str(write_config(tmp_path)), "--out", str(out)]
+    assert cli.main([*argv, "--coef", "0.5"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: coefficient 0.5 needs a regularizer kind: trace, cos or dis\n"
+    assert not out.exists()
+
+
 def test_train_seed_flag_equals_the_config_seed(tmp_path):
     # In process: --seed 5 over a seed-3 config trains what "seed": 5 does.
     flagged = write_config(tmp_path)
@@ -991,8 +1050,8 @@ def test_train_divergence_exits_1_without_checkpoint(tmp_path):
 
 
 def test_train_task_count_without_clusters_uses_one_cluster(tmp_path):
-    # The CLI's default clusters are for its default 8 tasks; a file that
-    # sets only task_count gets SyntheticSpec's single cluster.
+    # A synthetic block without clusters gets SyntheticSpec's single
+    # cluster, whatever its task count.
     cfg = {
         "train": {"epochs": 2},
         "data": {"synthetic": {"task_count": 4, "samples_per_task": 50}},

@@ -190,6 +190,14 @@ def test_reg_config_coercion_and_validation():
         RegConfig("cos", float("nan"))
 
 
+def test_reg_config_coefficient_needs_a_kind():
+    # A coefficient without a regularizer used to train unregularized.
+    with pytest.raises(ValueError, match="coefficient 0.5 needs a regularizer kind"):
+        RegConfig("none", 0.5)
+    assert RegConfig("none", 0.0).coefficient == 0.0
+    assert RegConfig("dis", 0.0).kind is RegKind.DISTANCE
+
+
 DIRECT_VALUES = {
     RegKind.NONE: lambda a, cache: 0.0,
     RegKind.TRACE_NORM: lambda a, cache: trace_norm(a),

@@ -627,6 +627,19 @@ def test_map_at_k_excludes_unlabeled_rows():
         map_at_k(np.ones((2, 3)), np.zeros((2, 4)))
 
 
+def test_map_at_k_refuses_relevance_other_than_0_or_1():
+    # Regression targets used to count as relevant wherever nonzero, so an
+    # untrained model scored MAP 1.0 on them.
+    split = generate(SyntheticSpec(task_count=2, samples_per_task=100))[0]
+    model = build_model(ArchitectureSpec(8, (16, 16), 1, task_count=2), 0)
+    with pytest.raises(ValueError, match="relevance must be 0 or 1, got -?[0-9.]"):
+        evaluate(model, split.test, 0, "map_at_k")
+    for bad in ("x", None, 0.5, -1, float("nan")):
+        with pytest.raises(ValueError, match=f"relevance must be 0 or 1, got {bad!r}"):
+            map_at_k(np.ones((2, 2)), np.array([[1, 0], [bad, 1]], dtype=object))
+    assert map_at_k(np.eye(2), np.eye(2, dtype=bool)) == 1.0
+
+
 def test_evaluate_metrics():
     model = identity_model(4)
     perfect = TaskDataset(MAP_SCORES, MAP_SCORES.copy(), 0, "test")
