@@ -48,7 +48,6 @@ from taan.regularizers import RegConfig, RegKind, regularizer_value, reg_grad
 from taan.training import AdamState, TrainConfig, adam_step, evaluate, map_at_k, train
 from taan.analysis import (
     BoundCheckReport,
-    LayerDistanceReport,
     check_l1_bounds,
     cluster_separation,
     export_heatmap,
@@ -112,7 +111,6 @@ __all__ = [
     "save_csv",
     # analysis
     "BoundCheckReport",
-    "LayerDistanceReport",
     "check_l1_bounds",
     "cluster_separation",
     "export_heatmap",

@@ -28,61 +28,50 @@ from taan.moments import GaussianParams
 from taan.network import TaanModel
 
 
-@dataclass(frozen=True)
-class LayerDistanceReport:
-    """Squared pairwise activation distances for one layer."""
-
-    layer_id: int
-    matrix: np.ndarray
-    labels: tuple
-
-    def __post_init__(self):
-        matrix = np.asarray(self.matrix, dtype=np.float64)
-        t = matrix.shape[0]
-        if matrix.shape != (t, t):
-            raise ValueError(f"distance matrix must be square, got {matrix.shape}")
-        if not np.array_equal(matrix, matrix.T):
-            raise ValueError("distance matrix must be symmetric")
-        if np.any(np.diag(matrix) != 0.0):
-            raise ValueError("distance matrix diagonal must be zero")
-        if matrix.min() < 0:
-            raise ValueError("distances must be nonnegative")
-        labels = tuple(str(l) for l in self.labels)
-        if len(labels) != t:
-            raise ValueError(f"need {t} labels, got {len(labels)}")
-        matrix.setflags(write=False)
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "labels", labels)
+def _square(matrix):
+    """``matrix`` as a float64 (T, T) array; else ValueError naming its shape."""
+    matrix = np.asarray(matrix, dtype=np.float64)
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+        raise ValueError(f"distance matrix must be square, got shape {matrix.shape}")
+    return matrix
 
 
 def layer_distances(model: TaanModel, mixture=None):
-    """One LayerDistanceReport per activation layer, with each layer's Gram
-    matrix built under the given mixture (standard normal by default)."""
+    """One (T, T) squared-distance matrix per activation layer, with each
+    layer's Gram matrix built under the given mixture (standard normal by
+    default)."""
     if mixture is None:
         mixture = GaussianMixture.standard_normal()
     caches = layer_grams([layer.grid for layer in model.layers], mixture)
-    labels = tuple(f"task{t}" for t in range(model.task_count))
     return [
-        LayerDistanceReport(l, distance_matrix(layer.coords, caches[l]), labels)
-        for l, layer in enumerate(model.layers)
+        distance_matrix(layer.coords, cache)
+        for layer, cache in zip(model.layers, caches)
     ]
 
 
-def export_heatmap(report: LayerDistanceReport, path, fmt="csv"):
-    """Write the matrix as labeled CSV or 8-bit binary PGM.
+def export_heatmap(matrix, path, fmt="csv"):
+    """Write a (T, T) distance matrix as CSV under the header task0 ...
+    task{T-1}, or as 8-bit binary PGM.
 
     PGM scales linearly with 255 at the matrix maximum, so lighter pixels
-    mean larger distance; an all-zero matrix renders black.
+    mean larger distance; an all-zero matrix renders black.  A negative or
+    non-finite entry is refused, as PGM would wrap it to a bright pixel.
     """
+    matrix = _square(matrix)
+    bad = matrix[~(np.isfinite(matrix) & (matrix >= 0.0))]
+    if bad.size:
+        raise ValueError(
+            f"distances must be finite and >= 0, got {bad[0]} in shape {matrix.shape}"
+        )
+    t = matrix.shape[0]
     if _choice("heatmap format", fmt, ("csv", "pgm")) == "csv":
-        _write_csv(path, report.labels, report.matrix.tolist())
+        _write_csv(path, [f"task{i}" for i in range(t)], matrix.tolist())
         return
-    peak = float(report.matrix.max())
+    peak = float(matrix.max())
     if peak > 0:
-        pixels = np.rint(report.matrix * (255.0 / peak)).astype(np.uint8)
+        pixels = np.rint(matrix * (255.0 / peak)).astype(np.uint8)
     else:
-        pixels = np.zeros(report.matrix.shape, dtype=np.uint8)
-    t = report.matrix.shape[0]
+        pixels = np.zeros(matrix.shape, dtype=np.uint8)
     with open(path, "wb") as fh:
         fh.write(f"P5\n{t} {t}\n255\n".encode("ascii"))
         fh.write(pixels.tobytes())
@@ -101,7 +90,7 @@ def load_heatmap_csv(path):
 
 def cluster_separation(matrix, clusters):
     """Mean distance over same-cluster pairs vs different-cluster pairs."""
-    matrix = np.asarray(matrix, dtype=np.float64)
+    matrix = _square(matrix)
     clusters = np.asarray(tuple(clusters))
     t = matrix.shape[0]
     if len(clusters) != t:
@@ -129,9 +118,17 @@ def layer1_unit_gaussians(model: TaanModel):
     ]
 
 
+# A side passes when its Monte-Carlo mean is at most 3 standard errors above
+# its bound and within BOUND_MAX_Z standard errors of its closed form, the
+# bound over c1: with N(0, I) inputs the mean estimates that closed form
+# exactly, so a closed form that is wrong in either direction fails.
+BOUND_MAX_Z = 5.0
+
+
 @dataclass(frozen=True)
 class BoundCheckReport:
-    """Monte-Carlo left sides vs metric-side bounds for one task pair."""
+    """Monte-Carlo left sides vs metric-side bounds, c1 times the closed
+    forms, for one task pair; each side passes by the rule above."""
 
     tasks: tuple
     inner_left: float
@@ -141,6 +138,7 @@ class BoundCheckReport:
     dist_se: float
     dist_right: float
     samples: int
+    c1: float
 
     def __post_init__(self):
         values = (
@@ -155,14 +153,19 @@ class BoundCheckReport:
             raise ValueError("bound report entries must be finite")
         if self.inner_se < 0 or self.dist_se < 0:
             raise ValueError("standard errors must be >= 0")
+        _real("c1", self.c1, 0)
+
+    def _side_pass(self, left, se, right):
+        near = abs(left - right / self.c1) <= BOUND_MAX_Z * se
+        return near and left <= right + 3.0 * se
 
     @property
     def inner_pass(self):
-        return self.inner_left <= self.inner_right + 3.0 * self.inner_se
+        return self._side_pass(self.inner_left, self.inner_se, self.inner_right)
 
     @property
     def dist_pass(self):
-        return self.dist_left <= self.dist_right + 3.0 * self.dist_se
+        return self._side_pass(self.dist_left, self.dist_se, self.dist_right)
 
     @property
     def passed(self):
@@ -225,6 +228,7 @@ def check_l1_bounds(
         float(ses[1]),
         float(dist_right),
         int(mc_samples),
+        c1,
     )
 
 

@@ -396,7 +396,7 @@ def _taan_run(datasets, seed, coefficient):
         )
     )
     distance = float(np.mean(list(history.final_mean_distances().values())))
-    separation = cluster_separation(layer_distances(model)[-1].matrix, CLUSTERS)
+    separation = cluster_separation(layer_distances(model)[-1], CLUSTERS)
     return mse, distance, separation
 
 

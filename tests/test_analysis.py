@@ -1,4 +1,4 @@
-"""Distance reports, heatmap export, cluster separation and layer-1 bounds."""
+"""Distance matrices, heatmap export, cluster separation and layer-1 bounds."""
 
 import tracemalloc
 
@@ -9,7 +9,6 @@ import taan.analysis
 import taan.metrics
 from taan.analysis import (
     BoundCheckReport,
-    LayerDistanceReport,
     bound_report_csv,
     bound_report_text,
     check_l1_bounds,
@@ -36,17 +35,16 @@ def test_fresh_init_distances_are_tiny():
     # Coordinates start in [-0.01, 0.01]; with 8 hinges the squared distance
     # d' G d is bounded by (0.02)^2 * sum |G| ~ 5e-3, far below trained scale.
     model = build_model(ArchitectureSpec(6, (8, 5), 1, task_count=4), 3)
-    for report in layer_distances(model):
-        off = report.matrix[~np.eye(4, dtype=bool)]
+    for matrix in layer_distances(model):
+        off = matrix[~np.eye(4, dtype=bool)]
         assert off.max() < 5e-3
-        assert report.labels == ("task0", "task1", "task2", "task3")
-    assert [r.layer_id for r in layer_distances(model)] == [0, 1]
+    assert len(layer_distances(model)) == 2
 
 
 def test_hard_sharing_distances_are_exactly_zero():
     model = to_hard_sharing(spread_model())
-    for report in layer_distances(model):
-        assert np.array_equal(report.matrix, np.zeros_like(report.matrix))
+    for matrix in layer_distances(model):
+        assert np.array_equal(matrix, np.zeros_like(matrix))
 
 
 def test_layer_distances_respects_mixture():
@@ -58,19 +56,19 @@ def test_layer_distances_respects_mixture():
             np.array([1.0]), np.array([1.5]), np.array([0.7])
         ),
     )
-    assert not np.allclose(standard[0].matrix, shifted[0].matrix)
+    assert not np.allclose(standard[0], shifted[0])
 
 
 def test_heatmap_csv_round_trip(tmp_path):
     model = spread_model()
-    report = layer_distances(model)[0]
+    written = layer_distances(model)[0]
     path = tmp_path / "layer0.csv"
-    export_heatmap(report, path, fmt="csv")
+    export_heatmap(written, path, fmt="csv")
     matrix, labels = load_heatmap_csv(path)
-    assert labels == report.labels
-    assert np.max(np.abs(matrix - report.matrix)) <= 1e-9
+    assert labels == ("task0", "task1", "task2")
+    assert np.max(np.abs(matrix - written)) <= 1e-9
     with pytest.raises(ValueError):
-        export_heatmap(report, tmp_path / "x.bin", fmt="png")
+        export_heatmap(written, tmp_path / "x.bin", fmt="png")
 
 
 def test_heatmap_csv_errors_name_the_line(tmp_path):
@@ -89,16 +87,12 @@ def test_heatmap_csv_errors_name_the_line(tmp_path):
 
 
 def test_heatmap_pgm_bytes(tmp_path):
-    report = LayerDistanceReport(
-        0, np.array([[0.0, 0.5], [0.5, 0.0]]), ("a", "b")
-    )
     path = tmp_path / "layer0.pgm"
-    export_heatmap(report, path, fmt="pgm")
+    export_heatmap(np.array([[0.0, 0.5], [0.5, 0.0]]), path, fmt="pgm")
     data = path.read_bytes()
     assert data == b"P5\n2 2\n255\n" + bytes([0, 255, 255, 0])
     # An all-zero matrix renders black rather than dividing by zero.
-    zero = LayerDistanceReport(0, np.zeros((2, 2)), ("a", "b"))
-    export_heatmap(zero, path, fmt="pgm")
+    export_heatmap(np.zeros((2, 2)), path, fmt="pgm")
     assert path.read_bytes() == b"P5\n2 2\n255\n" + bytes(4)
 
 
@@ -110,9 +104,8 @@ def test_heatmap_pgm_scaling_is_monotone(tmp_path):
             [0.8, 0.4, 0.0],
         ]
     )
-    report = LayerDistanceReport(1, matrix, ("a", "b", "c"))
     path = tmp_path / "layer1.pgm"
-    export_heatmap(report, path, fmt="pgm")
+    export_heatmap(matrix, path, fmt="pgm")
     pixels = np.frombuffer(
         path.read_bytes()[len(b"P5\n3 3\n255\n"):], dtype=np.uint8
     ).reshape(3, 3)
@@ -121,19 +114,22 @@ def test_heatmap_pgm_scaling_is_monotone(tmp_path):
     assert np.array_equal(pixels, pixels.T)
 
 
-def test_distance_report_validation():
-    with pytest.raises(ValueError):
-        LayerDistanceReport(0, np.zeros((2, 3)), ("a", "b"))
-    with pytest.raises(ValueError):
-        LayerDistanceReport(0, np.array([[0.0, 1.0], [2.0, 0.0]]), ("a", "b"))
-    with pytest.raises(ValueError):
-        LayerDistanceReport(0, np.array([[1.0, 0.5], [0.5, 0.0]]), ("a", "b"))
-    with pytest.raises(ValueError):
-        LayerDistanceReport(0, np.array([[0.0, -0.5], [-0.5, 0.0]]), ("a", "b"))
-    with pytest.raises(ValueError):
-        LayerDistanceReport(0, np.zeros((2, 2)), ("a", "b", "c"))
-    report = LayerDistanceReport(0, np.zeros((2, 2)), (0, 1))
-    assert report.labels == ("0", "1")
+def test_distance_report_validation(tmp_path):
+    """export_heatmap refuses what is not a distance matrix, naming its
+    shape, and writes nothing: a PGM would wrap a negative entry to a bright
+    pixel."""
+    path = tmp_path / "layer0.pgm"
+    for matrix, match in (
+        (np.zeros((2, 3)), r"must be square, got shape \(2, 3\)"),
+        (np.zeros(3), r"must be square, got shape \(3,\)"),
+        (np.array([[0.0, -0.5], [-0.5, 0.0]]), r"got -0.5 in shape \(2, 2\)"),
+        (np.array([[0.0, np.nan], [np.nan, 0.0]]), r"got nan in shape \(2, 2\)"),
+        (np.array([[0.0, np.inf], [np.inf, 0.0]]), r"got inf in shape \(2, 2\)"),
+    ):
+        for fmt in ("csv", "pgm"):
+            with pytest.raises(ValueError, match=match):
+                export_heatmap(matrix, path, fmt)
+            assert not path.exists()
 
 
 def test_cluster_separation_hand_matrix():
@@ -152,6 +148,9 @@ def test_cluster_separation_hand_matrix():
         cluster_separation(matrix, (0, 0, 0, 0))
     with pytest.raises(ValueError):
         cluster_separation(matrix, (0, 1))
+    # A matrix that is not square is refused by shape, not scored.
+    with pytest.raises(ValueError, match=r"must be square, got shape \(3, 4\)"):
+        cluster_separation(np.arange(12.0).reshape(3, 4), (0, 0, 1))
 
 
 def test_layer1_unit_gaussians_are_exact():
@@ -292,9 +291,18 @@ def test_l1_bound_memory_is_flat_in_samples():
 
 def test_bound_report_validation():
     with pytest.raises(ValueError):
-        BoundCheckReport((0, 1), np.nan, 0.1, 1.0, 0.5, 0.1, 1.0, 10)
+        BoundCheckReport((0, 1), np.nan, 0.1, 1.0, 0.5, 0.1, 1.0, 10, 1.0)
     with pytest.raises(ValueError):
-        BoundCheckReport((0, 1), 0.5, -0.1, 1.0, 0.5, 0.1, 1.0, 10)
-    failing = BoundCheckReport((0, 1), 2.0, 0.01, 1.0, 0.5, 0.1, 1.0, 10)
+        BoundCheckReport((0, 1), 0.5, -0.1, 1.0, 0.5, 0.1, 1.0, 10, 1.0)
+    for c1 in (0.0, -1.0, np.nan, True):
+        with pytest.raises(ValueError, match="c1"):
+            BoundCheckReport((0, 1), 0.5, 0.1, 1.0, 0.5, 0.1, 1.0, 10, c1)
+    failing = BoundCheckReport((0, 1), 2.0, 0.01, 1.0, 0.5, 0.1, 1.0, 10, 1.0)
     assert not failing.inner_pass and failing.dist_pass and not failing.passed
     assert "NO" in bound_report_text(failing)
+    # 5% below its closed form, bound / c1 = 1, with a tiny SE: far under the
+    # bound, so the one-sided test passes, but the side is 500 SE from the
+    # value it estimates.
+    low = BoundCheckReport((0, 1), 0.95, 1e-4, 1.02, 1.0, 1e-4, 1.02, 10, 1.02)
+    assert not low.inner_pass and low.dist_pass and not low.passed
+    assert "NO" in bound_report_text(low)

@@ -190,6 +190,14 @@ def test_check_bounds_passes_and_writes_csv(tmp_path):
     assert text.startswith("task1,task2,side,")
 
 
+def bound_table(out):
+    """The rows of ``check bounds``' tables in its stdout, split on spaces."""
+    return [
+        line.split() for line in out.splitlines()
+        if line.startswith(("inner ", "dist "))
+    ]
+
+
 def test_check_bounds_passes_where_sampling_noise_failed_it(capsys):
     """At c1 = 1 the one-sided 3-SE test failed correct code on seeds 415,
     499 and 873 of 0-999: each Monte-Carlo side estimated its bound
@@ -197,24 +205,37 @@ def test_check_bounds_passes_where_sampling_noise_failed_it(capsys):
     for seed in (415, 499, 873):
         assert cli.check_bounds(seed) == 0, seed
         out = capsys.readouterr().out
-        assert out.count("within 5 SE of bound / c1: yes") == 2
+        assert [row[-1] for row in bound_table(out)] == ["yes"] * 4
         assert out.endswith("bounds: pass\n")
 
 
 @pytest.mark.parametrize("factor", (0.95, 1.05))
 @pytest.mark.parametrize("name", ("inner_product", "distance_sq"))
 def test_check_bounds_fails_a_closed_form_off_by_5_percent(
-    monkeypatch, capsys, name, factor
+    monkeypatch, capsys, tmp_path, name, factor
 ):
     """A closed form 5% off fails in either direction: its side lies
     more than 5 standard errors from the Monte-Carlo estimate, though a
-    5% excess still passes the one-sided test."""
+    5% excess still passes the one-sided test.  The table, the CSV and the
+    exit status give that one verdict."""
     exact = getattr(analysis, name)
     monkeypatch.setattr(analysis, name, lambda *args: factor * exact(*args))
-    assert cli.check_bounds(1) == 1
+    assert cli.check_bounds(1, str(tmp_path)) == 1
     out = capsys.readouterr().out
-    assert "within 5 SE of bound / c1: NO" in out
     assert out.endswith("bounds: FAIL\n")
+    csv_rows = [
+        line.split(",")
+        for line in (tmp_path / "reports/bounds.csv").read_text(encoding="utf-8").splitlines()[1:]
+    ]
+    table = bound_table(out)
+    assert [row[0] for row in table] == [row[2] for row in csv_rows]
+    assert [row[-1] for row in table] == [
+        {"1": "yes", "0": "NO"}[row[-1]] for row in csv_rows
+    ]
+    # Tasks 0 vs 1 on the scaled side; the distance of task 0 to itself is
+    # 0 however it is scaled.
+    side = {"inner_product": "inner", "distance_sq": "dist"}[name]
+    assert [row[-1] for row in csv_rows if row[:3] == ["0", "1", side]] == ["0"]
 
 
 def test_bad_config_fails_cleanly(tmp_path):
@@ -909,6 +930,31 @@ def test_config_fuzzer_every_setting_builds_or_names_itself(tmp_path):
     assert [line for line in broken if line] == []
 
 
+def test_config_fuzzer_a_coefficient_without_a_kind_takes_only_0(tmp_path):
+    """A rule across two leaves, which FUZZ_LEAVES cannot state: beside a
+    kind ``train.reg.coefficient`` takes 2.5 too, but with
+    ``train.reg.kind`` removed from each README config it builds only at 0
+    and otherwise fails naming ``coefficient``."""
+    path = tmp_path / "fuzz.json"
+    broken = []
+    for block, text in enumerate(README_JSON):
+        for value in FUZZ_VALUES:
+            cfg = json.loads(text)
+            reg = cfg.setdefault("train", {}).setdefault("reg", {})
+            reg.pop("kind", None)
+            reg["coefficient"] = json.loads(value)
+            path.write_text(json.dumps(cfg), encoding="utf-8")
+            try:
+                build_like_train(path)
+            except ValueError as exc:
+                if value == "0" or "coefficient" not in str(exc):
+                    broken.append(f"config {block} with {value}: {exc!r}")
+            else:
+                if value != "0":
+                    broken.append(f"config {block} with {value}: built")
+    assert broken == []
+
+
 def task0(path):
     """A config path with every list index replaced by 0."""
     return re.sub(r"\[\d+\]", "[0]", path)
@@ -1101,8 +1147,8 @@ def test_every_cli_csv_reads_back_bitwise(tmp_path, monkeypatch):
     (history,) = written["history"]
     path = tmp_path / "run/history/history.csv"
     assert_reads_back(path, history.COLUMNS, history.rows)
-    ((report, path, _),) = [a for a in written["matrices"] if a[2] == "csv"]
-    assert_reads_back(path, report.labels, report.matrix)
+    ((matrix, path, _),) = [a for a in written["matrices"] if a[2] == "csv"]
+    assert_reads_back(path, ("task0", "task1"), matrix)
     # The side column is text, which the numeric reader refuses by line; the
     # other columns are compared cell by cell.
     path = tmp_path / "run/reports/bounds.csv"
