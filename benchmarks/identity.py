@@ -11,6 +11,11 @@ without writing bytecode (``PYTHONDONTWRITEBYTECODE=1``), in the caller's
 working directory, so file names in a config resolve as they do for
 ``taan``; every ``D`` lies in a temporary directory removed at the end.
 
+Each command's stdout counts as one more file, ``stdout/NN-COMMAND`` (its
+place in the run and its subcommand words), with the tree's output
+directory replaced by ``OUT``: the files hold neither ``check bounds``'
+verdict line nor ``train``'s final-loss line.
+
 It prints one line per output file: ``same`` or ``DIFF``, the file's sha256
 in each tree (``-`` where that tree did not write it) and its path under
 the tree's output directory.  Exit status: 0 when both trees wrote the same
@@ -39,13 +44,19 @@ def commands(configs, out):
     return argvs
 
 
+def sha256(data):
+    return hashlib.sha256(data).hexdigest()
+
+
 def tree_hashes(tree, configs, out):
     """Run every command from ``tree``'s source; path under ``out`` ->
-    sha256 of each file written.  RuntimeError if a command fails."""
+    sha256 of each file written, and ``stdout/NN-COMMAND`` -> sha256 of each
+    command's stdout.  RuntimeError if a command fails."""
     env = dict(
         os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1"
     )
-    for argv in commands(configs, out):
+    hashes = {}
+    for i, argv in enumerate(commands(configs, out)):
         proc = subprocess.run(
             [sys.executable, "-m", "taan", *argv],
             env=env,
@@ -57,11 +68,13 @@ def tree_hashes(tree, configs, out):
                 f"{tree}: taan {' '.join(argv)} exited {proc.returncode}: "
                 f"{proc.stderr.strip()}"
             )
-    return {
-        path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
-        for path in sorted(out.rglob("*"))
-        if path.is_file()
-    }
+        words = "-".join(arg for arg in argv[:2] if not arg.startswith("-"))
+        stdout = proc.stdout.replace(str(out), "OUT")
+        hashes[f"stdout/{i:02d}-{words}"] = sha256(stdout.encode("utf-8"))
+    for path in sorted(out.rglob("*")):
+        if path.is_file():
+            hashes[path.relative_to(out).as_posix()] = sha256(path.read_bytes())
+    return hashes
 
 
 def compare(parent, change):

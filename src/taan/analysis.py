@@ -16,6 +16,7 @@ import numpy as np
 from taan.apl import apl_eval_pair
 from taan.data import _choice, _read_csv, _real, _write_csv
 from taan.metrics import (
+    COMPARISON_MIXTURE,
     GaussianMixture,
     build_gram,
     distance_matrix,
@@ -24,7 +25,6 @@ from taan.metrics import (
     layer_grams,
     _mc_mean_se,
 )
-from taan.moments import GaussianParams
 from taan.network import TaanModel
 
 
@@ -38,10 +38,12 @@ def _square(matrix):
 
 def layer_distances(model: TaanModel, mixture=None):
     """One (T, T) squared-distance matrix per activation layer, with each
-    layer's Gram matrix built under the given mixture (standard normal by
-    default)."""
+    layer's Gram matrix built under the given mixture (by default
+    ``metrics.COMPARISON_MIXTURE``, the one training uses).  A model without
+    activation layers is refused rather than given no matrices."""
+    _layer1(model)
     if mixture is None:
-        mixture = GaussianMixture.standard_normal()
+        mixture = COMPARISON_MIXTURE
     caches = layer_grams([layer.grid for layer in model.layers], mixture)
     return [
         distance_matrix(layer.coords, cache)
@@ -109,13 +111,13 @@ def _layer1(model: TaanModel):
     return model.layers[0]
 
 
-def layer1_unit_gaussians(model: TaanModel):
-    """Exact per-unit pre-activation law of layer 1 under N(0, I) inputs."""
+def layer1_unit_gaussians(model: TaanModel) -> GaussianMixture:
+    """Exact pre-activation law of layer 1 under N(0, I) inputs: the
+    equal-weight mixture of its units' Gaussians N(b[n], ‖W[n,:]‖²)."""
     linear = _layer1(model).linear
-    return [
-        GaussianParams(linear.bias[n], np.linalg.norm(linear.weight[n]))
-        for n in range(linear.out_dim)
-    ]
+    weights = np.full(linear.out_dim, 1.0 / linear.out_dim)
+    sigmas = np.array([np.linalg.norm(row) for row in linear.weight])
+    return GaussianMixture(weights, linear.bias.copy(), sigmas)
 
 
 # A side passes when its Monte-Carlo mean is at most 3 standard errors above
@@ -174,7 +176,7 @@ class BoundCheckReport:
 
 def check_l1_bounds(
     model: TaanModel,
-    unit_gaussians,
+    units: GaussianMixture,
     c1,
     tasks,
     mc_samples=1_000_000,
@@ -182,7 +184,7 @@ def check_l1_bounds(
 ) -> BoundCheckReport:
     """Estimate E[h1ᵀh2] and E[‖h1−h2‖²] at layer 1 by Monte Carlo and
     compare against c1 times the per-unit metric sums: N times the forms
-    under one cache for the equal-weight mixture of the N unit Gaussians.
+    under one cache for ``units``, ``layer1_unit_gaussians``' mixture.
 
     With D inputs, one sample spans max(D, N) float64 elements, so the
     sampler draws ``metrics.MC_CHUNK // max(D, N)`` samples per call (6,250
@@ -190,19 +192,17 @@ def check_l1_bounds(
     c1 = _real("c1", c1, 0)
     layer = _layer1(model)
     t1, t2 = (model._task(t) for t in tasks)
-    n_units = len(unit_gaussians)
+    n_units = units.weights.size
     if n_units != layer.linear.out_dim:
         raise ValueError(
             f"need {layer.linear.out_dim} unit Gaussians, got {n_units}"
         )
+    # The bound is N times the form only under equal weights.
+    if np.any(units.weights != units.weights[0]):
+        raise ValueError("unit Gaussians must have equal weights")
     coords1 = layer.coords[t1]
     coords2 = layer.coords[t2]
-    cache = build_gram(
-        layer.grid,
-        GaussianMixture.from_components(
-            (1.0 / n_units, g.mu, g.sigma) for g in unit_gaussians
-        ),
-    )
+    cache = build_gram(layer.grid, units)
     inner_right = c1 * n_units * inner_product(coords1, coords2, cache)
     dist_right = c1 * n_units * distance_sq(coords1, coords2, cache)
     rng = np.random.default_rng(seed)

@@ -24,7 +24,8 @@ from taan.analysis import (
     layer1_unit_gaussians,
     layer_distances,
 )
-from taan.apl import BasisGrid, apl_eval, apl_grad_coords, apl_grad_x
+from taan import _backend
+from taan.apl import BasisGrid
 from taan.data import (
     SPLIT_TAGS,
     CsvSchema,
@@ -35,7 +36,7 @@ from taan.data import (
     load_csv,
     save_csv,
 )
-from taan.metrics import GaussianMixture, build_gram, mean_pairwise_distance
+from taan.metrics import COMPARISON_MIXTURE, build_gram, mean_pairwise_distance
 from taan.moments import (
     GaussianParams,
     moment_b0_sq,
@@ -223,9 +224,7 @@ def cmd_train(args):
     # Created after training, so a run that fails leaves no directory.
     dirs = _outdirs(cfg["out"], "checkpoints", "history")
     ckpt = dirs["checkpoints"] / "model.npz"
-    save_checkpoint(
-        model, ckpt, mixture=GaussianMixture.standard_normal(), seed=cfg["seed"]
-    )
+    save_checkpoint(model, ckpt, mixture=COMPARISON_MIXTURE, seed=cfg["seed"])
     history_path = dirs["history"] / "history.csv"
     history.to_csv(history_path)
     print(f"wrote {ckpt}")
@@ -246,9 +245,11 @@ def cmd_analyze(args):
     default = Path(cfg["out"]) / "checkpoints" / "model.npz"
     ckpt = default if args.checkpoint is None else _path("checkpoint", args.checkpoint)
     model, mixture, _seed = load_checkpoint(ckpt)
+    matrices = layer_distances(model, mixture=mixture)
+    # Created once the matrices exist, so a run that fails leaves no directory.
     dirs = _outdirs(cfg["out"], "matrices", "reports")
     lines = []
-    for l, matrix in enumerate(layer_distances(model, mixture=mixture)):
+    for l, matrix in enumerate(matrices):
         for fmt in ("csv", "pgm"):
             path = dirs["matrices"] / f"layer{l}.{fmt}"
             export_heatmap(matrix, path, fmt)
@@ -323,20 +324,28 @@ def _fd_worst(objective, arr, grad, entries):
 
 
 def _check_apl_gradients(rng):
+    """Differences the kernels every pass runs: ``apl_forward`` for the
+    value, ``apl_backward`` with an upstream gradient of 1 for both slopes."""
     grid = BasisGrid.even(6)
+    bps = grid.breakpoints
     worst = 0.0
     for _ in range(30):
         coords = rng.uniform(-1.0, 1.0, len(grid))
         x = float(rng.uniform(-3.0, 3.0))
-        gaps = np.abs(np.append(grid.breakpoints, 0.0) - x)
+        gaps = np.abs(np.append(bps, 0.0) - x)
         if gaps.min() < 1e-3:
             continue
         # Entry 0 is x, the rest are the coordinates.
         point = np.append(x, coords)
-        grad = np.append(apl_grad_x(x, coords, grid), apl_grad_coords(x, grid))
+        at, tables = point[:1], _backend.suffix_tables(coords, bps)
+        gx, gcoords = _backend.apl_backward(
+            at, grid.intervals(at), tables, bps, np.ones(1)
+        )
+        grad = np.append(gx, gcoords)
 
         def objective():
-            return apl_eval(point[0], point[1:], grid)
+            tables = _backend.suffix_tables(point[1:], bps)
+            return float(_backend.apl_forward(at, grid.intervals(at), tables, bps)[0])
 
         worst = max(worst, _fd_worst(objective, point, grad, range(point.size)))
     return worst
@@ -344,7 +353,7 @@ def _check_apl_gradients(rng):
 
 def _check_reg_gradients(rng):
     grid = BasisGrid.even(6)
-    cache = build_gram(grid, GaussianMixture.standard_normal())
+    cache = build_gram(grid, COMPARISON_MIXTURE)
     worst = 0.0
     for _ in range(3):
         alpha = rng.uniform(-1.0, 1.0, (4, len(grid)))

@@ -74,17 +74,17 @@ class GaussianMixture:
     def standard_normal(cls):
         return cls(np.array([1.0]), np.array([0.0]), np.array([1.0]))
 
-    @classmethod
-    def from_components(cls, components):
-        """Build from an iterable of (weight, mean, sigma) triples."""
-        rows = [(float(p), float(m), float(s)) for p, m, s in components]
-        return cls(*np.array(rows).reshape(-1, 3).T.copy())
-
     def components(self):
         return [
             (float(p), GaussianParams(m, s))
             for p, m, s in zip(self.weights, self.means, self.sigmas)
         ]
+
+
+# The measure taan compares activations under: training builds its Gram
+# caches under it, and the checkpoint records it so that ``taan analyze``
+# measures what training shaped.
+COMPARISON_MIXTURE = GaussianMixture.standard_normal()
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ import numpy as np
 
 from taan.data import _choice, _items, _real, _whole, _write_csv
 from taan.metrics import (
-    GaussianMixture,
+    COMPARISON_MIXTURE,
     distance_matrix,
     layer_grams,
     mean_pairwise_distance,
@@ -284,7 +284,7 @@ def train(model: TaanModel, datasets, config: TrainConfig):
 
     datasets holds one train/val split per task (objects with .train/.val
     attributes, or (train, val) pairs).  Each layer's Gram matrix is built
-    under the standard normal mixture.
+    under ``metrics.COMPARISON_MIXTURE``.
     """
     pairs = [_split_pair(d) for d in datasets]
     if len(pairs) != model.task_count:
@@ -305,9 +305,7 @@ def train(model: TaanModel, datasets, config: TrainConfig):
             val_x[t], val_y[t] = _task_arrays(model, t, kinds[t], va)
     rng = np.random.default_rng(config.seed)
     state = AdamState.for_params(model.params, config.learning_rate)
-    caches = layer_grams(
-        [layer.grid for layer in model.layers], GaussianMixture.standard_normal()
-    )
+    caches = layer_grams([layer.grid for layer in model.layers], COMPARISON_MIXTURE)
     reg_on = config.reg.coefficient > 0
     # All tasks' rows stacked once; each step is one gather from each stack.
     sizes = [x.shape[0] for x in train_x]

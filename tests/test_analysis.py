@@ -157,10 +157,15 @@ def test_layer1_unit_gaussians_are_exact():
     model = spread_model()
     gaussians = layer1_unit_gaussians(model)
     linear = model.layers[0].linear
-    assert len(gaussians) == linear.out_dim
-    for n, g in enumerate(gaussians):
-        assert g.mu == linear.bias[n]
-        assert abs(g.sigma - np.sqrt(np.sum(linear.weight[n] ** 2))) < 1e-15
+    assert isinstance(gaussians, GaussianMixture)
+    assert gaussians.weights.size == linear.out_dim
+    assert np.all(gaussians.weights == 1.0 / linear.out_dim)
+    for n in range(linear.out_dim):
+        assert gaussians.means[n] == linear.bias[n]
+        sigma = np.sqrt(np.sum(linear.weight[n] ** 2))
+        assert abs(gaussians.sigmas[n] - sigma) < 1e-15
+    # The mixture holds a copy: the model's bias stays writable.
+    assert linear.bias.flags.writeable
 
 
 def test_layer1_unit_gaussians_need_an_activation_layer():
@@ -196,8 +201,11 @@ def test_l1_bound_validation_and_csv(tmp_path):
     gaussians = layer1_unit_gaussians(model)
     with pytest.raises(ValueError):
         check_l1_bounds(model, gaussians, 0.0, (0, 1))
+    short = GaussianMixture(
+        np.full(7, 1.0 / 7), gaussians.means[:-1], gaussians.sigmas[:-1]
+    )
     with pytest.raises(ValueError):
-        check_l1_bounds(model, gaussians[:-1], 1.0, (0, 1))
+        check_l1_bounds(model, short, 1.0, (0, 1))
     for tasks, bad in (((-1, 0), "-1"), ((0, 2), "2")):
         with pytest.raises(ValueError, match=f"task id {bad} "):
             check_l1_bounds(model, gaussians, 1.0, tasks, mc_samples=100)
@@ -216,6 +224,18 @@ def test_l1_bound_validation_and_csv(tmp_path):
     assert lines[2].startswith("0,1,dist,")
 
 
+def test_l1_bounds_need_equal_unit_weights():
+    # A mixture of the right size but other weights would turn N times its
+    # form into something other than the per-unit sum.
+    model = spread_model(seed=6, task_count=2)
+    units = layer1_unit_gaussians(model)
+    weights = np.full(8, 0.1)
+    weights[0] = 0.3
+    skewed = GaussianMixture(weights, units.means, units.sigmas)
+    with pytest.raises(ValueError, match="unit Gaussians must have equal weights"):
+        check_l1_bounds(model, skewed, 1.0, (0, 1), mc_samples=100)
+
+
 def test_l1_bound_right_sides_equal_per_unit_sums():
     arch = ArchitectureSpec(6, (16,), 1, task_count=3, basis_count=8)
     model = build_model(arch, 4)
@@ -225,10 +245,9 @@ def test_l1_bound_right_sides_equal_per_unit_sums():
     for tasks in ((0, 2), (1, 1)):
         inner = dist = 0.0
         c1, c2 = layer.coords[tasks[0]], layer.coords[tasks[1]]
-        for g in gaussians:
-            cache = build_gram(
-                layer.grid, GaussianMixture.from_components([(1.0, g.mu, g.sigma)])
-            )
+        for mu, sigma in zip(gaussians.means, gaussians.sigmas):
+            unit = GaussianMixture(np.ones(1), np.array([mu]), np.array([sigma]))
+            cache = build_gram(layer.grid, unit)
             inner += inner_product(c1, c2, cache)
             dist += distance_sq(c1, c2, cache)
         report = check_l1_bounds(model, gaussians, 1.5, tasks, mc_samples=100)

@@ -15,6 +15,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import taan._backend
 import taan.analysis as analysis
 import taan.cli as cli
 from conftest import child_env
@@ -28,6 +29,7 @@ from taan.data import (
     save_csv,
 )
 from taan.analysis import load_heatmap_csv
+from taan.metrics import COMPARISON_MIXTURE, mean_pairwise_distance
 from taan.network import (
     ArchitectureSpec,
     build_model,
@@ -180,6 +182,21 @@ def test_check_gradients_passes(tmp_path):
     proc = run_cli("check", "gradients", "--seed", "0", cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.count("pass") == 3
+
+
+def test_check_gradients_apl_family_differences_the_kernels(monkeypatch, capsys):
+    # dF/dx 1% off in the backward kernel every pass runs must fail the apl
+    # family itself, not only the network family downstream of it.
+    apl_backward = taan._backend.apl_backward
+
+    def skewed(*args):
+        gx, gcoords = apl_backward(*args)
+        return 1.01 * gx, gcoords
+
+    monkeypatch.setattr(taan._backend, "apl_backward", skewed)
+    assert cli.check_gradients(0) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("gradients/apl: ") and lines[0].endswith("-> FAIL")
 
 
 def test_check_bounds_passes_and_writes_csv(tmp_path):
@@ -560,6 +577,36 @@ def test_train_heads_only_model_writes_history_and_summary(tmp_path, capsys):
     last = [float(r["train_loss"]) for r in rows if r["epoch"] == "1"]
     mean = np.mean(last)
     assert line == f"final epoch mean train loss: {mean:.6f} (2 tasks, 2 epochs)"
+
+
+def test_analyze_refuses_a_model_without_activation_layers(tmp_path, capsys):
+    cfg, out = write_config(tmp_path, {"arch.hidden_widths": []}), tmp_path / "run"
+    assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert cli.main(["analyze", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: model has no activation layers\n"
+    assert sorted(p.name for p in out.iterdir()) == ["checkpoints", "history"]
+
+
+def test_analyze_measures_what_training_measured(tmp_path):
+    overrides = {
+        "arch.hidden_widths": [6, 5],
+        "train.epochs": 3,
+        "train.reg": {"kind": "dis", "coefficient": 0.5},
+    }
+    cfg, out = write_config(tmp_path, overrides), tmp_path / "run"
+    assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+    model, mixture, _ = load_checkpoint(out / "checkpoints/model.npz")
+    for name in ("weights", "means", "sigmas"):
+        assert np.array_equal(
+            getattr(mixture, name), getattr(COMPARISON_MIXTURE, name)
+        )
+    header, rows = _read_csv(out / "history/history.csv")
+    history = dict(zip(header, rows.T))
+    last = history["epoch"] == history["epoch"].max()
+    for l, matrix in enumerate(analysis.layer_distances(model, mixture)):
+        trained = history["mean_pairwise_distance"][last & (history["layer_id"] == l)]
+        assert trained.size == 2 and np.all(trained == mean_pairwise_distance(matrix))
 
 
 def test_train_csv_only_config_uses_the_csv(tmp_path):

@@ -69,8 +69,11 @@ def test_identity_check_finds_the_checkout_identical_to_itself(tmp_path):
         "config0/matrices/layer0.pgm",
         "config0/reports/analysis.txt",
         "bounds/reports/bounds.csv",
+        "stdout/00-train",
+        "stdout/01-analyze",
+        "stdout/02-check-bounds",
     }
-    assert proc.stdout.endswith("6 files, 0 differ\n")
+    assert proc.stdout.endswith("9 files, 0 differ\n")
 
 
 def test_identity_check_counts_changed_and_missing_files(capsys):
