@@ -4,12 +4,15 @@ Run as ``python3 benchmarks/identity.py PARENT_TREE CHANGE_TREE CONFIG...``
 with two checkouts (each holding ``src/taan``) and one or more JSON configs.
 In each tree it runs, for each config in turn,
 ``python -m taan train --config CONFIG --out D`` and then
-``python -m taan analyze --out D``, and once
-``python -m taan check bounds --seed 1 --out D``.  Each command is a child
-process that imports the package from ``<tree>/src`` (``PYTHONPATH``)
-without writing bytecode (``PYTHONDONTWRITEBYTECODE=1``), in the caller's
-working directory, so file names in a config resolve as they do for
-``taan``; every ``D`` lies in a temporary directory removed at the end.
+``python -m taan analyze --out D``, and then once each
+``python -m taan check bounds --seed 1 --out D``,
+``python -m taan check gradients --seed 0`` and
+``python -m taan check moments``: every subcommand but ``gen-data``, which
+refuses CSV configs.  Each command is a child process that imports the
+package from ``<tree>/src`` (``PYTHONPATH``) without writing bytecode
+(``PYTHONDONTWRITEBYTECODE=1``), in the caller's working directory, so file
+names in a config resolve as they do for ``taan``; every ``D`` lies in a
+temporary directory removed at the end.
 
 Each command's stdout counts as one more file, ``stdout/NN-COMMAND`` (its
 place in the run and its subcommand words), with the tree's output
@@ -41,6 +44,8 @@ def commands(configs, out):
         argvs.append(["train", "--config", str(config), "--out", run])
         argvs.append(["analyze", "--out", run])
     argvs.append(["check", "bounds", "--seed", "1", "--out", str(out / "bounds")])
+    argvs.append(["check", "gradients", "--seed", "0"])
+    argvs.append(["check", "moments"])
     return argvs
 
 

@@ -184,7 +184,8 @@ def check_l1_bounds(
 ) -> BoundCheckReport:
     """Estimate E[h1ᵀh2] and E[‖h1−h2‖²] at layer 1 by Monte Carlo and
     compare against c1 times the per-unit metric sums: N times the forms
-    under one cache for ``units``, ``layer1_unit_gaussians``' mixture.
+    under one cache for ``units``, which must equal
+    ``layer1_unit_gaussians(model)`` (else ValueError).
 
     With D inputs, one sample spans max(D, N) float64 elements, so the
     sampler draws ``metrics.MC_CHUNK // max(D, N)`` samples per call (6,250
@@ -192,14 +193,16 @@ def check_l1_bounds(
     c1 = _real("c1", c1, 0)
     layer = _layer1(model)
     t1, t2 = (model._task(t) for t in tasks)
-    n_units = units.weights.size
-    if n_units != layer.linear.out_dim:
+    # The bound is N times the form only under the law the sampler draws.
+    law = layer1_unit_gaussians(model)
+    if not all(
+        np.array_equal(getattr(units, name), getattr(law, name))
+        for name in ("weights", "means", "sigmas")
+    ):
         raise ValueError(
-            f"need {layer.linear.out_dim} unit Gaussians, got {n_units}"
+            "units must be layer1_unit_gaussians(model), the law the sampler draws"
         )
-    # The bound is N times the form only under equal weights.
-    if np.any(units.weights != units.weights[0]):
-        raise ValueError("unit Gaussians must have equal weights")
+    n_units = law.weights.size
     coords1 = layer.coords[t1]
     coords2 = layer.coords[t2]
     cache = build_gram(layer.grid, units)

@@ -13,6 +13,9 @@ import numpy as np
 from taan import _backend
 from taan.data import _whole
 
+# The default (lo, hi) span of an even hinge grid.
+BASIS_RANGE = (-2.0, 2.0)
+
 
 @dataclass(frozen=True)
 class BasisGrid:
@@ -39,7 +42,7 @@ class BasisGrid:
         object.__setattr__(self, "lookup", _backend.even_lookup(bps))
 
     @classmethod
-    def even(cls, basis_count, lo=-2.0, hi=2.0):
+    def even(cls, basis_count, lo=BASIS_RANGE[0], hi=BASIS_RANGE[1]):
         """Evenly spaced grid of ``basis_count`` breakpoints on [lo, hi]."""
         basis_count = _whole("basis_count", basis_count, 1)
         if basis_count == 1:

@@ -17,7 +17,7 @@ import zipfile
 import numpy as np
 
 from taan import _backend
-from taan.apl import BasisGrid
+from taan.apl import BASIS_RANGE, BasisGrid
 from taan.data import _flag, _items, _real, _whole
 from taan.metrics import GaussianMixture
 
@@ -372,7 +372,7 @@ class ArchitectureSpec:
         output_dim,
         task_count,
         basis_count=8,
-        basis_range=(-2.0, 2.0),
+        basis_range=BASIS_RANGE,
     ):
         self.task_count = _whole("task_count", task_count, 1)
         self.input_dim = _whole("input_dim", input_dim, 1)

@@ -108,26 +108,23 @@ def distance_reg(alpha, cache: GramCache):
     return float(2.0 * quad / alpha.shape[0] ** 3)
 
 
-def regularizer_value(kind: RegKind, alpha, cache=None):
+def regularizer_value(kind: RegKind, alpha, cache: GramCache):
+    """Value of the selected regularizer; ``none`` and ``trace`` ignore the cache."""
     if kind is RegKind.NONE:
         return 0.0
     if kind is RegKind.TRACE_NORM:
         return trace_norm(alpha)
-    if cache is None:
-        raise ValueError(f"{kind} requires a Gram cache")
     if kind is RegKind.COSINE:
         return cosine_reg(alpha, cache)
     return distance_reg(alpha, cache)
 
 
-def reg_grad(kind: RegKind, alpha, cache=None):
+def reg_grad(kind: RegKind, alpha, cache: GramCache):
     """Gradient of the selected regularizer with respect to alpha."""
     if kind is RegKind.NONE:
         return np.zeros_like(_coords(alpha, None, 2))
     if kind is RegKind.TRACE_NORM:
         return trace_norm_grad(alpha)
-    if cache is None:
-        raise ValueError(f"{kind} requires a Gram cache")
     alpha = _coords(alpha, cache.basis_count, 2)
     t = alpha.shape[0]
     if kind is RegKind.DISTANCE:

@@ -29,8 +29,6 @@ from taan.network import (
 )
 from taan.regularizers import RegConfig, reg_grad, regularizer_value
 
-LOSS_KINDS = ("squared_error", "cross_entropy")
-
 
 # Adam's decay rates and the offset of its denominator; no caller tunes them.
 ADAM_BETAS = (0.9, 0.98)
@@ -48,7 +46,7 @@ class AdamState:
         self.learning_rate = _real("learning_rate", learning_rate, 0)
 
     @classmethod
-    def for_params(cls, param, learning_rate=1e-4):
+    def for_params(cls, param, learning_rate):
         return cls(np.zeros_like(param), np.zeros_like(param), 0, learning_rate)
 
 
@@ -90,26 +88,20 @@ class TrainConfig:
         lr = _real("learning_rate", self.learning_rate, 0)
         object.__setattr__(self, "learning_rate", lr)
         if isinstance(self.loss, str):
-            _choice("loss", self.loss, LOSS_KINDS)
+            _choice("loss", self.loss, LOSSES)
         else:
             kinds = _items("loss", self.loss)
-            kinds = tuple(_choice("loss", kind, LOSS_KINDS) for kind in kinds)
+            kinds = tuple(_choice("loss", kind, LOSSES) for kind in kinds)
             object.__setattr__(self, "loss", kinds)
 
-    def loss_kind(self, task):
+    def loss_kinds(self, task_count):
+        """The loss kind of each of task_count tasks; a per-task tuple of
+        another length raises ValueError."""
         if isinstance(self.loss, str):
-            return self.loss
-        return self.loss[task]
-
-
-def _loss_kinds(config, task_count):
-    """The loss kind of each of task_count tasks; a per-task tuple of
-    another length raises ValueError."""
-    if not isinstance(config.loss, str) and len(config.loss) != task_count:
-        raise ValueError(
-            f"got {len(config.loss)} loss kinds for {task_count} tasks"
-        )
-    return tuple(config.loss_kind(t) for t in range(task_count))
+            return (self.loss,) * task_count
+        if len(self.loss) != task_count:
+            raise ValueError(f"got {len(self.loss)} loss kinds for {task_count} tasks")
+        return self.loss
 
 
 def squared_error(pred, target):
@@ -178,10 +170,11 @@ def _softmax_cross_entropy(pred, onehot):
     return loss, (expz / total - onehot) / n
 
 
-# The step's targets are checked once, so it skips cross_entropy's checks.
-_STEP_LOSS_FNS = {
-    "squared_error": squared_error,
-    "cross_entropy": _softmax_cross_entropy,
+# Each loss kind's step loss and validation metric.  The step's targets are
+# checked once, so it skips cross_entropy's checks.
+LOSSES = {
+    "squared_error": (squared_error, "mse"),
+    "cross_entropy": (_softmax_cross_entropy, "accuracy"),
 }
 
 
@@ -208,11 +201,6 @@ class History:
     def __init__(self):
         self.rows = []
 
-    def append(self, **kwargs):
-        if set(kwargs) != set(self.COLUMNS):
-            raise ValueError(f"history row needs exactly {self.COLUMNS}")
-        self.rows.append(tuple(kwargs[c] for c in self.COLUMNS))
-
     def column(self, name):
         i = self.COLUMNS.index(name)
         return [row[i] for row in self.rows]
@@ -227,13 +215,6 @@ class History:
 
     def to_csv(self, path):
         _write_csv(path, self.COLUMNS, self.rows)
-
-
-def _split_pair(entry):
-    if hasattr(entry, "train") and hasattr(entry, "val"):
-        return entry.train, entry.val
-    train, val = entry
-    return train, val
 
 
 def _task_arrays(model, task, kind, split):
@@ -264,8 +245,8 @@ def _head_dims(datasets, config):
     ``_task_arrays``: one output per target column, but one per class for a
     single column of class labels under cross_entropy."""
     dims = []
-    for t, kind in enumerate(_loss_kinds(config, len(datasets))):
-        y = np.asarray(_split_pair(datasets[t])[0].targets)
+    for t, kind in enumerate(config.loss_kinds(len(datasets))):
+        y = np.asarray(datasets[t].train.targets)
         if kind == "squared_error" or (y.ndim == 2 and y.shape[1] > 1):
             dims.append(y.shape[1] if y.ndim == 2 else 1)
             continue
@@ -283,26 +264,25 @@ def train(model: TaanModel, datasets, config: TrainConfig):
     """Optimize the model in place; returns (model, History).
 
     datasets holds one train/val split per task (objects with .train/.val
-    attributes, or (train, val) pairs).  Each layer's Gram matrix is built
-    under ``metrics.COMPARISON_MIXTURE``.
+    attributes).  Each layer's Gram matrix is built under
+    ``metrics.COMPARISON_MIXTURE``.
     """
-    pairs = [_split_pair(d) for d in datasets]
-    if len(pairs) != model.task_count:
+    if len(datasets) != model.task_count:
         raise ValueError(
-            f"got {len(pairs)} datasets for {model.task_count} tasks"
+            f"got {len(datasets)} datasets for {model.task_count} tasks"
         )
-    kinds = _loss_kinds(config, model.task_count)
+    kinds = config.loss_kinds(model.task_count)
     train_x, train_y, val_x, val_y = [], [], {}, {}
     width = max(model.head_dim(t) for t in range(model.task_count))
-    for t, (tr, va) in enumerate(pairs):
-        if np.asarray(tr.inputs).shape[0] == 0:
+    for t, d in enumerate(datasets):
+        if np.asarray(d.train.inputs).shape[0] == 0:
             raise ValueError(f"task {t} has an empty training split")
-        x, y = _task_arrays(model, t, kinds[t], tr)
+        x, y = _task_arrays(model, t, kinds[t], d.train)
         train_x.append(x)
         # Zero-padded to the widest head so that all tasks' targets stack.
         train_y.append(np.pad(y, [(0, 0), (0, width - y.shape[1])]))
-        if va is not None and np.asarray(va.inputs).shape[0] > 0:
-            val_x[t], val_y[t] = _task_arrays(model, t, kinds[t], va)
+        if d.val is not None and np.asarray(d.val.inputs).shape[0] > 0:
+            val_x[t], val_y[t] = _task_arrays(model, t, kinds[t], d.val)
     rng = np.random.default_rng(config.seed)
     state = AdamState.for_params(model.params, config.learning_rate)
     caches = layer_grams([layer.grid for layer in model.layers], COMPARISON_MIXTURE)
@@ -315,7 +295,7 @@ def train(model: TaanModel, datasets, config: TrainConfig):
     steps = max(int(math.ceil(size / n)) for size in sizes)
     batch = BatchLayout(model, dict.fromkeys(range(tasks), n), kinds.__getitem__)
     draw = np.arange(steps * n).reshape(steps, 1, n)
-    losses = [_STEP_LOSS_FNS[kinds[group.tasks[0]]] for group in batch.groups]
+    losses = [LOSSES[kinds[group.tasks[0]]][0] for group in batch.groups]
     if val_x:
         val_batch = BatchLayout(
             model, {t: x.shape[0] for t, x in val_x.items()}, kinds.__getitem__
@@ -371,22 +351,16 @@ def train(model: TaanModel, datasets, config: TrainConfig):
         if val_x:
             outs = stacked_forward(model, val_batch)
             for group, out, y in zip(val_batch.groups, outs, val_targets):
-                kind = kinds[group.tasks[0]]
-                metric = "mse" if kind == "squared_error" else "accuracy"
+                metric = LOSSES[kinds[group.tasks[0]]][1]
                 scores = [_score(o, t, metric) for o, t in zip(out, y)]
                 metrics.update(zip(group.tasks.tolist(), scores))
-        for t in range(model.task_count):
-            metric = metrics.get(t, math.nan)
-            for l, dist in list(enumerate(mean_dists)) or [(-1, math.nan)]:
-                history.append(
-                    epoch=epoch,
-                    task_id=t,
-                    train_loss=epoch_loss[t] / steps,
-                    val_metric=metric,
-                    reg_value=float(reg_value),
-                    layer_id=l,
-                    mean_pairwise_distance=dist,
-                )
+        layer_dists = list(enumerate(mean_dists)) or [(-1, math.nan)]
+        history.rows.extend(
+            (epoch, t, epoch_loss[t] / steps, metrics.get(t, math.nan),
+             float(reg_value), l, dist)
+            for t in range(tasks)
+            for l, dist in layer_dists
+        )
     return model, history
 
 

@@ -225,15 +225,18 @@ def test_l1_bound_validation_and_csv(tmp_path):
 
 
 def test_l1_bounds_need_equal_unit_weights():
-    # A mixture of the right size but other weights would turn N times its
-    # form into something other than the per-unit sum.
+    # A mixture of the right size but other weights or other unit laws would
+    # turn N times its form into something other than the per-unit sum.
     model = spread_model(seed=6, task_count=2)
     units = layer1_unit_gaussians(model)
     weights = np.full(8, 0.1)
     weights[0] = 0.3
     skewed = GaussianMixture(weights, units.means, units.sigmas)
-    with pytest.raises(ValueError, match="unit Gaussians must have equal weights"):
-        check_l1_bounds(model, skewed, 1.0, (0, 1), mc_samples=100)
+    shifted = GaussianMixture(units.weights, units.means + 1.0, units.sigmas)
+    wider = GaussianMixture(units.weights, units.means, 2.0 * units.sigmas)
+    for wrong in (skewed, shifted, wider):
+        with pytest.raises(ValueError, match=r"must be layer1_unit_gaussians\(model\)"):
+            check_l1_bounds(model, wrong, 1.0, (0, 1), mc_samples=100)
 
 
 def test_l1_bound_right_sides_equal_per_unit_sums():

@@ -37,7 +37,7 @@ from taan.network import (
     save_checkpoint,
 )
 from taan.regularizers import RegConfig
-from taan.training import TrainConfig
+from taan.training import TrainConfig, evaluate
 
 SMALL_CONFIG = {
     "seed": 3,
@@ -529,6 +529,40 @@ def test_train_csv_one_hot_rows_match_labels_and_must_be_one_hot(tmp_path, capsy
     err = capsys.readouterr().err
     assert "task 0: target row [5.0, -1.0, 0.0] is not one-hot" in err
     assert not (tmp_path / "c/history/history.csv").exists()
+
+
+def test_train_per_task_loss_list_scores_each_task_by_its_kind(tmp_path):
+    # Task 0 regresses one real column, task 1 classifies labels 0-2: the
+    # heads are (1, 3), and each last-epoch val_metric is its kind's metric.
+    rng = np.random.default_rng(5)
+    tasks, vals = [], []
+    for t in range(2):
+        paths = {}
+        for split, n in (("train", 60), ("val", 30)):
+            y = rng.standard_normal((n, 1)) if t == 0 else (np.arange(n) % 3)[:, None]
+            data = TaskDataset(rng.standard_normal((n, 2)), y, t, split)
+            paths[split] = str(tmp_path / f"task{t}_{split}.csv")
+            save_csv(data, paths[split])
+        tasks.append(paths)
+        vals.append(load_csv(paths["val"], CsvSchema(2, 1), t, "val"))
+    cfg = {
+        "seed": 3,
+        "arch": {"hidden_widths": [6], "basis_count": 4},
+        "train": {"epochs": 3, "batch_size": 16,
+                  "loss": ["squared_error", "cross_entropy"]},
+        "data": {"csv": {"schema": {"n_inputs": 2, "n_targets": 1}, "tasks": tasks}},
+    }
+    path, out = tmp_path / "config.json", tmp_path / "run"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    assert cli.main(["train", "--config", str(path), "--out", str(out)]) == 0
+    model, _, _ = load_checkpoint(out / "checkpoints/model.npz")
+    assert (model.head_dim(0), model.head_dim(1)) == (1, 3)
+    header, rows = _read_csv(out / "history/history.csv")
+    history = dict(zip(header, rows.T))
+    last = history["epoch"] == history["epoch"].max()
+    for t, metric in enumerate(("mse", "accuracy")):
+        [logged] = history["val_metric"][last & (history["task_id"] == t)]
+        assert logged == evaluate(model, vals[t], t, metric), (t, logged)
 
 
 def test_train_loss_count_must_match_task_count(tmp_path, capsys):

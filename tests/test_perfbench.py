@@ -72,8 +72,10 @@ def test_identity_check_finds_the_checkout_identical_to_itself(tmp_path):
         "stdout/00-train",
         "stdout/01-analyze",
         "stdout/02-check-bounds",
+        "stdout/03-check-gradients",
+        "stdout/04-check-moments",
     }
-    assert proc.stdout.endswith("9 files, 0 differ\n")
+    assert proc.stdout.endswith("11 files, 0 differ\n")
 
 
 def test_identity_check_counts_changed_and_missing_files(capsys):

@@ -166,16 +166,9 @@ def test_distance_grad_finite_difference():
 
 def test_none_kind_is_inert():
     a = np.ones((3, 4))
-    assert regularizer_value(RegKind.NONE, a) == 0.0
-    assert np.array_equal(reg_grad(RegKind.NONE, a), np.zeros((3, 4)))
-
-
-def test_function_space_kinds_require_cache():
-    a = np.ones((2, 4))
-    with pytest.raises(ValueError):
-        regularizer_value(RegKind.COSINE, a)
-    with pytest.raises(ValueError):
-        reg_grad(RegKind.DISTANCE, a)
+    cache = standard_cache()
+    assert regularizer_value(RegKind.NONE, a, cache) == 0.0
+    assert np.array_equal(reg_grad(RegKind.NONE, a, cache), np.zeros((3, 4)))
 
 
 def test_reg_config_coercion_and_validation():

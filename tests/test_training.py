@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from taan.data import SyntheticSpec, TaskDataset, generate
+from taan.data import SplitDatasets, SyntheticSpec, TaskDataset, generate
 from taan.metrics import (
     GaussianMixture,
     build_gram,
@@ -42,7 +42,7 @@ def test_adam_zero_gradient_is_identity():
     rng = np.random.default_rng(0)
     p = rng.standard_normal((3, 2))
     before = p.copy()
-    state = AdamState.for_params(p)
+    state = AdamState.for_params(p, 1e-4)
     adam_step(p, np.zeros_like(p), state)
     assert np.array_equal(p, before)
     assert state.step == 1
@@ -69,7 +69,7 @@ def test_adam_constant_gradient_limit_is_signed_learning_rate():
 
 def test_adam_validates_structure():
     p = np.zeros(3)
-    state = AdamState.for_params(p)
+    state = AdamState.for_params(p, 1e-4)
     with pytest.raises(ValueError):
         adam_step(p, np.zeros(4), state)
     with pytest.raises(ValueError):
@@ -87,8 +87,7 @@ def test_adam_state_checks_its_settings_as_train_config_does():
         ):
             with pytest.raises(ValueError, match=message):
                 make()
-    # The defaults are unchanged, and the step counter is a whole number >= 0.
-    assert AdamState.for_params(np.zeros(3)).learning_rate == 1e-4
+    # The constants are unchanged, and the step counter is a whole number >= 0.
     assert (ADAM_BETAS, ADAM_EPSILON) == ((0.9, 0.98), 1e-8)
     with pytest.raises(ValueError, match="step must be a whole number, got 2.5"):
         AdamState(np.zeros(1), np.zeros(1), 2.5, 1e-4)
@@ -188,9 +187,8 @@ def test_cross_entropy_gradient_finite_difference():
 
 def test_train_config_validation():
     cfg = TrainConfig(epochs=5, loss=("squared_error", "cross_entropy"))
-    assert cfg.loss_kind(0) == "squared_error"
-    assert cfg.loss_kind(1) == "cross_entropy"
-    assert TrainConfig(epochs=0).loss_kind(3) == "squared_error"
+    assert cfg.loss_kinds(2) == ("squared_error", "cross_entropy")
+    assert TrainConfig(epochs=0).loss_kinds(3) == ("squared_error",) * 3
     with pytest.raises(ValueError):
         TrainConfig(epochs=-1)
     with pytest.raises(ValueError):
@@ -283,9 +281,10 @@ def test_fused_validation_matches_evaluate_for_unequal_sizes():
         return TaskDataset(x, rng.integers(0, arch.output_dims[t], n), t, name)
 
     datasets = [
-        (split(t, 40, "train"), split(t, n, "val")) for t, n in enumerate(sizes)
+        SplitDatasets(split(t, 40, "train"), split(t, n, "val"), None)
+        for t, n in enumerate(sizes)
     ]
-    datasets[0] = (datasets[0][0], None)
+    datasets[0] = SplitDatasets(datasets[0].train, None, None)
     config = TrainConfig(
         epochs=3,
         batch_size=16,
@@ -296,11 +295,11 @@ def test_fused_validation_matches_evaluate_for_unequal_sizes():
     _, history = train(model, datasets, config)
     final = {r[1]: r[3] for r in history.rows if r[0] == 2}
     assert math.isnan(final[0]) and math.isnan(final[2])
-    assert final[1] == evaluate(model, datasets[1][1], 1, "accuracy")
-    assert final[3] == evaluate(model, datasets[3][1], 3, "accuracy")
-    datasets[0] = (datasets[0][0], split(0, 11, "val"))
+    assert final[1] == evaluate(model, datasets[1].val, 1, "accuracy")
+    assert final[3] == evaluate(model, datasets[3].val, 3, "accuracy")
+    datasets[0] = SplitDatasets(datasets[0].train, split(0, 11, "val"), None)
     _, history = train(model, datasets, TrainConfig(epochs=1, loss=config.loss))
-    assert history.rows[0][3] == evaluate(model, datasets[0][1], 0, "mse")
+    assert history.rows[0][3] == evaluate(model, datasets[0].val, 0, "mse")
 
 
 def reference_train(model, datasets, config):
@@ -311,8 +310,9 @@ def reference_train(model, datasets, config):
     state = AdamState.for_params(model.params, config.learning_rate)
     grids = [layer.grid for layer in model.layers]
     caches = layer_grams(grids, GaussianMixture.standard_normal())
+    kinds = config.loss_kinds(model.task_count)
     n = config.batch_size
-    steps = max(-(-len(tr.inputs) // n) for tr, _ in datasets)
+    steps = max(-(-len(d.train.inputs) // n) for d in datasets)
 
     def outputs(batches):
         zeros = {t: np.zeros((len(x), model.head_dim(t))) for t, x in batches.items()}
@@ -320,29 +320,29 @@ def reference_train(model, datasets, config):
 
     rows = []
     for epoch in range(config.epochs):
-        perms = [rng.permutation(len(tr.inputs)) for tr, _ in datasets]
+        perms = [rng.permutation(len(d.train.inputs)) for d in datasets]
         epoch_loss = np.zeros(model.task_count)
         for step in range(steps):
             take = np.arange(step * n, (step + 1) * n)
             picks = [np.take(perm, take, mode="wrap") for perm in perms]
-            batches = {t: datasets[t][0].inputs[r] for t, r in enumerate(picks)}
+            batches = {t: datasets[t].train.inputs[r] for t, r in enumerate(picks)}
             douts = {}
             for t, out in outputs(batches).items():
-                target = datasets[t][0].targets[picks[t]]
-                loss, douts[t] = LOSS_FNS[config.loss_kind(t)](out, target)
+                target = datasets[t].train.targets[picks[t]]
+                loss, douts[t] = LOSS_FNS[kinds[t]](out, target)
                 epoch_loss[t] += loss
             grads = reference_pass(model, batches, douts)[1]
             adam_step(model.params, np.concatenate([g.ravel() for g in grads]), state)
-        val = outputs({t: va.inputs for t, (_, va) in enumerate(datasets)})
+        val = outputs({t: d.val.inputs for t, d in enumerate(datasets)})
         dists = [
             mean_pairwise_distance(distance_matrix(layer.coords, cache))
             for layer, cache in zip(model.layers, caches)
         ]
-        for t, (_, va) in enumerate(datasets):
-            if config.loss_kind(t) == "squared_error":
-                metric = float(np.mean((val[t] - va.targets) ** 2))
+        for t, d in enumerate(datasets):
+            if kinds[t] == "squared_error":
+                metric = float(np.mean((val[t] - d.val.targets) ** 2))
             else:
-                metric = float(np.mean(np.argmax(val[t], axis=1) == va.targets))
+                metric = float(np.mean(np.argmax(val[t], axis=1) == d.val.targets))
             for l, dist in enumerate(dists):
                 rows.append((epoch, t, epoch_loss[t] / steps, metric, 0.0, l, dist))
     return rows
@@ -364,7 +364,7 @@ def test_grouped_step_matches_per_task_loop():
         return TaskDataset(x, rng.standard_normal((n, dims[t])), t, name)
 
     datasets = [
-        (split(t, n, "train"), split(t, 9, "val"))
+        SplitDatasets(split(t, n, "train"), split(t, 9, "val"), None)
         for t, n in enumerate((70, 13, 64, 1))
     ]
     config = TrainConfig(
@@ -428,8 +428,8 @@ def test_single_task_history_distance_is_zero():
 
 def test_missing_validation_records_nan():
     model, datasets = regression_setup()
-    pairs = [(d.train, None) for d in datasets]
-    _, history = train(model, pairs, TrainConfig(epochs=1, seed=4))
+    splits = [SplitDatasets(d.train, None, None) for d in datasets]
+    _, history = train(model, splits, TrainConfig(epochs=1, seed=4))
     assert all(math.isnan(v) for v in history.column("val_metric"))
 
 
@@ -473,17 +473,21 @@ def test_unusable_targets_name_their_task_before_the_first_step():
     before = model.params.copy()
     inputs = datasets[1].train.inputs
     wide = SimpleNamespace(inputs=inputs, targets=np.zeros((len(inputs), 2)))
-    pairs = [(datasets[0].train, None), (wide, None)]
+    splits = [
+        SplitDatasets(datasets[0].train, None, None), SplitDatasets(wide, None, None)
+    ]
     with pytest.raises(ValueError, match=r"task 1: targets have shape \(\d+, 2\)"):
-        train(model, pairs, TrainConfig(epochs=1))
+        train(model, splits, TrainConfig(epochs=1))
     arch = ArchitectureSpec(4, (8,), 2, task_count=2, basis_count=4)
     classes = build_model(arch, 0)
-    pairs = [
-        (SimpleNamespace(inputs=inputs, targets=np.full(len(inputs), k)), None)
+    splits = [
+        SplitDatasets(
+            SimpleNamespace(inputs=inputs, targets=np.full(len(inputs), k)), None, None
+        )
         for k in (1, 2)
     ]
     with pytest.raises(ValueError, match=r"task 1: labels outside \[0, 2\)"):
-        train(classes, pairs, TrainConfig(epochs=1, loss="cross_entropy"))
+        train(classes, splits, TrainConfig(epochs=1, loss="cross_entropy"))
     # Validation splits go through the same checks, before the first step.
     val = datasets[1].val
     wide_val = SimpleNamespace(inputs=val.inputs, targets=np.zeros((len(val), 2)))
@@ -492,9 +496,12 @@ def test_unusable_targets_name_their_task_before_the_first_step():
         (wide_val, r"targets have shape \(\d+, 2\), expected \(n, 1\)"),
         (narrow_val, r"inputs have shape \(\d+, 3\), expected \(n, 4\)"),
     ):
-        pairs = [(datasets[0].train, None), (datasets[1].train, bad)]
+        splits = [
+            SplitDatasets(datasets[0].train, None, None),
+            SplitDatasets(datasets[1].train, bad, None),
+        ]
         with pytest.raises(ValueError, match="task 1: " + match):
-            train(model, pairs, TrainConfig(epochs=1))
+            train(model, splits, TrainConfig(epochs=1))
     assert np.array_equal(model.params, before)
 
 
@@ -514,12 +521,13 @@ def test_unusable_class_heads_and_labels_name_their_task(case, message):
     labels = np.arange(len(inputs)) % 2
     if case == "one_output_head":
         model = build_model(ArchitectureSpec(4, (8,), 1, task_count=1, basis_count=4), 0)
+        split = SimpleNamespace(inputs=inputs, targets=labels)
         with pytest.raises(ValueError, match=message):
-            train(model, [(SimpleNamespace(inputs=inputs, targets=labels), None)], config)
+            train(model, [SplitDatasets(split, None, None)], config)
     else:
-        pairs = [(SimpleNamespace(inputs=inputs, targets=labels - 1), None)]
+        split = SimpleNamespace(inputs=inputs, targets=labels - 1)
         with pytest.raises(ValueError, match=message):
-            _head_dims(pairs, config)
+            _head_dims([SplitDatasets(split, None, None)], config)
 
 
 def test_out_of_range_validation_labels_fail_before_the_first_step():
@@ -531,9 +539,11 @@ def test_out_of_range_validation_labels_fail_before_the_first_step():
     for label in (7, -1):
         labels = np.array([0, 1, 2, label, 0])
         val = SimpleNamespace(inputs=inputs[:5], targets=labels)
-        pairs = [(labelled, None), (labelled, val)]
+        splits = [
+            SplitDatasets(labelled, None, None), SplitDatasets(labelled, val, None)
+        ]
         with pytest.raises(ValueError, match=r"task 1: labels outside \[0, 3\)"):
-            train(model, pairs, TrainConfig(epochs=1, loss="cross_entropy"))
+            train(model, splits, TrainConfig(epochs=1, loss="cross_entropy"))
         assert np.array_equal(model.params, before)
         with pytest.raises(ValueError, match=r"labels outside \[0, 3\)"):
             evaluate(model, val, 1, "accuracy")
@@ -560,12 +570,12 @@ def test_target_rows_must_be_one_hot():
     onehot = np.eye(3)[np.arange(len(inputs)) % 3]
     rows = onehot.copy()
     rows[4] = [5, -1, 0]
-    pairs = [
-        (SimpleNamespace(inputs=inputs, targets=onehot), None),
-        (SimpleNamespace(inputs=inputs, targets=rows), None),
+    splits = [
+        SplitDatasets(SimpleNamespace(inputs=inputs, targets=onehot), None, None),
+        SplitDatasets(SimpleNamespace(inputs=inputs, targets=rows), None, None),
     ]
     with pytest.raises(ValueError, match=r"task 1: target row \[5\.0, -1\.0, 0\.0\]"):
-        train(classes, pairs, TrainConfig(epochs=1, loss="cross_entropy"))
+        train(classes, splits, TrainConfig(epochs=1, loss="cross_entropy"))
     assert np.array_equal(classes.params, before)
 
 
@@ -584,11 +594,13 @@ def test_non_finite_loss_stops_training():
         inputs=datasets[1].train.inputs,
         targets=np.full_like(datasets[1].train.targets, 1e200),
     )
-    pairs = [(datasets[0].train, None), (huge, None)]
+    splits = [
+        SplitDatasets(datasets[0].train, None, None), SplitDatasets(huge, None, None)
+    ]
     with np.errstate(over="ignore"), pytest.raises(
         ValueError, match=r"epoch 0, task 1 has loss inf"
     ):
-        train(model, pairs, TrainConfig(epochs=3, seed=4))
+        train(model, splits, TrainConfig(epochs=3, seed=4))
 
 
 def identity_model(dim):
@@ -668,19 +680,12 @@ def test_evaluate_metrics():
 def test_history_bookkeeping():
     history = History()
     assert history.final_mean_distances() == {}
-    with pytest.raises(ValueError):
-        history.append(epoch=0)
-    row = dict(
-        epoch=0,
-        task_id=0,
-        train_loss=1.0,
-        val_metric=float("nan"),
-        reg_value=0.0,
-        layer_id=0,
-        mean_pairwise_distance=0.5,
-    )
-    history.append(**row)
-    history.append(**{**row, "epoch": 1, "mean_pairwise_distance": 0.25})
-    history.append(**{**row, "epoch": 1, "layer_id": 1, "mean_pairwise_distance": 0.75})
+    # Rows are tuples in COLUMNS order: epoch, task, train loss, val metric,
+    # reg value, layer and mean pairwise distance.
+    history.rows.extend([
+        (0, 0, 1.0, float("nan"), 0.0, 0, 0.5),
+        (1, 0, 1.0, float("nan"), 0.0, 0, 0.25),
+        (1, 0, 1.0, float("nan"), 0.0, 1, 0.75),
+    ])
     assert history.column("epoch") == [0, 1, 1]
     assert history.final_mean_distances() == {0: 0.25, 1: 0.75}
