@@ -3,12 +3,14 @@
 Run as ``python3 benchmarks/identity.py PARENT_TREE CHANGE_TREE CONFIG...``
 with two checkouts (each holding ``src/taan``) and one or more JSON configs.
 In each tree it runs, for each config in turn,
-``python -m taan train --config CONFIG --out D`` and then
+``python -m taan gen-data --config CONFIG --out D`` when the config's
+``data`` has no ``csv`` source (gen-data writes only the synthetic
+benchmark), ``python -m taan train --config CONFIG --out D`` and
 ``python -m taan analyze --out D``, and then once each
 ``python -m taan check bounds --seed 1 --out D``,
 ``python -m taan check gradients --seed 0`` and
-``python -m taan check moments``: every subcommand but ``gen-data``, which
-refuses CSV configs.  Each command is a child process that imports the
+``python -m taan check moments``: every subcommand.  Each command is a
+child process that imports the
 package from ``<tree>/src`` (``PYTHONPATH``) without writing bytecode
 (``PYTHONDONTWRITEBYTECODE=1``), in the caller's working directory, so file
 names in a config resolve as they do for ``taan``; every ``D`` lies in a
@@ -27,6 +29,7 @@ files with the same bytes, 1 when a file differs or only one tree wrote it,
 """
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -41,6 +44,9 @@ def commands(configs, out):
     argvs = []
     for i, config in enumerate(configs):
         run = str(out / f"config{i}")
+        data = json.loads(config.read_text(encoding="utf-8")).get("data") or {}
+        if data.get("csv") is None:
+            argvs.append(["gen-data", "--config", str(config), "--out", run])
         argvs.append(["train", "--config", str(config), "--out", run])
         argvs.append(["analyze", "--out", run])
     argvs.append(["check", "bounds", "--seed", "1", "--out", str(out / "bounds")])

@@ -8,7 +8,6 @@ distances, which coordinate-matrix regularizers then shape during training.
 
 from taan.apl import BasisGrid, apl_eval, apl_grad_coords, apl_grad_x
 from taan.data import (
-    CsvSchema,
     SplitDatasets,
     SyntheticSpec,
     TaskDataset,
@@ -102,7 +101,6 @@ __all__ = [
     "map_at_k",
     "train",
     # data
-    "CsvSchema",
     "SplitDatasets",
     "SyntheticSpec",
     "TaskDataset",

@@ -28,7 +28,6 @@ from taan import _backend
 from taan.apl import BasisGrid
 from taan.data import (
     SPLIT_TAGS,
-    CsvSchema,
     SplitDatasets,
     SyntheticSpec,
     _path,
@@ -154,29 +153,31 @@ def _load_datasets(cfg):
         return generate(_synthetic_spec(cfg))
     if csv_cfg is None:
         raise ValueError("config needs data.synthetic or data.csv")
-    schema, files = _csv_files(csv_cfg)
-    return [
-        SplitDatasets(*(
-            None if path is None else load_csv(path, schema, t, split)
-            for path, split in zip(names, SPLIT_TAGS)
-        ))
-        for t, names in enumerate(files)
-    ]
+    files = _csv_files(csv_cfg)
+    # Each file read once; each must have the columns of task 0's train file.
+    parts = {path: load_csv(path) for names in files for path in names if path}
+    first = files[0][0]
+    for path, part in parts.items():
+        if _columns(part) != _columns(parts[first]):
+            raise ValueError(
+                f"{path} has {_columns(part)}, but {first} has {_columns(parts[first])}"
+            )
+    return [SplitDatasets(*map(parts.get, names)) for names in files]
 
 
-def _csv_files(csv_cfg):
-    """A ``data.csv`` block's ``CsvSchema`` and each task's (train, val,
-    test) file names, None for a split it leaves out; nothing is read."""
-    _keys(csv_cfg, "data.csv", ("schema", "tasks"))
-    if not isinstance(csv_cfg.get("schema"), dict):
-        raise ValueError("data.csv needs a schema object")
-    tasks = csv_cfg.get("tasks")
+def _columns(part):
+    """A task file's column counts, as an error names them."""
+    return f"{part.inputs.shape[1]} input and {part.targets.shape[1]} target columns"
+
+
+def _csv_files(tasks):
+    """Each task's (train, val, test) file names from the ``data.csv`` task
+    list, None for a split an entry leaves out; nothing is read."""
     if not (isinstance(tasks, list) and tasks):
-        raise ValueError("data.csv needs a non-empty tasks list")
-    schema = CsvSchema(**csv_cfg["schema"])
+        raise ValueError(f"data.csv must be a non-empty list of tasks, got {tasks!r}")
     files = []
     for t, entry in enumerate(tasks):
-        where = f"data.csv.tasks[{t}]"
+        where = f"data.csv[{t}]"
         if not (isinstance(entry, dict) and "train" in entry):
             raise ValueError(f"{where} has no train file")
         _keys(entry, where, SPLIT_TAGS)
@@ -184,7 +185,7 @@ def _csv_files(csv_cfg):
         for split, name in zip(SPLIT_TAGS, files[-1]):
             if split == "train" or name is not None:
                 _path(f"{where}.{split}", name)
-    return schema, files
+    return files
 
 
 def _architecture(cfg, datasets, config):
@@ -207,9 +208,10 @@ def cmd_gen_data(args):
     cfg = load_config(args)
     datasets = generate(_synthetic_spec(cfg))
     dirs = _outdirs(cfg["out"], "data")
-    for split in datasets:
-        for part in (split.train, split.val, split.test):
-            path = dirs["data"] / f"task{part.task_id}_{part.split}.csv"
+    for t, split in enumerate(datasets):
+        for tag in SPLIT_TAGS:
+            part = getattr(split, tag)
+            path = dirs["data"] / f"task{t}_{tag}.csv"
             save_csv(part, path)
             print(f"wrote {path} ({len(part)} rows)")
     return 0
@@ -241,13 +243,13 @@ def cmd_train(args):
 
 
 def cmd_analyze(args):
-    cfg = load_config(args)
-    default = Path(cfg["out"]) / "checkpoints" / "model.npz"
+    out = _path("out", args.out)
+    default = Path(out) / "checkpoints" / "model.npz"
     ckpt = default if args.checkpoint is None else _path("checkpoint", args.checkpoint)
     model, mixture, _seed = load_checkpoint(ckpt)
     matrices = layer_distances(model, mixture=mixture)
     # Created once the matrices exist, so a run that fails leaves no directory.
-    dirs = _outdirs(cfg["out"], "matrices", "reports")
+    dirs = _outdirs(out, "matrices", "reports")
     lines = []
     for l, matrix in enumerate(matrices):
         for fmt in ("csv", "pgm"):
@@ -476,8 +478,9 @@ def build_parser():
     p_train.set_defaults(func=cmd_train)
 
     p_an = sub.add_parser("analyze", help="distance matrices and heatmaps")
-    p_an.add_argument("--config", help="JSON config file")
-    p_an.add_argument("--out", help="output directory")
+    p_an.add_argument(
+        "--out", default=DEFAULT_CONFIG["out"], help="output directory"
+    )
     p_an.add_argument("--checkpoint", help="checkpoint path (.npz)")
     p_an.set_defaults(func=cmd_analyze)
 

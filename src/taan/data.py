@@ -85,8 +85,6 @@ class TaskDataset:
 
     inputs: np.ndarray
     targets: np.ndarray
-    task_id: int
-    split: str
 
     def __post_init__(self):
         inputs = np.asarray(self.inputs, dtype=np.float64)
@@ -106,8 +104,6 @@ class TaskDataset:
             np.isfinite(np.asarray(targets, dtype=np.float64))
         ):
             raise ValueError("datasets must not contain non-finite entries")
-        _choice("split", self.split, SPLIT_TAGS)
-        object.__setattr__(self, "task_id", _whole("task_id", self.task_id, 0))
         inputs.setflags(write=False)
         targets.setflags(write=False)
         object.__setattr__(self, "inputs", inputs)
@@ -214,29 +210,14 @@ def generate(spec: SyntheticSpec):
         y += delta * _apply_map(task_maps[t], x)
         y += spec.noise * rng.standard_normal(y.shape)
         bounds = ((0, n_train), (n_train, n_train + n_val), (n_train + n_val, None))
-        parts = [
-            TaskDataset(x[lo:hi], y[lo:hi], t, tag)
-            for (lo, hi), tag in zip(bounds, SPLIT_TAGS)
-        ]
+        parts = (TaskDataset(x[lo:hi], y[lo:hi]) for lo, hi in bounds)
         out.append(SplitDatasets(*parts))
     return out
 
 
-@dataclass(frozen=True)
-class CsvSchema:
-    """Column layout: x0..x{d-1} then y0..y{k-1}."""
-
-    n_inputs: int
-    n_targets: int
-
-    def __post_init__(self):
-        for name in ("n_inputs", "n_targets"):
-            object.__setattr__(self, name, _whole(name, getattr(self, name), 1))
-
-    def header(self):
-        return [f"x{i}" for i in range(self.n_inputs)] + [
-            f"y{i}" for i in range(self.n_targets)
-        ]
+def _header(n_inputs, n_targets):
+    """The task-file columns: x0..x{d-1} then y0..y{k-1}."""
+    return [f"x{i}" for i in range(n_inputs)] + [f"y{i}" for i in range(n_targets)]
 
 
 def _write_csv(path, header, rows):
@@ -282,16 +263,17 @@ def _read_csv(path):
     return header, np.array(rows, dtype=np.float64)
 
 
-def load_csv(path, schema: CsvSchema, task_id=0, split="train") -> TaskDataset:
-    """Read one task/split file, rejecting malformed or non-finite cells."""
+def load_csv(path) -> TaskDataset:
+    """Read one task file, rejecting malformed or non-finite cells.  Its
+    header fixes the columns: it must be x0..x{d-1},y0..y{k-1}, d, k >= 1."""
     header, values = _read_csv(path)
-    expected = schema.header()
-    if header != expected:
+    n = sum(name.startswith("x") for name in header)
+    if not 0 < n < len(header) or header != _header(n, len(header) - n):
         raise ValueError(
-            f"{path}: header {header!r} does not match schema {expected!r}"
+            f"{path}: header {header!r} is not x0..x{{d-1}},y0..y{{k-1}} "
+            "with d, k >= 1"
         )
-    n = schema.n_inputs
-    return TaskDataset(values[:, :n], values[:, n:], task_id, split)
+    return TaskDataset(values[:, :n], values[:, n:])
 
 
 def save_csv(dataset: TaskDataset, path):
@@ -300,5 +282,5 @@ def save_csv(dataset: TaskDataset, path):
     targets = np.asarray(dataset.targets, dtype=np.float64)
     if targets.ndim == 1:
         targets = targets[:, None]
-    schema = CsvSchema(dataset.inputs.shape[1], targets.shape[1])
-    _write_csv(path, schema.header(), np.hstack([dataset.inputs, targets]).tolist())
+    header = _header(dataset.inputs.shape[1], targets.shape[1])
+    _write_csv(path, header, np.hstack([dataset.inputs, targets]).tolist())

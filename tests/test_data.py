@@ -12,7 +12,6 @@ from taan.analysis import check_l1_bounds, layer1_unit_gaussians
 from taan.apl import BasisGrid
 from taan.data import (
     SPLIT_TAGS,
-    CsvSchema,
     SyntheticSpec,
     TaskDataset,
     generate,
@@ -92,7 +91,7 @@ def test_splits_partition_the_samples():
     )
     n_train, n_val, n_test = spec.split_sizes()
     assert (n_train, n_val, n_test) == (62, 21, 20)
-    for t, split in enumerate(generate(spec)):
+    for split in generate(spec):
         assert len(split.train) == n_train
         assert len(split.val) == n_val
         assert len(split.test) == n_test
@@ -104,8 +103,6 @@ def test_splits_partition_the_samples():
         assert len({row.tobytes() for row in stacked}) == 103
         for tag in SPLIT_TAGS:
             part = getattr(split, tag)
-            assert part.split == tag
-            assert part.task_id == t
             assert part.targets.shape == (len(part), 1)
 
 
@@ -208,12 +205,6 @@ RELEVANT = np.array([[0, 1, 1], [1, 0, 0]])
 # Each site of the whole-number rule: (reader of a value, the field its
 # errors name, the floor or None, a valid whole number).
 WHOLE_SITES = {
-    "task_id": (
-        lambda v, _: TaskDataset(np.zeros((2, 1)), np.zeros(2), v, "train").task_id,
-        "task_id", 0, 3,
-    ),
-    "n_inputs": (lambda v, _: CsvSchema(v, 1).n_inputs, "n_inputs", 1, 2),
-    "n_targets": (lambda v, _: CsvSchema(1, v).n_targets, "n_targets", 1, 2),
     "basis_count": (lambda v, _: len(BasisGrid.even(v)), "basis_count", 1, 5),
     "mc_inner_and_distance": (
         lambda v, _: mc_pair(v), "Monte-Carlo sample count", 2, 1000
@@ -335,18 +326,14 @@ def test_real_settings_are_finite_numbers_in_their_interval(site):
 def test_dataset_validation():
     x = np.zeros((4, 2))
     with pytest.raises(ValueError):
-        TaskDataset(np.zeros(4), np.zeros(4), 0, "train")
+        TaskDataset(np.zeros(4), np.zeros(4))
     with pytest.raises(ValueError):
-        TaskDataset(x, np.zeros((3, 1)), 0, "train")
+        TaskDataset(x, np.zeros((3, 1)))
     with pytest.raises(ValueError):
-        TaskDataset(x, np.zeros((4, 1, 1)), 0, "train")
+        TaskDataset(x, np.zeros((4, 1, 1)))
     with pytest.raises(ValueError):
-        TaskDataset(x, np.full(4, np.nan), 0, "train")
-    with pytest.raises(ValueError):
-        TaskDataset(x, np.zeros(4), 0, "holdout")
-    with pytest.raises(ValueError):
-        TaskDataset(x, np.zeros(4), -1, "train")
-    ds = TaskDataset(x, np.zeros(4), 0, "train")
+        TaskDataset(x, np.full(4, np.nan))
+    ds = TaskDataset(x, np.zeros(4))
     assert len(ds) == 4
     with pytest.raises(ValueError):
         ds.inputs[0, 0] = 1.0
@@ -357,7 +344,7 @@ def test_csv_round_trip_bitwise(tmp_path):
     ds = generate(spec)[0].train
     path = tmp_path / "task0_train.csv"
     save_csv(ds, path)
-    again = load_csv(path, CsvSchema(3, 1), task_id=0, split="train")
+    again = load_csv(path)
     assert np.array_equal(ds.inputs, again.inputs)
     assert np.array_equal(ds.targets, again.targets)
     # Saving the reloaded dataset reproduces the file byte for byte.
@@ -365,9 +352,9 @@ def test_csv_round_trip_bitwise(tmp_path):
     save_csv(again, second)
     assert path.read_bytes() == second.read_bytes()
     # 1-D class labels are written as one target column.
-    labels = TaskDataset(ds.inputs, np.arange(len(ds)) % 3, 0, "train")
+    labels = TaskDataset(ds.inputs, np.arange(len(ds)) % 3)
     save_csv(labels, tmp_path / "labels.csv")
-    read = load_csv(tmp_path / "labels.csv", CsvSchema(3, 1))
+    read = load_csv(tmp_path / "labels.csv")
     assert np.array_equal(read.targets, labels.targets[:, None])
 
 
@@ -390,36 +377,46 @@ def test_csv_cells_are_written_by_one_rule(tmp_path):
     assert path.read_bytes() == ("\n".join(old) + "\n").encode("utf-8")
 
 
-def test_csv_fixture_and_header():
-    schema = CsvSchema(2, 1)
-    assert schema.header() == ["x0", "x1", "y0"]
-    with pytest.raises(ValueError):
-        CsvSchema(0, 1)
+def test_csv_fixture_and_header(tmp_path):
+    # The header x0..x{d-1},y0..y{k-1} is written from a dataset's shape and
+    # read back as its column counts.
+    path = tmp_path / "wide.csv"
+    save_csv(TaskDataset(np.zeros((2, 2)), np.zeros((2, 3))), path)
+    assert path.read_text(encoding="utf-8").splitlines()[0] == "x0,x1,y0,y1,y2"
+    ds = load_csv(path)
+    assert (ds.inputs.shape, ds.targets.shape) == ((2, 2), (2, 3))
 
 
 def test_load_csv_error_reporting(tmp_path):
-    schema = CsvSchema(2, 1)
-
     def write(name, text):
         p = tmp_path / name
         p.write_text(text, encoding="utf-8")
         return p
 
     good = write("good.csv", "x0,x1,y0\n1.0,2.0,3.0\n\n-1.5,0.25,0.0\n")
-    ds = load_csv(good, schema, task_id=3, split="val")
-    assert ds.task_id == 3 and ds.split == "val"
+    ds = load_csv(good)
     assert np.array_equal(ds.inputs, [[1.0, 2.0], [-1.5, 0.25]])
     assert np.array_equal(ds.targets, [[3.0], [0.0]])
 
+    # A header other than x0..x{d-1},y0..y{k-1}, d, k >= 1, is refused
+    # naming its file.
+    for name, header in (
+        ("names", "a,b,c"),
+        ("gap", "x0,x2,y0"),
+        ("order", "x0,y0,x1"),
+        ("no_y", "x0,x1,x2"),
+        ("no_x", "y0,y1,y2"),
+    ):
+        path = write(f"{name}.csv", f"{header}\n1,2,3\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: header")):
+            load_csv(path)
     with pytest.raises(ValueError, match="empty file"):
-        load_csv(write("empty.csv", ""), schema)
-    with pytest.raises(ValueError, match="header"):
-        load_csv(write("header.csv", "a,b,c\n1,2,3\n"), schema)
+        load_csv(write("empty.csv", ""))
     with pytest.raises(ValueError, match="line 3"):
-        load_csv(write("short.csv", "x0,x1,y0\n1,2,3\n1,2\n"), schema)
+        load_csv(write("short.csv", "x0,x1,y0\n1,2,3\n1,2\n"))
     with pytest.raises(ValueError, match="line 2"):
-        load_csv(write("text.csv", "x0,x1,y0\nfoo,2,3\n"), schema)
+        load_csv(write("text.csv", "x0,x1,y0\nfoo,2,3\n"))
     with pytest.raises(ValueError, match="non-finite"):
-        load_csv(write("nan.csv", "x0,x1,y0\n1,2,nan\n"), schema)
+        load_csv(write("nan.csv", "x0,x1,y0\n1,2,nan\n"))
     with pytest.raises(ValueError, match="no data rows"):
-        load_csv(write("headeronly.csv", "x0,x1,y0\n"), schema)
+        load_csv(write("headeronly.csv", "x0,x1,y0\n"))

@@ -63,19 +63,22 @@ def test_identity_check_finds_the_checkout_identical_to_itself(tmp_path):
     rows = [line.split() for line in proc.stdout.splitlines()[1:-1]]
     assert {row[0] for row in rows} == {"same"}
     assert {row[-1] for row in rows} == {
+        *(f"config0/data/task{t}_{split}.csv" for t in (0, 1)
+          for split in ("train", "val", "test")),
         "config0/checkpoints/model.npz",
         "config0/history/history.csv",
         "config0/matrices/layer0.csv",
         "config0/matrices/layer0.pgm",
         "config0/reports/analysis.txt",
         "bounds/reports/bounds.csv",
-        "stdout/00-train",
-        "stdout/01-analyze",
-        "stdout/02-check-bounds",
-        "stdout/03-check-gradients",
-        "stdout/04-check-moments",
+        "stdout/00-gen-data",
+        "stdout/01-train",
+        "stdout/02-analyze",
+        "stdout/03-check-bounds",
+        "stdout/04-check-gradients",
+        "stdout/05-check-moments",
     }
-    assert proc.stdout.endswith("11 files, 0 differ\n")
+    assert proc.stdout.endswith("18 files, 0 differ\n")
 
 
 def test_identity_check_counts_changed_and_missing_files(capsys):

@@ -274,14 +274,14 @@ def test_fused_validation_matches_evaluate_for_unequal_sizes():
     model = build_model(arch, 12)
     sizes = (37, 5, 0, 18)  # task 2 has an empty validation split
 
-    def split(t, n, name):
+    def split(t, n):
         x = rng.standard_normal((n, 4))
         if arch.output_dims[t] == 1:
-            return TaskDataset(x, rng.standard_normal((n, 1)), t, name)
-        return TaskDataset(x, rng.integers(0, arch.output_dims[t], n), t, name)
+            return TaskDataset(x, rng.standard_normal((n, 1)))
+        return TaskDataset(x, rng.integers(0, arch.output_dims[t], n))
 
     datasets = [
-        SplitDatasets(split(t, 40, "train"), split(t, n, "val"), None)
+        SplitDatasets(split(t, 40), split(t, n), None)
         for t, n in enumerate(sizes)
     ]
     datasets[0] = SplitDatasets(datasets[0].train, None, None)
@@ -297,7 +297,7 @@ def test_fused_validation_matches_evaluate_for_unequal_sizes():
     assert math.isnan(final[0]) and math.isnan(final[2])
     assert final[1] == evaluate(model, datasets[1].val, 1, "accuracy")
     assert final[3] == evaluate(model, datasets[3].val, 3, "accuracy")
-    datasets[0] = SplitDatasets(datasets[0].train, split(0, 11, "val"), None)
+    datasets[0] = SplitDatasets(datasets[0].train, split(0, 11), None)
     _, history = train(model, datasets, TrainConfig(epochs=1, loss=config.loss))
     assert history.rows[0][3] == evaluate(model, datasets[0].val, 0, "mse")
 
@@ -357,14 +357,14 @@ def test_grouped_step_matches_per_task_loop():
     losses = ("squared_error", "cross_entropy", "squared_error", "squared_error")
     arch = ArchitectureSpec(4, (6, 5), dims, task_count=4, basis_count=5)
 
-    def split(t, n, name):
+    def split(t, n):
         x = rng.standard_normal((n, 4))
         if losses[t] == "cross_entropy":
-            return TaskDataset(x, rng.integers(0, dims[t], n), t, name)
-        return TaskDataset(x, rng.standard_normal((n, dims[t])), t, name)
+            return TaskDataset(x, rng.integers(0, dims[t], n))
+        return TaskDataset(x, rng.standard_normal((n, dims[t])))
 
     datasets = [
-        SplitDatasets(split(t, n, "train"), split(t, 9, "val"), None)
+        SplitDatasets(split(t, n), split(t, 9), None)
         for t, n in enumerate((70, 13, 64, 1))
     ]
     config = TrainConfig(
@@ -654,22 +654,22 @@ def test_map_at_k_refuses_relevance_other_than_0_or_1():
 
 def test_evaluate_metrics():
     model = identity_model(4)
-    perfect = TaskDataset(MAP_SCORES, MAP_SCORES.copy(), 0, "test")
+    perfect = TaskDataset(MAP_SCORES, MAP_SCORES.copy())
     assert evaluate(model, perfect, 0, "mse") == 0.0
-    shifted = TaskDataset(MAP_SCORES, MAP_SCORES + 1.0, 0, "test")
+    shifted = TaskDataset(MAP_SCORES, MAP_SCORES + 1.0)
     assert abs(evaluate(model, shifted, 0, "mse") - 1.0) < 1e-14
-    labels = TaskDataset(MAP_SCORES, np.array([0, 1, 0]), 0, "test")
+    labels = TaskDataset(MAP_SCORES, np.array([0, 1, 0]))
     assert evaluate(model, labels, 0, "accuracy") == 1.0
     onehot = np.eye(4)[[0, 1, 1]]
     assert (
-        evaluate(model, TaskDataset(MAP_SCORES, onehot, 0, "test"), 0, "accuracy")
+        evaluate(model, TaskDataset(MAP_SCORES, onehot), 0, "accuracy")
         == 2.0 / 3.0
     )
-    ranked = TaskDataset(MAP_SCORES, MAP_RELEVANCE.astype(float), 0, "test")
+    ranked = TaskDataset(MAP_SCORES, MAP_RELEVANCE.astype(float))
     assert abs(evaluate(model, ranked, 0, "map_at_k", k=1) - 2.0 / 3.0) < 1e-12
     with pytest.raises(ValueError):
         evaluate(model, perfect, 0, "rmse")
-    narrow = TaskDataset(MAP_SCORES, MAP_SCORES[:, :3], 0, "test")
+    narrow = TaskDataset(MAP_SCORES, MAP_SCORES[:, :3])
     with pytest.raises(ValueError, match="target shape"):
         evaluate(model, narrow, 0, "mse")
     empty = SimpleNamespace(inputs=np.zeros((0, 4)), targets=np.zeros((0, 4)))
